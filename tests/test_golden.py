@@ -1,0 +1,128 @@
+"""Golden stdout: recorded CLI reports must come back byte for byte.
+
+Each entry runs ``qcontext.cli.main`` in a scratch directory holding a
+copy of ``tests/golden/inputs``, so file arguments are bare names and the
+reports echo the same paths on every machine.  ``<name>.out`` holds the
+recorded stdout; ``correlate_csv`` also pins the CSV it writes.
+
+Recording is deliberate and rare: after a change that is meant to alter
+a report, rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``
+and review the diff.
+"""
+
+import contextlib
+import io
+import os
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+from qcontext.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+INPUTS = GOLDEN_DIR / "inputs"
+
+# (name, argv, exit code).  The README commands come first, then at least
+# one invocation per subcommand.
+GOLDEN = (
+    ("schmidt_singlet", ["schmidt", "--state", "singlet"], 0),
+    ("luders_plus_z", ["luders", "--state", "plus", "--observable", "sigma_z"], 0),
+    ("chsh_singlet", ["chsh", "--state", "singlet"], 0),
+    ("correlate_csv", ["correlate", "--state", "singlet", "--csv", "sweep.csv"], 0),
+    ("ks_square", ["ks-square"], 0),
+    ("ghz", ["ghz"], 0),
+    ("mub_sampled", ["mub-tomography", "--state", "plus", "--samples", "100000", "--seed", "7"], 0),
+    ("suite", ["suite"], 0),
+    ("schmidt_file", ["schmidt", "--state", "pure8.json", "--dims", "2,4"], 0),
+    ("product_check", ["product-check", "--state", "product:1,0"], 0),
+    ("product_check_file", ["product-check", "--state", "pure2.json"], 0),
+    ("reduced", ["reduced", "--state", "rho2.json", "--keep", "2"], 0),
+    ("total_spin", ["total-spin", "--state", "rho2.json"], 0),
+    ("evolve", ["evolve", "--coupling", "0.7", "--time", "0.5"], 0),
+    ("representative", ["representative", "--state", "pure1.json", "--observable", "obs1.json"], 0),
+    ("equivalence", ["equivalence", "--state", "pure1.json", "--observable", "obs1.json",
+                     "--probe", "sigma_x"], 0),
+    ("context_distance", ["context-distance", "--state", "pure1.json", "--observable",
+                          "obs1.json", "--probe", "sigma_z"], 0),
+    ("sequential", ["sequential", "--state", "rho2.json", "--observable", "obs4.json",
+                    "--observable", "obs_b.json"], 0),
+    ("boolean_lattice", ["boolean-lattice", "--observable", "obs4.json"], 0),
+    ("boolean_lattice_seed", ["boolean-lattice", "--observable", "obs4.json", "--seed", "5"], 0),
+    ("boolean_lattice_degenerate", ["boolean-lattice", "--observable", "obs_deg.json"], 0),
+    ("boolean_lattice_degenerate_seed",
+     ["boolean-lattice", "--observable", "obs_deg.json", "--seed", "2"], 0),
+    ("boolean_lattice_qubit_seed", ["boolean-lattice", "--observable", "sigma_x", "--seed", "3"], 0),
+    ("correlate_table", ["correlate", "--state", "singlet", "--a", "deg:30", "--b", "0,1,0"], 0),
+    ("chsh_failed_check", ["chsh", "--state", "singlet", "--tol", "-1"], 1),
+    ("no_signalling", ["no-signalling", "--state", "rho2.json", "--setting", "z",
+                       "--setting", "deg:45", "--b", "x"], 0),
+    ("outcome_dependence", ["outcome-dependence", "--state", "singlet", "--a=x", "--b=deg:60"], 0),
+    ("remote_state", ["remote-state", "--state", "pure2.json", "--a=deg:30", "--outcome=-1"], 0),
+    ("ks_square_seed", ["ks-square", "--seed", "4"], 0),
+    ("ks_search_square", ["ks-search", "--problem", "square.json"], 0),
+    ("ks_search_relaxed", ["ks-search", "--problem", "relaxed.json"], 0),
+    ("ks_search_relaxed_seed", ["ks-search", "--problem", "relaxed.json", "--seed", "9"], 0),
+    ("ks_search_padded", ["ks-search", "--problem", "padded.json"], 0),
+    ("value_dependence", ["value-dependence", "--state", "rho2.json", "--observable",
+                          "obs_a.json", "--observable", "obs_b.json", "--observable",
+                          "obs_c.json"], 0),
+    ("mub_exact", ["mub-tomography", "--state", "plus"], 0),
+    ("mub_stats", ["mub-tomography", "--stats", "stats.json"], 0),
+)
+
+# Files a command writes, pinned next to its stdout as <name>.<suffix>.
+WRITTEN = {"correlate_csv": ("sweep.csv", "csv")}
+
+
+def _run(argv, workdir: Path) -> tuple[int, bytes]:
+    """Exit code and stdout bytes of one in-process CLI call in workdir."""
+    for f in INPUTS.iterdir():
+        shutil.copy(f, workdir)
+    here = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(here)
+    return code, out.getvalue().encode("utf-8")
+
+
+def test_every_subcommand_is_recorded():
+    from qcontext.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == {argv[0] for _, argv, _ in GOLDEN}
+
+
+@pytest.mark.parametrize("name, argv, code", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_stdout_matches_golden(name, argv, code, tmp_path):
+    got_code, stdout = _run(argv, tmp_path)
+    assert got_code == code
+    assert stdout == (GOLDEN_DIR / f"{name}.out").read_bytes()
+    if name in WRITTEN:
+        written, suffix = WRITTEN[name]
+        want = (GOLDEN_DIR / f"{name}.{suffix}").read_bytes()
+        assert (tmp_path / written).read_bytes() == want
+
+
+def _record() -> None:
+    import tempfile
+
+    for name, argv, code in GOLDEN:
+        with tempfile.TemporaryDirectory() as tmp:
+            got_code, stdout = _run(argv, Path(tmp))
+            if got_code != code:
+                raise SystemExit(f"{name}: exit {got_code}, expected {code}")
+            (GOLDEN_DIR / f"{name}.out").write_bytes(stdout)
+            if name in WRITTEN:
+                written, suffix = WRITTEN[name]
+                shutil.copy(Path(tmp) / written, GOLDEN_DIR / f"{name}.{suffix}")
+        print(f"recorded {name}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _record()
