@@ -420,11 +420,13 @@ def cmd_correlate(args) -> dict:
     a = parse_direction(args.a)
     checks: list[dict] = []
     results: dict = {}
+    if args.points < 2:
+        raise InputError(f"--points must be at least 2, got {args.points}")
     if args.csv:
         rows = []
         worst_law = 0.0
         for k in range(args.points):
-            theta = np.pi * k / (args.points - 1) if args.points > 1 else 0.0
+            theta = np.pi * k / (args.points - 1)
             b = _coplanar_partner(a, theta)
             record = joint_probabilities(rho, a, b)
             rows.append((float(np.degrees(theta)), record))
@@ -756,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", default="z")
     p.add_argument("--b", default="z")
     p.add_argument("--csv", default=None, help="write a sweep over relative angle instead")
-    p.add_argument("--points", type=int, default=37)
+    p.add_argument("--points", type=int, default=37, help="sweep rows, at least 2")
 
     p = add("chsh", cmd_chsh, "CHSH combination at four settings")
     p.add_argument("--state", required=True)
@@ -811,9 +813,6 @@ def main(argv: list[str] | None = None) -> int:
         report = args.func(args)
     except (InputError, DimensionError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return 2
     text = io.dump_json(report, path=args.out)
     sys.stdout.write(text)

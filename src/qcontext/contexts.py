@@ -324,37 +324,32 @@ def boolean_lattice_check(
     defect = max(defect, err)
     complete = err < tol
 
-    subsets = list(itertools.product((0, 1), repeat=k))
-    elements = {
-        bits: sum(
-            (projectors[i] for i in range(k) if bits[i]),
-            np.zeros((dim, dim), dtype=complex),
-        )
-        for bits in subsets
-    }
+    # Subset s holds projector i when bit k-1-i is set, so s = 0, 1, ...
+    # is itertools.product((0, 1), repeat=k) order.  Meet, join and
+    # complement are s & t, s | t and full ^ s.  Each element sums its
+    # projectors in index order starting from zero: the element without
+    # its last projector, plus that projector.
+    full = (1 << k) - 1
+    index = np.arange(full + 1)
+    elements = np.zeros((full + 1, dim, dim), dtype=complex)
+    for s in range(1, full + 1):
+        elements[s] = elements[s & (s - 1)] + projectors[k - (s & -s).bit_length()]
 
     meet_ok = join_ok = True
-    for s in subsets:
-        for t in subsets:
-            meet_bits = tuple(x & y for x, y in zip(s, t))
-            join_bits = tuple(x | y for x, y in zip(s, t))
-            meet = elements[s] @ elements[t]
-            err = float(np.abs(meet - elements[meet_bits]).max())
-            defect = max(defect, err)
-            if err >= tol:
-                meet_ok = False
-            join = elements[s] + elements[t] - meet
-            err = float(np.abs(join - elements[join_bits]).max())
-            defect = max(defect, err)
-            if err >= tol:
-                join_ok = False
-    complement_ok = True
-    for s in subsets:
-        comp_bits = tuple(1 - x for x in s)
-        err = float(np.abs((np.eye(dim) - elements[s]) - elements[comp_bits]).max())
+    for s in range(full + 1):
+        meets = elements[s] @ elements
+        err = float(np.abs(meets - elements[s & index]).max())
         defect = max(defect, err)
         if err >= tol:
-            complement_ok = False
+            meet_ok = False
+        joins = elements[s] + elements - meets
+        err = float(np.abs(joins - elements[s | index]).max())
+        defect = max(defect, err)
+        if err >= tol:
+            join_ok = False
+    err = float(np.abs((np.eye(dim) - elements) - elements[full ^ index]).max())
+    defect = max(defect, err)
+    complement_ok = err < tol
 
     if states is None:
         rng = np.random.default_rng(0)
@@ -363,33 +358,27 @@ def boolean_lattice_check(
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             m = g @ g.conj().T
             states.append(DensityOperator(m / np.trace(m).real))
+    s_idx, t_idx = np.nonzero(index[:, None] & index[None, :] == 0)
+    u_idx = s_idx | t_idx
+    atoms = [1 << (k - 1 - j) for j in range(k)]
     probs_ok = True
     for rho in states:
-        values = {
-            bits: float(np.trace(rho.matrix @ elements[bits]).real)
-            for bits in subsets
-        }
-        for bits, p in values.items():
-            if p < -tol or p > 1.0 + tol:
-                probs_ok = False
-            defect = max(defect, max(-p, p - 1.0, 0.0))
-        atoms = [values[tuple(1 if i == j else 0 for i in range(k))] for j in range(k)]
-        err = abs(sum(atoms) - 1.0)
+        values = np.array([float(np.trace(rho.matrix @ e).real) for e in elements])
+        if (values < -tol).any() or (values > 1.0 + tol).any():
+            probs_ok = False
+        defect = max(defect, float((-values).max()), float((values - 1.0).max()))
+        err = abs(sum(values[a] for a in atoms) - 1.0)
         defect = max(defect, err)
         if err >= tol:
             probs_ok = False
         # additivity over disjoint events
-        for s in subsets:
-            for t in subsets:
-                if all(x & y == 0 for x, y in zip(s, t)):
-                    union = tuple(x | y for x, y in zip(s, t))
-                    err = abs(values[union] - values[s] - values[t])
-                    defect = max(defect, err)
-                    if err >= tol:
-                        probs_ok = False
+        err = float(np.abs(values[u_idx] - values[s_idx] - values[t_idx]).max())
+        defect = max(defect, err)
+        if err >= tol:
+            probs_ok = False
 
     return BooleanLatticeReport(
-        element_count=len(subsets),
+        element_count=full + 1,
         projectors_orthogonal=orthogonal,
         complete=complete,
         closed_under_meet=meet_ok,

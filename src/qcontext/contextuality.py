@@ -30,6 +30,9 @@ CONSTRAINT_TOL = 1e-9
 # Exhaustive search is capped at this many +-1 observables (2^n cases).
 _SEARCH_MAX_OBSERVABLES = 20
 
+# Cases evaluated per numpy step of the search.
+_SEARCH_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ValueAssignmentProblem:
@@ -37,6 +40,7 @@ class ValueAssignmentProblem:
 
     ``contexts[k]`` lists indices of mutually commuting observables whose
     ordered matrix product must equal ``signs[k]`` times the identity.
+    ``labels`` name the observables and must be distinct.
     Construction verifies every constraint numerically; a corrupted
     problem never comes into existence.
     """
@@ -52,6 +56,9 @@ class ValueAssignmentProblem:
         n = len(mats)
         if len(self.labels) != n:
             raise ValueError(f"{n} observables but {len(self.labels)} labels")
+        if len(set(self.labels)) != n:
+            repeated = sorted({x for x in self.labels if self.labels.count(x) > 1})
+            raise ValueError(f"labels must be distinct, repeated: {repeated!r}")
         if len(self.contexts) != len(self.signs):
             raise ValueError(
                 f"{len(self.contexts)} contexts but {len(self.signs)} signs"
@@ -90,9 +97,6 @@ class ValueAssignmentProblem:
     @property
     def size(self) -> int:
         return len(self.observables)
-
-    def context_labels(self) -> list[tuple[str, ...]]:
-        return [tuple(self.labels[i] for i in ctx) for ctx in self.contexts]
 
     def assignment_satisfies(self, values: dict[str, int]) -> bool:
         """Exact integer check of one global +-1 assignment."""
@@ -152,29 +156,55 @@ class AssignmentSearchResult:
     example: dict[str, int] | None
 
 
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each uint32 entry, as 0/1."""
+    for shift in (16, 8, 4, 2, 1):
+        x = x ^ (x >> np.uint32(shift))
+    return x & np.uint32(1)
+
+
 def search_noncontextual_assignment(
     problem: ValueAssignmentProblem,
 ) -> AssignmentSearchResult:
     """Try every global +-1 assignment against all constraints.
 
-    Arithmetic is exact integer multiplication, so the verdict carries no
-    numerical tolerance.  Problems above 2^20 cases are refused.
+    Case ``c`` gives observable ``i`` the value -1 exactly when bit
+    ``n-1-i`` of ``c`` is set, which walks the assignments in
+    ``itertools.product((1, -1), repeat=n)`` order.  A context's product
+    is then -1 exactly when its index mask has odd overlap with ``c``;
+    the mask is an XOR, so an index repeated in a context squares away.
+    The arithmetic is exact integer parity, so the verdict carries no
+    numerical tolerance.  Cases run in fixed-size blocks, keeping memory
+    flat.  Problems above 2^20 cases are refused.
     """
     n = problem.size
     if n > _SEARCH_MAX_OBSERVABLES:
         raise ValueError(
             f"search space 2^{n} exceeds the 2^{_SEARCH_MAX_OBSERVABLES} cap"
         )
+    constraints = []
+    for ctx, sign in zip(problem.contexts, problem.signs):
+        mask = 0
+        for i in ctx:
+            mask ^= 1 << (n - 1 - i)
+        constraints.append((np.uint32(mask), 1 if sign == -1 else 0))
     count = 0
-    example: dict[str, int] | None = None
+    first: int | None = None
     cases = 0
-    for values in itertools.product((1, -1), repeat=n):
-        cases += 1
-        assignment = dict(zip(problem.labels, values))
-        if problem.assignment_satisfies(assignment):
-            count += 1
-            if example is None:
-                example = assignment
+    for start in range(0, 1 << n, _SEARCH_BLOCK):
+        block = np.arange(start, min(start + _SEARCH_BLOCK, 1 << n), dtype=np.uint32)
+        ok = np.ones(block.size, dtype=bool)
+        for mask, odd in constraints:
+            ok &= _parity(block & mask) == odd
+        cases += block.size
+        hits = int(np.count_nonzero(ok))
+        if first is None and hits:
+            first = start + int(np.argmax(ok))
+        count += hits
+    example = None
+    if first is not None:
+        values = (-1 if first >> (n - 1 - i) & 1 else 1 for i in range(n))
+        example = dict(zip(problem.labels, values))
     return AssignmentSearchResult(
         cases_checked=cases, satisfying_count=count, example=example
     )

@@ -8,6 +8,7 @@ projective measurements on both wings, p(i, j) = Tr[(P_i x Q_j) W].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,11 @@ class Direction:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "z", float(self.z))
+        if not all(map(math.isfinite, (self.x, self.y, self.z))):
+            raise ValueError(
+                f"direction components must be finite, got "
+                f"({self.x!r}, {self.y!r}, {self.z!r})"
+            )
         norm = float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
         if abs(norm - 1.0) > DIRECTION_TOL:
             raise ValueError(f"direction is not a unit vector: |d| = {norm!r}")

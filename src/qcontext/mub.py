@@ -100,6 +100,8 @@ class MeasurementStatistics:
                 raise DimensionError(
                     f"table {b} has {len(row)} entries, expected {self.dim}"
                 )
+            if not np.isfinite(row).all():
+                raise ValueError(f"table {b} has non-finite entries")
             if any(p < 0.0 or p > 1.0 for p in row):
                 raise ValueError(f"table {b} has probabilities outside [0, 1]")
             if abs(sum(row) - 1.0) > 1e-9:

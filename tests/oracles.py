@@ -1,0 +1,135 @@
+"""Loop-form reference implementations of the combinatorial routines.
+
+These are the tuple-and-dict versions that the vectorised library code
+replaced.  Tests require the library to return results equal to these
+under ``==``, down to the last bit of ``max_defect``.
+"""
+
+import itertools
+
+import numpy as np
+
+from qcontext.contexts import BooleanLatticeReport
+from qcontext.contextuality import AssignmentSearchResult
+from qcontext.states import DensityOperator
+
+
+def search_noncontextual_assignment(problem) -> AssignmentSearchResult:
+    """Every global +-1 assignment in ``itertools.product`` order, one dict each."""
+    count = 0
+    example = None
+    cases = 0
+    for values in itertools.product((1, -1), repeat=problem.size):
+        cases += 1
+        assignment = dict(zip(problem.labels, values))
+        satisfied = True
+        for ctx, sign in zip(problem.contexts, problem.signs):
+            prod = 1
+            for i in ctx:
+                prod *= assignment[problem.labels[i]]
+            if prod != sign:
+                satisfied = False
+                break
+        if satisfied:
+            count += 1
+            if example is None:
+                example = assignment
+    return AssignmentSearchResult(
+        cases_checked=cases, satisfying_count=count, example=example
+    )
+
+
+def boolean_lattice_check(a, states=None, tol: float = 1e-9) -> BooleanLatticeReport:
+    """Subsets as bit tuples, every pair of elements compared one at a time."""
+    projectors = list(a.spectrum.projectors)
+    k = len(projectors)
+    dim = a.dim
+    defect = 0.0
+
+    orthogonal = True
+    for i in range(k):
+        for j in range(k):
+            prod = projectors[i] @ projectors[j]
+            target = projectors[i] if i == j else np.zeros_like(prod)
+            err = float(np.abs(prod - target).max())
+            defect = max(defect, err)
+            if err >= tol:
+                orthogonal = False
+    total = sum(projectors)
+    err = float(np.abs(total - np.eye(dim)).max())
+    defect = max(defect, err)
+    complete = err < tol
+
+    subsets = list(itertools.product((0, 1), repeat=k))
+    elements = {
+        bits: sum(
+            (projectors[i] for i in range(k) if bits[i]),
+            np.zeros((dim, dim), dtype=complex),
+        )
+        for bits in subsets
+    }
+
+    meet_ok = join_ok = True
+    for s in subsets:
+        for t in subsets:
+            meet_bits = tuple(x & y for x, y in zip(s, t))
+            join_bits = tuple(x | y for x, y in zip(s, t))
+            meet = elements[s] @ elements[t]
+            err = float(np.abs(meet - elements[meet_bits]).max())
+            defect = max(defect, err)
+            if err >= tol:
+                meet_ok = False
+            join = elements[s] + elements[t] - meet
+            err = float(np.abs(join - elements[join_bits]).max())
+            defect = max(defect, err)
+            if err >= tol:
+                join_ok = False
+    complement_ok = True
+    for s in subsets:
+        comp_bits = tuple(1 - x for x in s)
+        err = float(np.abs((np.eye(dim) - elements[s]) - elements[comp_bits]).max())
+        defect = max(defect, err)
+        if err >= tol:
+            complement_ok = False
+
+    if states is None:
+        rng = np.random.default_rng(0)
+        states = []
+        for _ in range(20):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            m = g @ g.conj().T
+            states.append(DensityOperator(m / np.trace(m).real))
+    probs_ok = True
+    for rho in states:
+        values = {
+            bits: float(np.trace(rho.matrix @ elements[bits]).real)
+            for bits in subsets
+        }
+        for bits, p in values.items():
+            if p < -tol or p > 1.0 + tol:
+                probs_ok = False
+            defect = max(defect, max(-p, p - 1.0, 0.0))
+        atoms = [values[tuple(1 if i == j else 0 for i in range(k))] for j in range(k)]
+        err = abs(sum(atoms) - 1.0)
+        defect = max(defect, err)
+        if err >= tol:
+            probs_ok = False
+        for s in subsets:
+            for t in subsets:
+                if all(x & y == 0 for x, y in zip(s, t)):
+                    union = tuple(x | y for x, y in zip(s, t))
+                    err = abs(values[union] - values[s] - values[t])
+                    defect = max(defect, err)
+                    if err >= tol:
+                        probs_ok = False
+
+    return BooleanLatticeReport(
+        element_count=len(subsets),
+        projectors_orthogonal=orthogonal,
+        complete=complete,
+        closed_under_meet=meet_ok,
+        closed_under_join=join_ok,
+        closed_under_complement=complement_ok,
+        probabilities_consistent=probs_ok,
+        max_defect=defect,
+    )

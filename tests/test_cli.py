@@ -102,6 +102,51 @@ def test_non_unit_direction_exits_two(capsys):
     assert "unit" in err
 
 
+@pytest.mark.parametrize("a", ["nan,0,0", "0,inf,0"])
+def test_non_finite_direction_exits_two(capsys, a):
+    code, out, err = run(
+        capsys, ["outcome-dependence", "--state", "singlet", f"--a={a}", "--b=z"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "direction components must be finite" in err
+
+
+@pytest.mark.parametrize("points", ["0", "1", "-3"])
+def test_correlate_sweep_needs_two_points(tmp_path, capsys, points):
+    target = tmp_path / "sweep.csv"
+    code, out, err = run(
+        capsys,
+        ["correlate", "--state", "singlet", "--csv", str(target), "--points", points],
+    )
+    assert code == 2
+    assert out == ""
+    assert "--points" in err
+    assert not target.exists()
+
+
+def test_duplicate_problem_labels_exit_two(tmp_path, capsys):
+    from qcontext.contextuality import mermin_peres_square
+
+    payload = io.problem_to_json(mermin_peres_square().without_context(5))
+    payload["labels"] = ["A"] * len(payload["labels"])
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["ks-search", "--problem", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "distinct" in err
+
+
+def test_non_finite_statistics_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "stats.json"
+    path.write_text('{"dim": 2, "tables": [[NaN, 0.5], [0.5, 0.5], [0.5, 0.5]]}')
+    code, out, err = run(capsys, ["mub-tomography", "--stats", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
 # determinism and output hygiene
 
 

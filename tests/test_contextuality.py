@@ -121,6 +121,19 @@ def test_problem_rejects_noncommuting_context():
         )
 
 
+def test_problem_rejects_duplicate_labels():
+    # keyed by label, the relaxed square with all labels equal once
+    # reported 256 satisfying assignments instead of 16
+    relaxed = mermin_peres_square().without_context(5)
+    with pytest.raises(ValueError, match="distinct"):
+        ValueAssignmentProblem(
+            observables=relaxed.observables,
+            labels=("A",) * relaxed.size,
+            contexts=relaxed.contexts,
+            signs=relaxed.signs,
+        )
+
+
 def test_problem_rejects_non_involution():
     with pytest.raises(ValueError):
         ValueAssignmentProblem(

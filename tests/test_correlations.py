@@ -38,6 +38,15 @@ def test_direction_requires_unit_norm():
         Direction(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "components",
+    [(np.nan, 0.0, 0.0), (0.0, np.nan, 1.0), (np.inf, 0.0, 0.0), (0.0, 0.0, -np.inf)],
+)
+def test_direction_rejects_non_finite_components(components):
+    with pytest.raises(ValueError, match="finite"):
+        Direction(*components)
+
+
 def test_direction_normalized_and_polar_agree():
     d = Direction.normalized(3.0, 0.0, 4.0)
     assert d.x == pytest.approx(0.6)

@@ -65,6 +65,12 @@ def test_statistics_rows_validated():
         MeasurementStatistics(dim=2, tables=((1.0, 0.0, 0.0),))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_statistics_rows_must_be_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        MeasurementStatistics(dim=2, tables=((1.0, 0.0), (bad, 0.5), (0.5, 0.5)))
+
+
 def test_exact_round_trip_on_random_states():
     rng = np.random.default_rng(91)
     m = mub_qubit()

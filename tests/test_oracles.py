@@ -1,0 +1,129 @@
+"""The vectorised search and lattice check against their loop-form oracles.
+
+``oracles.py`` keeps the tuple-and-dict implementations.  Every result
+here must be equal under ``==``: counts, the first satisfying example,
+every verdict and ``max_defect`` to the last bit.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from qcontext.contexts import boolean_lattice_check, observable
+from qcontext.contextuality import (
+    ValueAssignmentProblem,
+    mermin_peres_square,
+    search_noncontextual_assignment,
+)
+from qcontext.sampling import random_density
+
+
+@st.composite
+def constraint_sets(draw):
+    """Any sign constraints over n <= 10 observables, repeats included.
+
+    The search reads only ``size``, ``labels``, ``contexts`` and
+    ``signs``, so a plain namespace can pose constraint sets, such as
+    unsatisfiable ones, that no verified set of observables carries.
+    """
+    n = draw(st.integers(min_value=1, max_value=10))
+    index = st.integers(min_value=0, max_value=n - 1)
+    contexts = draw(
+        st.lists(st.lists(index, max_size=5).map(tuple), max_size=7).map(tuple)
+    )
+    signs = tuple(draw(st.sampled_from((1, -1))) for _ in contexts)
+    labels = tuple(f"o{i}" for i in draw(st.permutations(range(n))))
+    return SimpleNamespace(size=n, labels=labels, contexts=contexts, signs=signs)
+
+
+@given(constraint_sets())
+@settings(max_examples=200, deadline=None)
+def test_search_matches_oracle_on_random_constraints(problem):
+    assert search_noncontextual_assignment(problem) == (
+        oracles.search_noncontextual_assignment(problem)
+    )
+
+
+def _padded_square(order, padding: int, keep: tuple[int, ...]) -> ValueAssignmentProblem:
+    """The square's observables plus identities, reordered, with some contexts."""
+    square = mermin_peres_square()
+    labels = list(square.labels) + [f"I{k}" for k in range(padding)]
+    mats = list(square.observables) + [np.eye(4, dtype=complex)] * padding
+    position = {int(old): new for new, old in enumerate(order)}
+    return ValueAssignmentProblem(
+        observables=tuple(mats[i] for i in order),
+        labels=tuple(labels[i] for i in order),
+        contexts=tuple(
+            tuple(position[i] for i in square.contexts[c]) for c in keep
+        ),
+        signs=tuple(square.signs[c] for c in keep),
+    )
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=0, max_value=1),
+    st.sets(st.integers(min_value=0, max_value=5)),
+)
+@settings(max_examples=20, deadline=None)
+def test_search_matches_oracle_on_verified_squares(seed, padding, keep):
+    order = np.random.default_rng(seed).permutation(9 + padding)
+    problem = _padded_square(order, padding, tuple(sorted(keep)))
+    assert search_noncontextual_assignment(problem) == (
+        oracles.search_noncontextual_assignment(problem)
+    )
+
+
+def test_search_counts_padded_square_at_the_cap():
+    relaxed = (0, 1, 2, 3, 4)
+    problem = _padded_square(np.arange(20), 11, relaxed)
+    result = search_noncontextual_assignment(problem)
+    assert result.cases_checked == 2**20 == 1_048_576
+    assert result.satisfying_count == 16 * 2**11 == 32_768
+    assert problem.assignment_satisfies(result.example)
+
+
+def _observable_with_levels(rng, levels: list[float]):
+    d = len(levels)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    h = (q * np.array(levels)) @ q.conj().T
+    return observable(0.5 * (h + h.conj().T))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2),
+    st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_lattice_matches_oracle_on_random_observables(seed, k, repeats, own_states):
+    rng = np.random.default_rng(seed)
+    levels = [float(v) for v in range(k)]
+    levels += [float(v) for v in rng.integers(0, k, repeats)]  # degenerate levels
+    obs = _observable_with_levels(rng, levels)
+    assert len(obs.spectrum.projectors) == k
+    states = None
+    if own_states:
+        states = [random_density(obs.dim, rng) for _ in range(3)]
+    assert boolean_lattice_check(obs, states=states) == (
+        oracles.boolean_lattice_check(obs, states=states)
+    )
+
+
+def test_lattice_matches_oracle_at_six_levels():
+    obs = _observable_with_levels(np.random.default_rng(6), [float(v) for v in range(6)])
+    report = boolean_lattice_check(obs)
+    assert report.element_count == 64
+    assert report == oracles.boolean_lattice_check(obs)
+
+
+def test_lattice_matches_oracle_when_a_check_fails():
+    # a tolerance below the rounding floor fails the numerical checks;
+    # the verdicts and the worst defect must still agree
+    obs = _observable_with_levels(np.random.default_rng(3), [0.0, 1.0, 2.0, 2.0])
+    report = boolean_lattice_check(obs, tol=0.0)
+    assert not report.all_hold
+    assert report == oracles.boolean_lattice_check(obs, tol=0.0)
