@@ -106,15 +106,16 @@ def criterion_singlet_anticorrelation() -> CriterionResult:
         a = random_direction(rng)
         record = joint_probabilities(singlet, a, a)
         worst_same = max(worst_same, record.joint[(1, 1)] + record.joint[(-1, -1)])
+        spectrum = spin_observable(a).spectrum
         for outcome in (1, -1):
             _, remote = conditional_remote_state(singlet, a, outcome)
             opposite = next(
                 p
                 for value, p in zip(
-                    spin_observable(a).spectrum.eigenvalues,
+                    spectrum.eigenvalues,
                     [
                         float(np.vdot(remote.amplitudes, proj @ remote.amplitudes).real)
-                        for proj in spin_observable(a).spectrum.projectors
+                        for proj in spectrum.projectors
                     ],
                 )
                 if int(round(value)) == -outcome

@@ -69,8 +69,8 @@ class Observable:
 
 def observable(matrix, label: str = "") -> Observable:
     """Validate a Hermitian matrix and attach its spectral resolution."""
-    m = la.require_hermitian(matrix)
-    return Observable(matrix=m, spectrum=la.spectral_decompose(m), label=label)
+    spectrum = la.spectral_decompose(matrix)
+    return Observable(matrix=la.as_operator(matrix), spectrum=spectrum, label=label)
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def luders_nonselective(ctx: MeasurementContext) -> ContextualState:
         out += p @ w @ p
         probabilities[a] = float(np.trace(w @ p).real)
     return ContextualState(
-        state=DensityOperator(out),
+        state=DensityOperator._derived(out),
         context=ctx,
         outcome_probabilities=probabilities,
     )
@@ -357,7 +357,7 @@ def boolean_lattice_check(
         for _ in range(20):
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             m = g @ g.conj().T
-            states.append(DensityOperator(m / np.trace(m).real))
+            states.append(DensityOperator._derived(m / np.trace(m).real))
     s_idx, t_idx = np.nonzero(index[:, None] & index[None, :] == 0)
     u_idx = s_idx | t_idx
     atoms = [1 << (k - 1 - j) for j in range(k)]

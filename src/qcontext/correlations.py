@@ -77,8 +77,9 @@ def spin_observable(d: Direction) -> Observable:
     return observable(m, label=f"spin({d.x:.6g},{d.y:.6g},{d.z:.6g})")
 
 
-def _outcome_projectors(obs: Observable) -> dict[int, np.ndarray]:
-    """Projectors keyed by outcome +1 / -1 for a two-valued spin observable."""
+def _spin_projectors(d: Direction) -> dict[int, np.ndarray]:
+    """Projectors of the spin along d, keyed by outcome +1 / -1."""
+    obs = spin_observable(d)
     out: dict[int, np.ndarray] = {}
     for a, p in zip(obs.spectrum.eigenvalues, obs.spectrum.projectors):
         key = int(round(a))
@@ -120,13 +121,21 @@ class CorrelationRecord:
             raise ValueError(f"expectation {self.expectation!r} outside [-1, 1]")
 
 
-def joint_probabilities(w, a: Direction, b: Direction) -> CorrelationRecord:
-    """Joint +-1 outcome distribution for spins measured along a and b."""
+def _pair_state(w) -> DensityOperator:
     rho = as_density(w)
     if rho.dim != 4:
         raise DimensionError(f"pair correlations need dimension 4, got {rho.dim}")
-    pa = _outcome_projectors(spin_observable(a))
-    pb = _outcome_projectors(spin_observable(b))
+    return rho
+
+
+def _joint_record(
+    rho: DensityOperator,
+    a: Direction,
+    pa: dict[int, np.ndarray],
+    b: Direction,
+    pb: dict[int, np.ndarray],
+) -> CorrelationRecord:
+    """Joint table of a pair state from both wings' outcome projectors."""
     joint: dict[tuple[int, int], float] = {}
     for i in OUTCOMES:
         for j in OUTCOMES:
@@ -143,6 +152,14 @@ def joint_probabilities(w, a: Direction, b: Direction) -> CorrelationRecord:
         marginal_2=marginal_2,
         expectation=float(expectation),
     )
+
+
+def joint_probabilities(w, a: Direction, b: Direction) -> CorrelationRecord:
+    """Joint +-1 outcome distribution for spins measured along a and b."""
+    rho = _pair_state(w)
+    pa = _spin_projectors(a)
+    pb = pa if b == a else _spin_projectors(b)
+    return _joint_record(rho, a, pa, b, pb)
 
 
 def correlation(w, a: Direction, b: Direction) -> float:
@@ -164,7 +181,7 @@ def conditional_remote_state(
         raise DimensionError(f"remote conditioning needs dimension 4, got {state.dim}")
     if outcome not in OUTCOMES:
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    proj = _outcome_projectors(spin_observable(a))[outcome]
+    proj = _spin_projectors(a)[outcome]
     e = la.rank_one_vector(proj)
     # (<e| x I) psi leaves the distant spin's (unnormalised) amplitudes.
     m = state.amplitudes.reshape(2, 2)
@@ -180,11 +197,13 @@ def conditional_remote_state(
 
 def chsh(w, a: Direction, a2: Direction, b: Direction, b2: Direction) -> float:
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
+    rho = _pair_state(w)
+    pa, pa2, pb, pb2 = (_spin_projectors(d) for d in (a, a2, b, b2))
     return (
-        correlation(w, a, b)
-        + correlation(w, a, b2)
-        + correlation(w, a2, b)
-        - correlation(w, a2, b2)
+        _joint_record(rho, a, pa, b, pb).expectation
+        + _joint_record(rho, a, pa, b2, pb2).expectation
+        + _joint_record(rho, a2, pa2, b, pb).expectation
+        - _joint_record(rho, a2, pa2, b2, pb2).expectation
     )
 
 
@@ -215,12 +234,12 @@ def no_signalling_check(w, settings: list[Direction], b: Direction) -> float:
     rho = as_density(w)
     if rho.dim != 4:
         raise DimensionError(f"no-signalling check needs dimension 4, got {rho.dim}")
-    qb = _outcome_projectors(spin_observable(b))
+    qb = _spin_projectors(b)
     reduced: list[np.ndarray] = []
     margins: list[dict[int, float]] = []
     eye = np.eye(2, dtype=complex)
     for a in settings:
-        pa = _outcome_projectors(spin_observable(a))
+        pa = _spin_projectors(a)
         conditioned = np.zeros((4, 4), dtype=complex)
         for p in pa.values():
             big = la.tensor(p, eye)

@@ -57,16 +57,43 @@ def matrix_to_json(m) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    n = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+def _dim_and_parts(obj, what: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """Shape-check a matrix or vector payload before reading its entries.
+
+    It must be a JSON object with a positive integer "dim" and flat
+    "re"/"im" lists of numbers that fit a float; anything else raises
+    ValueError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    n = obj.get("dim")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f'{what} needs a positive integer "dim", got {n!r}')
+    parts = []
+    for key in ("re", "im"):
+        values = obj.get(key)
+        if not isinstance(values, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
+        ):
+            raise ValueError(f'{what} needs "{key}" as a flat list of numbers')
+        try:
+            parts.append(np.asarray(values, dtype=float))
+        except OverflowError:
+            raise ValueError(f'{what} has a "{key}" entry too large for a float') from None
+    return n, parts[0], parts[1]
+
+
+def _matrix_from_parts(n: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     if re.size != n * n or im.size != n * n:
         raise ValueError(
             f"matrix of dimension {n} needs {n * n} entries, "
             f"got {re.size} re / {im.size} im"
         )
     return (re + 1j * im).reshape(n, n)
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    return _matrix_from_parts(*_dim_and_parts(obj, "matrix"))
 
 
 def vector_to_json(v) -> dict:
@@ -78,10 +105,7 @@ def vector_to_json(v) -> dict:
     }
 
 
-def vector_from_json(obj: dict) -> np.ndarray:
-    n = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+def _vector_from_parts(n: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     if re.size != n or im.size != n:
         raise ValueError(
             f"vector of dimension {n} needs {n} entries, "
@@ -90,21 +114,24 @@ def vector_from_json(obj: dict) -> np.ndarray:
     return re + 1j * im
 
 
+def vector_from_json(obj: dict) -> np.ndarray:
+    return _vector_from_parts(*_dim_and_parts(obj, "vector"))
+
+
 def load_state_json(obj: dict):
     """Dispatch a state file to PureState or DensityOperator by entry count.
 
     A file with dim entries per part is a pure state; dim^2 entries make
     a density matrix.  Both come back validated.
     """
-    n = int(obj["dim"])
-    size = len(obj["re"])
-    if size == n:
-        return PureState(vector_from_json(obj))
-    if size == n * n:
-        return DensityOperator(matrix_from_json(obj))
+    n, re, im = _dim_and_parts(obj, "state")
+    if re.size == n:
+        return PureState(_vector_from_parts(n, re, im))
+    if re.size == n * n:
+        return DensityOperator(_matrix_from_parts(n, re, im))
     raise ValueError(
         f"state file with dim {n} must carry {n} (vector) or {n * n} "
-        f"(matrix) entries, got {size}"
+        f"(matrix) entries, got {re.size}"
     )
 
 
@@ -115,8 +142,8 @@ def observable_to_json(obs: Observable) -> dict:
 
 
 def observable_from_json(obj: dict) -> Observable:
-    label = str(obj.get("label", ""))
-    return observable(matrix_from_json(obj), label=label)
+    matrix = matrix_from_json(obj)
+    return observable(matrix, label=str(obj.get("label", "")))
 
 
 def problem_to_json(problem: ValueAssignmentProblem) -> dict:

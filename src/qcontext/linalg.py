@@ -180,7 +180,9 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL) -> tuple[np.ndarray, np.ndar
     Sweeps annihilate one off-diagonal entry at a time with a complex
     plane rotation until the off-diagonal Frobenius norm falls below
     ``off_tol`` times the scale of the input.  Convergence is quadratic,
-    so a handful of sweeps suffices at these dimensions.
+    so a handful of sweeps suffices at these dimensions.  The input is
+    validated as Hermitian here; this is the only Hermiticity check on
+    the way to the kernel.
 
     Returns
     -------
@@ -224,18 +226,25 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL) -> tuple[np.ndarray, np.ndar
                 #   U[p,p] = c        U[p,q] = s
                 #   U[q,p] = -s*e^-if U[q,q] = c*e^-if   with e^if = apq/|apq|
                 # d <- U^dagger d U, eigenvector columns v <- v U.
+                # s * conj(phase) * dq evaluates left to right, so forming
+                # each scalar product once leaves every result unchanged.
+                conj_phase = phase.conjugate()
+                s_conj = s * conj_phase
+                c_conj = c * conj_phase
+                s_phase = s * phase
+                c_phase = c * phase
                 dp = d[:, p].copy()
                 dq = d[:, q].copy()
-                d[:, p] = c * dp - s * phase.conjugate() * dq
-                d[:, q] = s * dp + c * phase.conjugate() * dq
+                d[:, p] = c * dp - s_conj * dq
+                d[:, q] = s * dp + c_conj * dq
                 rp = d[p, :].copy()
                 rq = d[q, :].copy()
-                d[p, :] = c * rp - s * phase * rq
-                d[q, :] = s * rp + c * phase * rq
+                d[p, :] = c * rp - s_phase * rq
+                d[q, :] = s * rp + c_phase * rq
                 vp = v[:, p].copy()
                 vq = v[:, q].copy()
-                v[:, p] = c * vp - s * phase.conjugate() * vq
-                v[:, q] = s * vp + c * phase.conjugate() * vq
+                v[:, p] = c * vp - s_conj * vq
+                v[:, q] = s * vp + c_conj * vq
     else:
         raise ConvergenceError(
             f"Jacobi diagonalisation did not reach off-norm {threshold:.3e} "
@@ -281,17 +290,15 @@ class SpectralDecomposition:
 
 
 def spectral_decompose(
-    h,
-    merge_tol: float = EIGENVALUE_MERGE_TOL,
-    hermiticity_tol: float = HERMITICITY_TOL,
+    h, merge_tol: float = EIGENVALUE_MERGE_TOL
 ) -> SpectralDecomposition:
     """Spectral resolution of a Hermitian matrix.
 
     Eigenvalues within ``merge_tol`` of each other collapse into a single
     degenerate level whose projector spans the merged eigenvectors.
+    ``jacobi_eigh`` validates ``h``.
     """
-    a = require_hermitian(h, tol=hermiticity_tol)
-    eigenvalues, vectors = jacobi_eigh(a)
+    eigenvalues, vectors = jacobi_eigh(h)
     levels: list[float] = []
     projectors: list[np.ndarray] = []
     multiplicities: list[int] = []

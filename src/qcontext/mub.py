@@ -180,4 +180,4 @@ def reconstruct(stats: MeasurementStatistics, m: MubSet) -> DensityOperator:
         raise ValueError("reconstruction produced no positive weight")
     clipped = clipped / total
     physical = (vectors * clipped) @ la.dagger(vectors)
-    return DensityOperator(physical)
+    return DensityOperator._derived(physical)

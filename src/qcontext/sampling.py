@@ -23,7 +23,7 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     """Full-rank state from a complex Wishart draw."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return DensityOperator(m / float(np.trace(m).real))
+    return DensityOperator._derived(m / float(np.trace(m).real))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

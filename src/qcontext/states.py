@@ -57,7 +57,7 @@ class PureState:
         return np.outer(a, a.conj())
 
     def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.projector())
+        return DensityOperator._derived(self.projector())
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
@@ -68,11 +68,26 @@ class PureState:
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite operator.
 
-    Validation runs at construction: Hermiticity within 1e-9 per entry,
-    trace within 1e-10 of one, eigenvalues above -1e-9.
+    Every state built from outside the library is validated at
+    construction: Hermiticity within 1e-9 per entry, trace within 1e-10
+    of one, eigenvalues above -1e-9 (one Jacobi eigensolve).  States the
+    library derives from validated ones and that are positive by
+    construction (``|psi><psi|``, Luders sums, partial traces, Wishart
+    draws, clipped reconstructions) come from ``_derived`` and skip it.
     """
 
     matrix: np.ndarray = field(repr=False)
+
+    @classmethod
+    def _derived(cls, matrix: np.ndarray) -> "DensityOperator":
+        """Wrap a complex matrix that is a state by construction, unvalidated.
+
+        Only for matrices the library computes from validated inputs;
+        input from outside goes through ``DensityOperator(...)``.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", matrix)
+        return state
 
     def __post_init__(self):
         m = la.require_hermitian(self.matrix)
@@ -220,7 +235,7 @@ def is_product(psi, dims: tuple[int, int]):
 def reduced_state(w, dims: tuple[int, int], keep: int) -> DensityOperator:
     """Reduced density operator of one subsystem of a compound state."""
     rho = as_density(w)
-    return DensityOperator(la.partial_trace(rho.matrix, dims, keep))
+    return DensityOperator._derived(la.partial_trace(rho.matrix, dims, keep))
 
 
 def basis_state(dim: int, index: int) -> PureState:

@@ -1,8 +1,10 @@
-"""Loop-form reference implementations of the combinatorial routines.
+"""Reference implementations that optimised library code replaced.
 
-These are the tuple-and-dict versions that the vectorised library code
-replaced.  Tests require the library to return results equal to these
-under ``==``, down to the last bit of ``max_defect``.
+The search and lattice check are the tuple-and-dict versions of the
+vectorised combinatorial routines; tests require the library to return
+results equal to these under ``==``, down to the last bit of
+``max_defect``.  ``jacobi_eigh`` is the eigensolver before its inner
+loop formed each rotation product once; tests require bit-equal output.
 """
 
 import itertools
@@ -11,7 +13,68 @@ import numpy as np
 
 from qcontext.contexts import BooleanLatticeReport
 from qcontext.contextuality import AssignmentSearchResult
+from qcontext.linalg import JACOBI_OFF_TOL, ConvergenceError, require_hermitian
 from qcontext.states import DensityOperator
+
+
+def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL):
+    """Cyclic Jacobi with every rotation product written out in place."""
+    a = require_hermitian(h)
+    n = a.shape[0]
+    d = a.copy()
+    v = np.eye(n, dtype=complex)
+    scale = max(1.0, float(np.linalg.norm(a)))
+    threshold = off_tol * scale
+    cutoff = threshold / (2.0 * n)
+
+    if n == 1:
+        return np.array([d[0, 0].real]), v
+
+    for _ in range(100):
+        if float(np.linalg.norm(d - np.diag(np.diag(d)))) < threshold:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = d[p, q]
+                r = abs(apq)
+                if r <= cutoff:
+                    continue
+                phase = apq / r
+                app = d[p, p].real
+                aqq = d[q, q].real
+                tau = (aqq - app) / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                dp = d[:, p].copy()
+                dq = d[:, q].copy()
+                d[:, p] = c * dp - s * phase.conjugate() * dq
+                d[:, q] = s * dp + c * phase.conjugate() * dq
+                rp = d[p, :].copy()
+                rq = d[q, :].copy()
+                d[p, :] = c * rp - s * phase * rq
+                d[q, :] = s * rp + c * phase * rq
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * phase.conjugate() * vq
+                v[:, q] = s * vp + c * phase.conjugate() * vq
+    else:
+        raise ConvergenceError("Jacobi oracle did not converge")
+
+    eigenvalues = np.diag(d).real.copy()
+    order = np.argsort(eigenvalues, kind="stable")
+    eigenvalues = eigenvalues[order]
+    vectors = v[:, order].copy()
+    for j in range(n):
+        col = vectors[:, j]
+        k = int(np.argmax(np.abs(col)))
+        z = col[k]
+        if abs(z) > 0.0:
+            vectors[:, j] = col * (z.conj() / abs(z))
+    return eigenvalues, vectors
 
 
 def search_noncontextual_assignment(problem) -> AssignmentSearchResult:

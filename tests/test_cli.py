@@ -147,6 +147,25 @@ def test_non_finite_statistics_file_exits_two(tmp_path, capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": null, "re": [1, 0], "im": [0, 0]}',
+        "[1, 2]",
+        '{"dim": 2, "re": [1, 0]}',
+        '{"dim": 2, "re": [1' + "0" * 400 + ', 0], "im": [0, 0]}',
+    ],
+    ids=["dim_null", "top_level_list", "im_missing", "re_huge_int"],
+)
+def test_malformed_state_file_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["reduced", "--state", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: state ")
+
+
 # determinism and output hygiene
 
 

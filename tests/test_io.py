@@ -64,6 +64,39 @@ def test_load_state_json_dispatches_on_payload_shape():
     assert isinstance(mat, DensityOperator)
 
 
+_GOOD_VECTOR = {"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1, 2], "JSON object"),
+        ({**_GOOD_VECTOR, "dim": None}, "integer"),
+        ({**_GOOD_VECTOR, "dim": 2.0}, "integer"),
+        ({**_GOOD_VECTOR, "dim": True}, "integer"),
+        ({**_GOOD_VECTOR, "dim": 0}, "integer"),
+        ({"dim": 2, "re": [1.0, 0.0]}, '"im"'),
+        ({**_GOOD_VECTOR, "re": "1,0"}, '"re"'),
+        ({**_GOOD_VECTOR, "re": [[1.0], [0.0]]}, '"re"'),
+        ({**_GOOD_VECTOR, "im": [0.0, {}]}, '"im"'),
+        ({**_GOOD_VECTOR, "re": [10**400, 0]}, '"re" entry too large'),
+    ],
+    ids=[
+        "top_level_list", "dim_null", "dim_float", "dim_bool", "dim_zero",
+        "im_missing", "re_string", "re_nested", "im_entry_object",
+        "re_huge_int",
+    ],
+)
+def test_malformed_payloads_raise_value_error(payload, message):
+    # the shape check runs before any entry is read, for all three readers
+    with pytest.raises(ValueError, match=message):
+        io.vector_from_json(payload)
+    with pytest.raises(ValueError, match=message):
+        io.matrix_from_json(payload)
+    with pytest.raises(ValueError, match=message):
+        io.load_state_json(payload)
+
+
 def test_observable_round_trip_keeps_label_and_matrix():
     obs = observable(np.diag([1.0, 2.0, 3.0]), label="ladder")
     rebuilt = io.observable_from_json(io.observable_to_json(obs))

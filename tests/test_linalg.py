@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import qcontext.linalg as la
 
 
@@ -89,6 +90,27 @@ def test_jacobi_diagonal_input_short_circuits():
     values, vectors = la.jacobi_eigh(d)
     assert list(values) == [-1.0, 2.0, 3.0]
     assert np.allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]])
+
+
+def test_jacobi_matches_loop_oracle_bit_for_bit():
+    # 512 matrices: 72 at each n = 1..6 and 8 at each n = 7..16 (a solve
+    # at n = 16 costs ~150 at n = 2).  Every third has a spectrum with
+    # repeated levels, built from a random unitary, so the degenerate
+    # paths run too.
+    sizes = [n for n in range(1, 7) for _ in range(72)]
+    sizes += [n for n in range(7, 17) for _ in range(8)]
+    rng = np.random.default_rng(2024)
+    for i, n in enumerate(sizes):
+        h = random_hermitian(n, seed=int(rng.integers(2**31)))
+        if i % 3 == 0:
+            u, _ = np.linalg.qr(h + 1j * np.eye(n))
+            levels = rng.integers(-2, 3, n).astype(float)
+            h = (u * levels) @ u.conj().T
+            h = 0.5 * (h + h.conj().T)
+        values, vectors = la.jacobi_eigh(h)
+        ref_values, ref_vectors = oracles.jacobi_eigh(h)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(vectors, ref_vectors)
 
 
 def test_jacobi_rejects_non_hermitian():
@@ -220,6 +242,14 @@ def test_evolve_unitary_preserves_spectrum():
     before = np.linalg.eigvalsh(w)
     after = np.linalg.eigvalsh(moved)
     assert np.max(np.abs(before - after)) < 1e-10
+
+
+def test_spectral_decompose_rejects_non_hermitian_input():
+    m = np.array([[1.0, 1e-7], [0.0, 2.0]], dtype=complex)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        la.spectral_decompose(m)
+    with pytest.raises(TypeError):
+        la.spectral_decompose(m, hermiticity_tol=1e-6)
 
 
 def test_hermiticity_guard_message_names_defect():

@@ -8,6 +8,7 @@ every verdict and ``max_defect`` to the last bit.
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -117,6 +118,20 @@ def test_lattice_matches_oracle_at_six_levels():
     obs = _observable_with_levels(np.random.default_rng(6), [float(v) for v in range(6)])
     report = boolean_lattice_check(obs)
     assert report.element_count == 64
+    assert report == oracles.boolean_lattice_check(obs)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_lattice_matches_oracle_on_exact_projectors(k):
+    # A diagonal observable with levels 1..k has 0/1 projectors, so every
+    # meet and join is exact and max_defect comes only from the seeded
+    # batch's event probabilities.  At k = 3 the atom sum sets it and at
+    # k = 6 an additivity sum does, so a changed summation order in
+    # either shows up in the last bit.
+    obs = observable(np.diag(np.arange(1.0, k + 1.0)).astype(complex))
+    report = boolean_lattice_check(obs)
+    assert report.element_count == 2**k
+    assert report.all_hold and report.max_defect > 0.0
     assert report == oracles.boolean_lattice_check(obs)
 
 
