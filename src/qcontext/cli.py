@@ -45,7 +45,7 @@ from .correlations import (
     outcome_dependence,
     spin_observable,
 )
-from .linalg import DimensionError
+from .linalg import ConvergenceError, DimensionError
 from .mub import measure_statistics, mub_qubit, reconstruct
 from .sampling import random_density
 from .states import (
@@ -811,7 +811,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = args.func(args)
-    except (InputError, DimensionError, ValueError, OSError, KeyError) as exc:
+    except (
+        InputError, DimensionError, ValueError, OSError, KeyError, ConvergenceError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = io.dump_json(report, path=args.out)

@@ -57,6 +57,42 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list_of(values, ok) -> bool:
+    """True when ``values`` is a JSON list whose every entry passes ``ok``."""
+    return isinstance(values, list) and all(ok(x) for x in values)
+
+
+def _require(ok: bool, what: str, key: str, shape: str) -> None:
+    if not ok:
+        raise ValueError(f'{what} needs "{key}" as {shape}')
+
+
+def _fields(obj, what: str, *keys: str) -> list:
+    """The values of ``keys`` in a JSON object; ValueError for any other shape."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(json.dumps, missing))}")
+    return [obj[key] for key in keys]
+
+
+def _floats(values: list, what: str, key: str) -> np.ndarray:
+    """Checked JSON numbers as a float array; ValueError if one overflows."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f'{what} has a "{key}" entry too large for a float') from None
+
+
 def _dim_and_parts(obj, what: str) -> tuple[int, np.ndarray, np.ndarray]:
     """Shape-check a matrix or vector payload before reading its entries.
 
@@ -64,22 +100,12 @@ def _dim_and_parts(obj, what: str) -> tuple[int, np.ndarray, np.ndarray]:
     "re"/"im" lists of numbers that fit a float; anything else raises
     ValueError.
     """
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    n = obj.get("dim")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f'{what} needs a positive integer "dim", got {n!r}')
+    n, re, im = _fields(obj, what, "dim", "re", "im")
+    _require(_integer(n) and n >= 1, what, "dim", f"a positive integer, got {n!r}")
     parts = []
-    for key in ("re", "im"):
-        values = obj.get(key)
-        if not isinstance(values, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
-        ):
-            raise ValueError(f'{what} needs "{key}" as a flat list of numbers')
-        try:
-            parts.append(np.asarray(values, dtype=float))
-        except OverflowError:
-            raise ValueError(f'{what} has a "{key}" entry too large for a float') from None
+    for key, values in (("re", re), ("im", im)):
+        _require(_list_of(values, _number), what, key, "a flat list of numbers")
+        parts.append(_floats(values, what, key))
     return n, parts[0], parts[1]
 
 
@@ -155,13 +181,29 @@ def problem_to_json(problem: ValueAssignmentProblem) -> dict:
     }
 
 
-def problem_from_json(obj: dict) -> ValueAssignmentProblem:
-    observables = tuple(matrix_from_json(m) for m in obj["observables"])
-    labels = tuple(str(s) for s in obj["labels"])
-    contexts = tuple(tuple(int(i) for i in ctx) for ctx in obj["contexts"])
-    signs = tuple(int(s) for s in obj["signs"])
+def problem_from_json(obj) -> ValueAssignmentProblem:
+    """Shape-check an assignment problem file; ValueError for any other shape."""
+    what = "problem"
+    observables, labels, contexts, signs = _fields(
+        obj, what, "observables", "labels", "contexts", "signs"
+    )
+    _require(
+        isinstance(observables, list) and len(observables) > 0,
+        what, "observables", "a non-empty list of matrices",
+    )
+    _require(
+        _list_of(labels, lambda x: isinstance(x, str)), what, "labels", "a list of strings"
+    )
+    _require(
+        _list_of(contexts, lambda ctx: _list_of(ctx, _integer)),
+        what, "contexts", "a list of lists of integers",
+    )
+    _require(_list_of(signs, _integer), what, "signs", "a list of integers")
     return ValueAssignmentProblem(
-        observables=observables, labels=labels, contexts=contexts, signs=signs
+        observables=tuple(matrix_from_json(m) for m in observables),
+        labels=tuple(labels),
+        contexts=tuple(tuple(ctx) for ctx in contexts),
+        signs=tuple(signs),
     )
 
 
@@ -174,14 +216,24 @@ def statistics_to_json(stats: MeasurementStatistics) -> dict:
     }
 
 
-def statistics_from_json(obj: dict) -> MeasurementStatistics:
+def statistics_from_json(obj) -> MeasurementStatistics:
+    """Shape-check a statistics file; ValueError for any other shape."""
+    what = "statistics"
+    dim, tables = _fields(obj, what, "dim", "tables")
+    _require(_integer(dim) and dim >= 1, what, "dim", f"a positive integer, got {dim!r}")
+    _require(
+        _list_of(tables, lambda row: _list_of(row, _number)),
+        what, "tables", "a list of lists of numbers",
+    )
     samples = obj.get("samples")
     seed = obj.get("seed")
+    _require(samples is None or _integer(samples), what, "samples", "an integer or null")
+    _require(seed is None or _integer(seed), what, "seed", "an integer or null")
     return MeasurementStatistics(
-        dim=int(obj["dim"]),
-        tables=tuple(tuple(float(p) for p in row) for row in obj["tables"]),
-        samples=None if samples is None else int(samples),
-        seed=None if seed is None else int(seed),
+        dim=dim,
+        tables=tuple(tuple(_floats(row, what, "tables").tolist()) for row in tables),
+        samples=samples,
+        seed=seed,
     )
 
 

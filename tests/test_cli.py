@@ -166,6 +166,71 @@ def test_malformed_state_file_exits_two(tmp_path, capsys, text):
     assert err.startswith("error: state ")
 
 
+_ONE_OBSERVABLE = '[{"dim": 1, "re": [1], "im": [0]}]'
+
+
+@pytest.mark.parametrize(
+    "option, text, message",
+    [
+        ("--problem", "[1, 2]", "problem must be a JSON object"),
+        (
+            "--problem",
+            '{"observables": %s, "labels": ["A"], "contexts": [[0]]}' % _ONE_OBSERVABLE,
+            'problem is missing "signs"',
+        ),
+        (
+            "--problem",
+            '{"observables": %s, "labels": ["A"], "contexts": [[null]], "signs": [1]}'
+            % _ONE_OBSERVABLE,
+            'problem needs "contexts"',
+        ),
+        (
+            "--problem",
+            '{"observables": %s, "labels": ["A"], "contexts": [0], "signs": [1]}'
+            % _ONE_OBSERVABLE,
+            'problem needs "contexts"',
+        ),
+        ("--stats", "[1, 2]", "statistics must be a JSON object"),
+        ("--stats", '{"dim": 2}', 'statistics is missing "tables"'),
+        (
+            "--stats",
+            '{"dim": 2, "tables": [[0.5, "half"], [0.5, 0.5], [0.5, 0.5]]}',
+            'statistics needs "tables"',
+        ),
+        ("--stats", '{"dim": 2, "tables": [0.5, 0.5]}', 'statistics needs "tables"'),
+    ],
+    ids=[
+        "problem_top_level_list", "problem_signs_missing", "problem_context_null",
+        "problem_contexts_flat", "stats_top_level_list", "stats_tables_missing",
+        "stats_entry_string", "stats_tables_flat",
+    ],
+)
+def test_malformed_problem_and_statistics_files_exit_two(
+    tmp_path, capsys, option, text, message
+):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    command = "ks-search" if option == "--problem" else "mub-tomography"
+    code, out, err = run(capsys, [command, option, str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+def test_eigensolve_that_does_not_converge_exits_two(tmp_path, capsys):
+    # Hermitian to within 1e-9, but its 1e-10 anti-Hermitian part keeps
+    # the off-diagonal norm above the Jacobi threshold.
+    path = tmp_path / "observable.json"
+    path.write_text('{"dim": 2, "re": [1, 1e-10, 0, 2], "im": [0, 0, 0, 0]}')
+    code, out, err = run(capsys, ["luders", "--state", "plus", "--observable", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Jacobi diagonalisation of a dimension-2 matrix")
+    assert "100 sweeps" in err
+    assert err.count("\n") == 1
+
+
 # determinism and output hygiene
 
 

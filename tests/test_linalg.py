@@ -92,6 +92,24 @@ def test_jacobi_diagonal_input_short_circuits():
     assert np.allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]])
 
 
+def _assert_matches_loop_oracle(h):
+    values, vectors = la.jacobi_eigh(h)
+    ref_values, ref_vectors = oracles.jacobi_eigh(h)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(vectors, ref_vectors)
+    # Byte equality also pins the sign of every zero.
+    assert values.tobytes() == ref_values.tobytes()
+    assert vectors.tobytes() == ref_vectors.tobytes()
+
+
+def _with_repeated_levels(h, rng):
+    n = h.shape[0]
+    u, _ = np.linalg.qr(h + 1j * np.eye(n))
+    levels = rng.integers(-2, 3, n).astype(float)
+    h = (u * levels) @ u.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
 def test_jacobi_matches_loop_oracle_bit_for_bit():
     # 512 matrices: 72 at each n = 1..6 and 8 at each n = 7..16 (a solve
     # at n = 16 costs ~150 at n = 2).  Every third has a spectrum with
@@ -103,14 +121,61 @@ def test_jacobi_matches_loop_oracle_bit_for_bit():
     for i, n in enumerate(sizes):
         h = random_hermitian(n, seed=int(rng.integers(2**31)))
         if i % 3 == 0:
-            u, _ = np.linalg.qr(h + 1j * np.eye(n))
-            levels = rng.integers(-2, 3, n).astype(float)
-            h = (u * levels) @ u.conj().T
-            h = 0.5 * (h + h.conj().T)
-        values, vectors = la.jacobi_eigh(h)
-        ref_values, ref_vectors = oracles.jacobi_eigh(h)
-        assert np.array_equal(values, ref_values)
-        assert np.array_equal(vectors, ref_vectors)
+            h = _with_repeated_levels(h, rng)
+        _assert_matches_loop_oracle(h)
+
+
+def _pauli_sum(terms):
+    factors = {"i": np.eye(2), **la.PAULIS}
+    out = 0
+    for weight, word in terms:
+        op = np.eye(1, dtype=complex)
+        for letter in word:
+            op = np.kron(op, factors[letter])
+        out = out + weight * op
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_hermitian(24, seed=524),
+        lambda: random_hermitian(32, seed=532),
+        lambda: random_hermitian(48, seed=548),
+        lambda: random_hermitian(64, seed=564),
+        lambda: _with_repeated_levels(
+            random_hermitian(64, seed=664), np.random.default_rng(664)
+        ),
+        # Pauli sums have exact-zero off-diagonal entries, so rotations
+        # are skipped by the cutoff test.
+        lambda: _pauli_sum([(1.0, "xz"), (0.5, "zy"), (0.25, "ix")]),
+        lambda: _pauli_sum([(1.0, "xzi"), (0.5, "zzy"), (0.3, "ixx"), (0.2, "yiz")]),
+        # Already diagonal: the first convergence test stops before any sweep.
+        lambda: np.diag([3.0, -1.0, 2.0, 0.5, -1.0]).astype(complex),
+    ],
+    ids=["n24", "n32", "n48", "n64", "n64_degenerate", "pauli4", "pauli8", "diagonal"],
+)
+def test_jacobi_matches_loop_oracle_bytes_at_large_and_sparse_inputs(make):
+    _assert_matches_loop_oracle(make())
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_jacobi_leaves_the_input_unchanged(n):
+    h = random_hermitian(n, seed=70 + n)
+    before = h.copy()
+    la.jacobi_eigh(h)
+    assert h.tobytes() == before.tobytes()
+
+
+def test_jacobi_convergence_error_names_dimension_sweeps_and_norm():
+    # The anti-Hermitian part (5e-11 per entry) passes the 1e-9 Hermiticity
+    # check but is far above the 1e-12 threshold, and no rotation removes it.
+    h = np.array([[1.0, 1e-10], [0.0, 2.0]], dtype=complex)
+    with pytest.raises(
+        la.ConvergenceError,
+        match=r"dimension-2 .* after 100 sweeps .* norm \S+e-1\d, above the threshold 2\.236e-12",
+    ):
+        la.jacobi_eigh(h)
 
 
 def test_jacobi_rejects_non_hermitian():
