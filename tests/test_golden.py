@@ -5,6 +5,11 @@ copy of ``tests/golden/inputs``, so file arguments are bare names and the
 reports echo the same paths on every machine.  ``<name>.out`` holds the
 recorded stdout; ``correlate_csv`` also pins the CSV it writes.
 
+``suite_measured.txt`` pins every suite check's ``measured`` value as
+``float.hex()``, one line per check.  The reports round to 12 significant
+digits, so a change in the last bit of a kernel result would pass the
+stdout comparison; it cannot pass this one.
+
 Recording is deliberate and rare: after a change that is meant to alter
 a report, rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff.
@@ -19,10 +24,12 @@ from pathlib import Path
 
 import pytest
 
+from qcontext.acceptance import run_suite
 from qcontext.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 INPUTS = GOLDEN_DIR / "inputs"
+SUITE_MEASURED = GOLDEN_DIR / "suite_measured.txt"
 
 # (name, argv, exit code).  The README commands come first, then at least
 # one invocation per subcommand.
@@ -109,6 +116,19 @@ def test_stdout_matches_golden(name, argv, code, tmp_path):
         assert (tmp_path / written).read_bytes() == want
 
 
+def _suite_measured() -> str:
+    """One ``<criterion>\t<check>\t<float.hex(measured)>`` line per check."""
+    return "".join(
+        f"{result.number}\t{check.name}\t{float(check.measured).hex()}\n"
+        for result in run_suite()
+        for check in result.checks
+    )
+
+
+def test_suite_measured_values_match_golden_bits():
+    assert _suite_measured() == SUITE_MEASURED.read_text()
+
+
 def _record() -> None:
     import tempfile
 
@@ -122,6 +142,8 @@ def _record() -> None:
                 written, suffix = WRITTEN[name]
                 shutil.copy(Path(tmp) / written, GOLDEN_DIR / f"{name}.{suffix}")
         print(f"recorded {name}", file=sys.stderr)
+    SUITE_MEASURED.write_text(_suite_measured())
+    print(f"recorded {SUITE_MEASURED.name}", file=sys.stderr)
 
 
 if __name__ == "__main__":
