@@ -9,6 +9,7 @@ both execute these; nothing here depends on the reporting layer.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -459,6 +460,17 @@ ALL_CRITERIA = (
 )
 
 
-def run_suite() -> list[CriterionResult]:
-    """Execute every acceptance criterion in order."""
-    return [criterion() for criterion in ALL_CRITERIA]
+def run_suite(progress=None) -> list[CriterionResult]:
+    """Execute every acceptance criterion in order.
+
+    ``progress(result, seconds)``, when given, is called after each
+    criterion with its result and wall time.
+    """
+    results = []
+    for criterion in ALL_CRITERIA:
+        started = time.perf_counter()
+        result = criterion()
+        if progress is not None:
+            progress(result, time.perf_counter() - started)
+        results.append(result)
+    return results

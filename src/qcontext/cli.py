@@ -1,18 +1,22 @@
 """Command line front end.
 
 Every subcommand writes one JSON report to stdout and exits 0 when all
-of its checks pass, 1 when a check fails, and 2 on usage or input
-errors.  Reports are deterministic: numbers are rounded to 12
-significant digits and timing is written to stderr only, so identical
-inputs and seed give byte-identical stdout.
+of its checks pass, 1 when a check fails, 2 on usage or input errors and
+3 on any other error, which is a fault in the program; exits 2 and 3
+print one ``error:`` line to stderr instead of a report.  Reports are
+deterministic: numbers are rounded to 12 significant digits and timing
+is written to stderr only, so identical inputs and seed give
+byte-identical stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -658,9 +662,10 @@ def cmd_mub_tomography(args) -> dict:
 
 
 def cmd_suite(args) -> dict:
-    results = acceptance.run_suite()
-    for criterion in results:
-        print(criterion.summary_line(), file=sys.stderr)
+    def progress(result, seconds):
+        print(f"{result.summary_line()} in {seconds * 1000.0:.1f} ms", file=sys.stderr)
+
+    results = acceptance.run_suite(progress)
     payload = {
         "criteria": [
             {
@@ -811,12 +816,23 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = args.func(args)
+        text = io.dump_json(report, path=args.out)
     except (
         InputError, DimensionError, ValueError, OSError, KeyError, ConvergenceError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = io.dump_json(report, path=args.out)
+    except Exception as exc:
+        # A crash must not look like a failed check (exit 1); the line
+        # names where it was raised in place of a traceback.
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        message = " ".join(str(exc).split())
+        print(
+            f"error: unexpected {type(exc).__name__} at "
+            f"{os.path.basename(where.filename)}:{where.lineno}: {message}",
+            file=sys.stderr,
+        )
+        return 3
     sys.stdout.write(text)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)

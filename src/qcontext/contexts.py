@@ -129,7 +129,7 @@ def luders_nonselective(ctx: MeasurementContext) -> ContextualState:
     probabilities: dict[float, float] = {}
     for a, p in zip(ctx.observable.spectrum.eigenvalues, ctx.observable.spectrum.projectors):
         out += p @ w @ p
-        probabilities[a] = float(np.trace(w @ p).real)
+        probabilities[a] = float((w @ p).trace().real)
     return ContextualState(
         state=DensityOperator._derived(out),
         context=ctx,

@@ -54,6 +54,8 @@ class ValueAssignmentProblem:
         mats = tuple(la.require_hermitian(m) for m in self.observables)
         object.__setattr__(self, "observables", mats)
         n = len(mats)
+        if n == 0:
+            raise ValueError("a value-assignment problem needs at least one observable")
         if len(self.labels) != n:
             raise ValueError(f"{n} observables but {len(self.labels)} labels")
         if len(set(self.labels)) != n:

@@ -140,7 +140,7 @@ def _joint_record(
     for i in OUTCOMES:
         for j in OUTCOMES:
             op = la.tensor(pa[i], pb[j])
-            joint[(i, j)] = float(np.trace(rho.matrix @ op).real)
+            joint[(i, j)] = float((rho.matrix @ op).trace().real)
     marginal_1 = {i: joint[(i, 1)] + joint[(i, -1)] for i in OUTCOMES}
     marginal_2 = {j: joint[(1, j)] + joint[(-1, j)] for j in OUTCOMES}
     expectation = sum(i * j * joint[(i, j)] for i in OUTCOMES for j in OUTCOMES)

@@ -10,6 +10,7 @@ are evaluated through the spectral resolution rather than series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,7 @@ def as_operator(m) -> np.ndarray:
         raise DimensionError(
             f"dimension {a.shape[0]} outside supported range 1..{MAX_DIM}"
         )
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -75,7 +76,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max-entry magnitude of ``m - m^dagger``."""
     a = np.asarray(m, dtype=complex)
-    return float(np.abs(a - dagger(a)).max())
+    return float(np.abs(a - a.conj().T).max())
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
@@ -97,7 +98,8 @@ def tensor(a, b) -> np.ndarray:
     """Kronecker product of two operators, ordered subsystem 1 (x) subsystem 2.
 
     Basis convention is row-major: entry (i*d2 + j, k*d2 + l) of the result
-    is ``a[i, k] * b[j, l]``.
+    is ``a[i, k] * b[j, l]``, one multiply per entry as in ``np.kron``,
+    broadcast here without that function's Python-level reshaping.
     """
     a = as_operator(a)
     b = as_operator(b)
@@ -106,7 +108,7 @@ def tensor(a, b) -> np.ndarray:
         raise DimensionError(
             f"tensor product dimension {d} exceeds supported maximum {MAX_DIM}"
         )
-    return np.kron(a, b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
 
 
 def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -160,18 +162,33 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     deterministic for any input.
     """
     out = v.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        z = col[k]
+    rows = np.abs(out).argmax(axis=0).tolist()
+    for j, k in enumerate(rows):
+        z = out[k, j]
         if abs(z) > 0.0:
-            out[:, j] = col * (z.conj() / abs(z))
+            # Not in place: numpy's in-place complex multiply can round a
+            # last bit differently.
+            out[:, j] = out[:, j] * (z.conj() / abs(z))
     return out
 
 
+def _frobenius_norm(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)`` of a complex array, without its dispatch.
+
+    The same steps as numpy's Frobenius branch: ``ravel(order="K")`` (so a
+    transposed input is summed in memory order, as there), the real and
+    imaginary dot products added, one correctly rounded square root.
+    """
+    x = a.ravel(order="K")
+    re = x.real
+    im = x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+    off = a.copy()  # C order, so ravel() is a view
+    off.ravel()[:: a.shape[0] + 1] = 0.0
+    return _frobenius_norm(off)
 
 
 def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -210,11 +227,11 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL) -> tuple[np.ndarray, np.ndar
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), np.eye(1, dtype=complex)
-    dv = np.empty((2 * n, n), dtype=complex)
+    dv = np.zeros((2 * n, n), dtype=complex)
     dv[:n] = a
-    dv[n:] = np.eye(n)
+    dv.ravel()[n * n :: n + 1] = 1.0  # v starts as the identity
     d = dv[:n]
-    scale = max(1.0, float(np.linalg.norm(a)))
+    scale = max(1.0, _frobenius_norm(a))
     threshold = off_tol * scale
     # Rotating every entry above this per-element cutoff guarantees the
     # whole off-diagonal norm ends below threshold.
@@ -234,10 +251,10 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL) -> tuple[np.ndarray, np.ndar
                 aqq = d[q, q].real
                 tau = (aqq - app) / (2.0 * r)
                 if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 # Unitary U differs from identity only in rows/cols p, q:
                 #   U[p,p] = c        U[p,q] = s
@@ -275,8 +292,8 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL) -> tuple[np.ndarray, np.ndar
             f"{_offdiag_norm(d):.3e}, above the threshold {threshold:.3e}"
         )
 
-    eigenvalues = np.diag(d).real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
+    eigenvalues = d.diagonal().real.copy()
+    order = eigenvalues.argsort(kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = _fix_column_phases(dv[n:, order])
     return eigenvalues, vectors
@@ -320,19 +337,24 @@ def spectral_decompose(
     ``jacobi_eigh`` validates ``h``.
     """
     eigenvalues, vectors = jacobi_eigh(h)
+    # The same doubles as Python floats: the gap tests and singleton
+    # levels below then skip numpy's scalar dispatch.
+    values = eigenvalues.tolist()
     levels: list[float] = []
     projectors: list[np.ndarray] = []
     multiplicities: list[int] = []
     i = 0
-    n = len(eigenvalues)
+    n = len(values)
     while i < n:
         j = i + 1
-        while j < n and eigenvalues[j] - eigenvalues[j - 1] <= merge_tol:
+        while j < n and values[j] - values[j - 1] <= merge_tol:
             j += 1
         block = vectors[:, i:j]
-        p = block @ dagger(block)
-        p = 0.5 * (p + dagger(p))
-        levels.append(float(np.mean(eigenvalues[i:j])))
+        p = block @ block.conj().T
+        p = 0.5 * (p + p.conj().T)
+        # np.mean of one value sums it onto 0.0 and divides by 1, so the
+        # value itself comes back, except that -0.0 becomes 0.0.
+        levels.append(values[i] + 0.0 if j == i + 1 else float(np.mean(eigenvalues[i:j])))
         projectors.append(p)
         multiplicities.append(j - i)
         i = j

@@ -40,7 +40,7 @@ class PureState:
             raise DimensionError(
                 f"state dimension {a.size} outside supported range 1..{la.MAX_DIM}"
             )
-        if not np.all(np.isfinite(a.view(float))):
+        if not np.isfinite(a).all():
             raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(a))
         if abs(norm - 1.0) > NORMALIZATION_TOL:

@@ -5,6 +5,10 @@ vectorised combinatorial routines; tests require the library to return
 results equal to these under ``==``, down to the last bit of
 ``max_defect``.  ``jacobi_eigh`` is the eigensolver before its inner
 loop formed each rotation product once; tests require bit-equal output.
+``tensor``, ``offdiag_norm``, ``fix_column_phases`` and
+``spectral_decompose`` are the kernel helpers as they were written with
+numpy's Python-level functions (``np.kron``, ``np.linalg.norm``,
+``np.diag``, ``np.mean``); tests require ``tobytes()`` equality.
 """
 
 import itertools
@@ -13,8 +17,71 @@ import numpy as np
 
 from qcontext.contexts import BooleanLatticeReport
 from qcontext.contextuality import AssignmentSearchResult
-from qcontext.linalg import JACOBI_OFF_TOL, ConvergenceError, require_hermitian
+from qcontext.linalg import (
+    EIGENVALUE_MERGE_TOL,
+    JACOBI_OFF_TOL,
+    MAX_DIM,
+    ConvergenceError,
+    DimensionError,
+    SpectralDecomposition,
+    as_operator,
+    dagger,
+    jacobi_eigh as library_jacobi_eigh,
+    require_hermitian,
+)
 from qcontext.states import DensityOperator
+
+
+def tensor(a, b):
+    """Kronecker product by ``np.kron`` after the library's validation."""
+    a = as_operator(a)
+    b = as_operator(b)
+    d = a.shape[0] * b.shape[0]
+    if d > MAX_DIM:
+        raise DimensionError(f"tensor product dimension {d} exceeds {MAX_DIM}")
+    return np.kron(a, b)
+
+
+def offdiag_norm(a):
+    """Frobenius norm of ``a`` with its diagonal subtracted out."""
+    off = a - np.diag(np.diag(a))
+    return float(np.linalg.norm(off))
+
+
+def fix_column_phases(v):
+    """Largest-magnitude entry of each column made real positive, per column."""
+    out = v.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        k = int(np.argmax(np.abs(col)))
+        z = col[k]
+        if abs(z) > 0.0:
+            out[:, j] = col * (z.conj() / abs(z))
+    return out
+
+
+def spectral_decompose(h, merge_tol: float = EIGENVALUE_MERGE_TOL):
+    """Levels as ``np.mean`` of each run of close eigenvalues, library solver."""
+    eigenvalues, vectors = library_jacobi_eigh(h)
+    levels, projectors, multiplicities = [], [], []
+    i = 0
+    n = len(eigenvalues)
+    while i < n:
+        j = i + 1
+        while j < n and eigenvalues[j] - eigenvalues[j - 1] <= merge_tol:
+            j += 1
+        block = vectors[:, i:j]
+        p = block @ dagger(block)
+        p = 0.5 * (p + dagger(p))
+        levels.append(float(np.mean(eigenvalues[i:j])))
+        projectors.append(p)
+        multiplicities.append(j - i)
+        i = j
+    return SpectralDecomposition(
+        eigenvalues=tuple(levels),
+        projectors=tuple(projectors),
+        multiplicities=tuple(multiplicities),
+    )
 
 
 def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL):
@@ -67,14 +134,7 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL):
     eigenvalues = np.diag(d).real.copy()
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
-    vectors = v[:, order].copy()
-    for j in range(n):
-        col = vectors[:, j]
-        k = int(np.argmax(np.abs(col)))
-        z = col[k]
-        if abs(z) > 0.0:
-            vectors[:, j] = col * (z.conj() / abs(z))
-    return eigenvalues, vectors
+    return eigenvalues, fix_column_phases(v[:, order])
 
 
 def search_noncontextual_assignment(problem) -> AssignmentSearchResult:

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, report shape, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -362,6 +363,42 @@ def test_mub_tomography_exact_and_from_stats(tmp_path, capsys):
     assert code2 == 0
     rebuilt = report_of(out2)["results"]["reconstructed"]
     assert rebuilt["re"] == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-9)
+
+
+def test_unexpected_exception_exits_three_with_one_error_line(monkeypatch, capsys):
+    import qcontext.cli as cli
+
+    def broken():
+        raise TypeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "ghz_contradiction", broken)
+    code, out, err = run(capsys, ["ghz"])
+    assert code == 3
+    assert out == ""
+    assert re.fullmatch(
+        r"error: unexpected TypeError at test_cli\.py:\d+: first line second line\n", err
+    )
+
+
+def test_unwritable_out_path_exits_two(tmp_path, capsys):
+    code, out, err = run(capsys, ["ghz", "--out", str(tmp_path / "missing" / "r.json")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_suite_writes_one_timed_line_per_criterion_to_stderr(capsys):
+    code, _, err = run(capsys, ["suite"])
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 13 and lines[-1].startswith("elapsed_ms=")
+    pattern = re.compile(
+        r"\[PASS\] criterion (\d+): .+ \(worst: \S+ = \S+ vs \S+\) in (\d+\.\d) ms"
+    )
+    matches = [pattern.fullmatch(line) for line in lines[:12]]
+    assert all(matches), lines
+    assert [int(m.group(1)) for m in matches] == list(range(1, 13))
+    assert all(float(m.group(2)) >= 0.0 for m in matches)
 
 
 def test_suite_command_all_green(capsys):

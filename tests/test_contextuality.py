@@ -134,6 +134,12 @@ def test_problem_rejects_duplicate_labels():
         )
 
 
+def test_problem_without_observables_is_a_value_error():
+    # once an IndexError from the first observable's shape
+    with pytest.raises(ValueError, match="at least one observable"):
+        ValueAssignmentProblem(observables=(), labels=(), contexts=(), signs=())
+
+
 def test_problem_rejects_non_involution():
     with pytest.raises(ValueError):
         ValueAssignmentProblem(
