@@ -38,7 +38,6 @@ from .sampling import (
 from .states import (
     DensityOperator,
     PureState,
-    as_density,
     entangling_evolution_demo,
     make_singlet,
     product_basis_state,
@@ -56,6 +55,31 @@ class Check:
     measured: float
     tolerance: float
     detail: str = ""
+
+    @classmethod
+    def below(cls, name: str, measured: float, tolerance: float, detail: str = "") -> "Check":
+        return cls(name, measured < tolerance, float(measured), float(tolerance), detail)
+
+    @classmethod
+    def above(cls, name: str, measured: float, threshold: float, detail: str = "") -> "Check":
+        return cls(name, measured > threshold, float(measured), float(threshold), detail)
+
+    @classmethod
+    def within(cls, name: str, measured: float, high: float, tol: float) -> "Check":
+        """``-tol <= measured <= high + tol``, reported against ``high``."""
+        return cls(name, -tol <= measured <= high + tol, float(measured), float(high))
+
+    def as_json(self) -> dict:
+        """The report form; ``detail`` appears only when it is set."""
+        out = {
+            "name": self.name,
+            "passed": bool(self.passed),
+            "measured": self.measured,
+            "tolerance": self.tolerance,
+        }
+        if self.detail:
+            out["detail"] = self.detail
+        return out
 
 
 @dataclass(frozen=True)
@@ -75,26 +99,6 @@ class CriterionResult:
             f"[{verdict}] criterion {self.number}: {self.title} "
             f"(worst: {worst.name} = {worst.measured:.3e} vs {worst.tolerance:.1e})"
         )
-
-
-def _below(name: str, measured: float, tolerance: float, detail: str = "") -> Check:
-    return Check(
-        name=name,
-        passed=measured < tolerance,
-        measured=float(measured),
-        tolerance=float(tolerance),
-        detail=detail,
-    )
-
-
-def _above(name: str, measured: float, threshold: float, detail: str = "") -> Check:
-    return Check(
-        name=name,
-        passed=measured > threshold,
-        measured=float(measured),
-        tolerance=float(threshold),
-        detail=detail,
-    )
 
 
 def criterion_singlet_anticorrelation() -> CriterionResult:
@@ -126,8 +130,8 @@ def criterion_singlet_anticorrelation() -> CriterionResult:
         number=1,
         title="singlet perfect anticorrelation",
         checks=(
-            _below("p_same_axis_agreement", worst_same, 1e-9, "max over 20 directions"),
-            _below(
+            Check.below("p_same_axis_agreement", worst_same, 1e-9, "max over 20 directions"),
+            Check.below(
                 "remote_outcome_opposite_deficit",
                 worst_flip,
                 1e-9,
@@ -157,8 +161,8 @@ def criterion_correlation_law() -> CriterionResult:
         number=2,
         title="singlet correlation law",
         checks=(
-            _below("law_deviation", worst_law, 1e-9, "max over 100 direction pairs"),
-            _below("trace_oracle_deviation", worst_oracle, 1e-9, "projector route vs direct trace"),
+            Check.below("law_deviation", worst_law, 1e-9, "max over 100 direction pairs"),
+            Check.below("trace_oracle_deviation", worst_oracle, 1e-9, "projector route vs direct trace"),
         ),
     )
 
@@ -187,14 +191,14 @@ def criterion_chsh() -> CriterionResult:
         number=3,
         title="CHSH bound and optimum",
         checks=(
-            _below("optimum_gap", optimum_gap, 1e-6, "|S| vs 2 sqrt 2 at 0/90/45/135 degrees"),
-            _below(
+            Check.below("optimum_gap", optimum_gap, 1e-6, "|S| vs 2 sqrt 2 at 0/90/45/135 degrees"),
+            Check.below(
                 "product_state_excess",
                 max(worst_product - 2.0, 0.0),
                 1e-8,
                 "max |S| over 100 product states",
             ),
-            _below(
+            Check.below(
                 "local_strategy_excess",
                 max(worst_strategy - 2.0, 0.0),
                 1e-8,
@@ -221,8 +225,8 @@ def criterion_no_signalling() -> CriterionResult:
         number=4,
         title="no-signalling with outcome dependence",
         checks=(
-            _below("max_marginal_shift", worst, 1e-9, "50 states x 5 settings"),
-            _below(
+            Check.below("max_marginal_shift", worst, 1e-9, "50 states x 5 settings"),
+            Check.below(
                 "outcome_dependence_vs_half",
                 max(dependence_errors),
                 1e-9,
@@ -256,8 +260,8 @@ def criterion_luders_forms() -> CriterionResult:
         number=5,
         title="conditioning forms agree and idempotence",
         checks=(
-            _below("form_gap", worst_gap, 1e-12, "100 pairs, dims 2-4"),
-            _below("idempotence_gap", worst_idem, 1e-10, "same sweep"),
+            Check.below("form_gap", worst_gap, 1e-12, "100 pairs, dims 2-4"),
+            Check.below("idempotence_gap", worst_idem, 1e-10, "same sweep"),
         ),
     )
 
@@ -284,9 +288,9 @@ def criterion_statistical_equivalence() -> CriterionResult:
         number=6,
         title="statistical equivalence inside a context",
         checks=(
-            _below("self_probe_delta", worst_self, 1e-9, "100 random (W, A)"),
-            _below("compatible_probe_delta", worst_compat, 1e-8, "probe A^2"),
-            _below(
+            Check.below("self_probe_delta", worst_self, 1e-9, "100 random (W, A)"),
+            Check.below("compatible_probe_delta", worst_compat, 1e-8, "probe A^2"),
+            Check.below(
                 "witness_deviation_error",
                 abs(witness.delta - 1.0),
                 1e-9,
@@ -308,8 +312,8 @@ def criterion_context_distance() -> CriterionResult:
         number=7,
         title="context distinctness",
         checks=(
-            _below("distance_error_incompatible", abs(d - 0.5), 1e-9, "|+> under sigma_z vs sigma_x"),
-            _below("distance_shared_eigenbasis", d0, 1e-12, "sigma_z vs function of sigma_z"),
+            Check.below("distance_error_incompatible", abs(d - 0.5), 1e-9, "|+> under sigma_z vs sigma_x"),
+            Check.below("distance_shared_eigenbasis", d0, 1e-12, "sigma_z vs function of sigma_z"),
         ),
     )
 
@@ -317,20 +321,13 @@ def criterion_context_distance() -> CriterionResult:
 def criterion_observable_square() -> CriterionResult:
     """Product identities hold; no global assignment survives all six."""
     square = mermin_peres_square()
-    eye = np.eye(4, dtype=complex)
-    worst_identity = 0.0
-    for ctx_indices, sign in zip(square.contexts, square.signs):
-        product = eye.copy()
-        for i in ctx_indices:
-            product = product @ square.observables[i]
-        worst_identity = max(worst_identity, float(np.abs(product - sign * eye).max()))
     full = search_noncontextual_assignment(square)
     relaxed = search_noncontextual_assignment(square.without_context(5))
     return CriterionResult(
         number=8,
         title="observable square non-colorability",
         checks=(
-            _below("identity_defect", worst_identity, 1e-12, "all 6 contexts"),
+            Check.below("identity_defect", square.identity_defect, 1e-12, "all 6 contexts"),
             Check(
                 name="satisfying_assignments",
                 passed=full.satisfying_count == 0 and full.cases_checked == 512,
@@ -338,7 +335,7 @@ def criterion_observable_square() -> CriterionResult:
                 tolerance=0.0,
                 detail="512 cases searched",
             ),
-            _above(
+            Check.above(
                 "relaxed_assignments",
                 float(relaxed.satisfying_count),
                 0.0,
@@ -355,7 +352,7 @@ def criterion_three_spin_parity() -> CriterionResult:
         number=9,
         title="three-spin parity contradiction",
         checks=(
-            _below("eigenvalue_residual", max(report.residuals), 1e-12, "XXX, XYY, YXY, YYX"),
+            Check.below("eigenvalue_residual", max(report.residuals), 1e-12, "XXX, XYY, YXY, YYX"),
             Check(
                 name="sign_contradiction",
                 passed=report.contradiction
@@ -386,9 +383,9 @@ def criterion_holism_witness() -> CriterionResult:
         number=10,
         title="holism witness",
         checks=(
-            _below("singlet_total_spin", abs(s2_singlet), 1e-12, "expected 0"),
-            _below("mixture_total_spin_error", abs(s2_mixture - 1.0), 1e-10, "expected 1"),
-            _below("reduced_state_gap", worst_reduced, 1e-12, "both subsystems"),
+            Check.below("singlet_total_spin", abs(s2_singlet), 1e-12, "expected 0"),
+            Check.below("mixture_total_spin_error", abs(s2_mixture - 1.0), 1e-10, "expected 1"),
+            Check.below("reduced_state_gap", worst_reduced, 1e-12, "both subsystems"),
         ),
     )
 
@@ -403,13 +400,13 @@ def criterion_dynamics() -> CriterionResult:
         number=11,
         title="interaction and entanglement dynamics",
         checks=(
-            _below(
+            Check.below(
                 "free_second_coefficient",
                 worst_second,
                 1e-8,
                 "10 time steps, coupling 0",
             ),
-            _above(
+            Check.above(
                 "coupled_second_coefficient",
                 second_at_end,
                 0.01,
@@ -438,8 +435,8 @@ def criterion_tomography() -> CriterionResult:
         number=12,
         title="unbiased-bases tomography",
         checks=(
-            _below("exact_round_trip", worst_exact, 1e-9, "100 random states"),
-            _below("sampled_round_trip", worst_sampled, 0.05, "20 states, N = 1e5"),
+            Check.below("exact_round_trip", worst_exact, 1e-9, "100 random states"),
+            Check.below("sampled_round_trip", worst_sampled, 0.05, "20 states, N = 1e5"),
         ),
     )
 

@@ -12,7 +12,9 @@ byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -21,6 +23,7 @@ import traceback
 import numpy as np
 
 from . import acceptance, io, linalg as la
+from .acceptance import Check
 from .contexts import (
     Observable,
     boolean_lattice_check,
@@ -43,7 +46,6 @@ from .correlations import (
     chsh,
     chsh_optimal_settings,
     conditional_remote_state,
-    correlation,
     joint_probabilities,
     no_signalling_check,
     outcome_dependence,
@@ -53,7 +55,6 @@ from .linalg import ConvergenceError, DimensionError
 from .mub import measure_statistics, mub_qubit, reconstruct
 from .sampling import random_density
 from .states import (
-    DensityOperator,
     PureState,
     as_density,
     entangling_evolution_demo,
@@ -96,15 +97,7 @@ def parse_state(spec: str):
         except ValueError as exc:
             raise InputError(f"bad product state {spec!r}: {exc}") from exc
         return product_basis_state(i, j)
-    try:
-        payload = io.load_json(spec)
-    except OSError as exc:
-        raise InputError(
-            f"state {spec!r} is neither a named state nor a readable file: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"state file {spec!r} is not valid JSON: {exc}") from exc
-    return io.load_state_json(payload)
+    return io.load_state_json(_load_input(spec, "state"))
 
 
 def parse_observable(spec: str) -> Observable:
@@ -119,15 +112,19 @@ def parse_observable(spec: str) -> Observable:
     if spec.startswith("spin:"):
         direction = parse_direction(spec.split(":", 1)[1])
         return spin_observable(direction)
+    return io.observable_from_json(_load_input(spec, "observable"))
+
+
+def _load_input(spec: str, what: str):
+    """The JSON in file ``spec``; InputError if it cannot be read or parsed."""
     try:
-        payload = io.load_json(spec)
+        return io.load_json(spec)
     except OSError as exc:
         raise InputError(
-            f"observable {spec!r} is neither named nor a readable file: {exc}"
+            f"{what} {spec!r} is neither a named {what} nor a readable file: {exc}"
         ) from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"observable file {spec!r} is not valid JSON: {exc}") from exc
-    return io.observable_from_json(payload)
+        raise InputError(f"{what} file {spec!r} is not valid JSON: {exc}") from exc
 
 
 def parse_direction(spec: str) -> Direction:
@@ -152,37 +149,31 @@ def parse_direction(spec: str) -> Direction:
     return Direction(x, y, z)
 
 
-def _check(name: str, passed: bool, measured: float, tolerance: float) -> dict:
-    return {
-        "name": name,
-        "passed": bool(passed),
-        "measured": float(measured),
-        "tolerance": float(tolerance),
-    }
-
-
-def _below(name: str, measured: float, tolerance: float) -> dict:
-    return _check(name, measured < tolerance, measured, tolerance)
-
-
 def _prob_dict(probabilities: dict[float, float]) -> dict[str, float]:
     return {repr(io.round_sig(k)): v for k, v in probabilities.items()}
 
 
-def _report(args, results: dict, checks: list[dict]) -> dict:
+def _report(args, results: dict, checks: list[Check]) -> dict:
     return {
         "subcommand": args.command,
         "inputs": {
             key: getattr(args, key)
             for key in sorted(vars(args))
-            if key not in ("command", "func", "out", "csv")
+            if key not in ("command", "out", "csv")
             and getattr(args, key) is not None
         },
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "results": results,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "checks": [c.as_json() for c in checks],
+        "passed": all(c.passed for c in checks),
     }
+
+
+def _pure_state(args) -> PureState:
+    state = parse_state(args.state)
+    if not isinstance(state, PureState):
+        raise InputError(f"{args.command} needs a pure state vector")
+    return state
 
 
 def _infer_dims(args, dim: int) -> tuple[int, int]:
@@ -199,10 +190,12 @@ def _infer_dims(args, dim: int) -> tuple[int, int]:
     )
 
 
-def cmd_schmidt(args) -> dict:
-    state = parse_state(args.state)
-    if not isinstance(state, PureState):
-        raise InputError("schmidt needs a pure state vector")
+# Each cmd_<name> runs subcommand <name> (dashes as underscores) and
+# returns its results and checks; ``main`` builds the report.
+
+
+def cmd_schmidt(args):
+    state = _pure_state(args)
     dims = _infer_dims(args, state.dim)
     dec = schmidt(state, dims)
     fidelity = abs(np.vdot(dec.reconstruct(), state.amplitudes)) ** 2
@@ -215,16 +208,14 @@ def cmd_schmidt(args) -> dict:
         "right_basis": [io.vector_to_json(v) for v in dec.right_basis],
     }
     checks = [
-        _below("reconstruction_infidelity", abs(1.0 - fidelity), args.tol),
-        _below("coefficient_norm_error", abs(norm - 1.0), args.tol),
+        Check.below("reconstruction_infidelity", abs(1.0 - fidelity), args.tol),
+        Check.below("coefficient_norm_error", abs(norm - 1.0), args.tol),
     ]
-    return _report(args, results, checks)
+    return results, checks
 
 
-def cmd_product_check(args) -> dict:
-    state = parse_state(args.state)
-    if not isinstance(state, PureState):
-        raise InputError("product-check needs a pure state vector")
+def cmd_product_check(args):
+    state = _pure_state(args)
     dims = _infer_dims(args, state.dim)
     flag, factors = is_product(state, dims)
     purity = reduced_state(state, dims, 1).purity()
@@ -237,13 +228,10 @@ def cmd_product_check(args) -> dict:
         results["factor_1"] = io.vector_to_json(factors[0].amplitudes)
         results["factor_2"] = io.vector_to_json(factors[1].amplitudes)
     agreement = flag == (abs(purity - 1.0) < 1e-8)
-    checks = [
-        _check("purity_rank_agreement", agreement, purity, 1e-8),
-    ]
-    return _report(args, results, checks)
+    return results, [Check("purity_rank_agreement", agreement, purity, 1e-8)]
 
 
-def cmd_reduced(args) -> dict:
+def cmd_reduced(args):
     state = parse_state(args.state)
     rho = as_density(state)
     dims = _infer_dims(args, rho.dim)
@@ -254,23 +242,17 @@ def cmd_reduced(args) -> dict:
         "reduced": io.matrix_to_json(part.matrix),
         "purity": part.purity(),
     }
-    checks = [
-        _below("trace_error", abs(float(np.trace(part.matrix).real) - 1.0), args.tol),
-    ]
-    return _report(args, results, checks)
+    trace_error = abs(float(np.trace(part.matrix).real) - 1.0)
+    return results, [Check.below("trace_error", trace_error, args.tol)]
 
 
-def cmd_total_spin(args) -> dict:
-    state = parse_state(args.state)
-    value = total_spin_squared(as_density(state))
+def cmd_total_spin(args):
+    value = total_spin_squared(as_density(parse_state(args.state)))
     results = {"total_spin_squared": value}
-    checks = [
-        _check("within_physical_range", -args.tol <= value <= 2.0 + args.tol, value, 2.0),
-    ]
-    return _report(args, results, checks)
+    return results, [Check.within("within_physical_range", value, 2.0, args.tol)]
 
 
-def cmd_evolve(args) -> dict:
+def cmd_evolve(args):
     trace = entangling_evolution_demo(args.coupling, args.time, steps=args.steps)
     points = [
         {
@@ -284,17 +266,17 @@ def cmd_evolve(args) -> dict:
         abs(sum(c * c for c in p.coefficients) - 1.0) for p in trace
     )
     checks = [
-        _check("initial_rank_one", trace[0].rank == 1, float(trace[0].rank), 1.0),
-        _below("coefficient_norm_error", worst_norm, args.tol),
+        Check("initial_rank_one", trace[0].rank == 1, float(trace[0].rank), 1.0),
+        Check.below("coefficient_norm_error", worst_norm, args.tol),
     ]
     if args.coupling == 0.0:
         worst_second = max(p.coefficients[1] for p in trace)
-        checks.append(_below("free_second_coefficient", worst_second, 1e-8))
+        checks.append(Check.below("free_second_coefficient", worst_second, 1e-8))
     results = {"coupling": args.coupling, "trace": points}
-    return _report(args, results, checks)
+    return results, checks
 
 
-def cmd_luders(args) -> dict:
+def cmd_luders(args):
     state = parse_state(args.state)
     obs = parse_observable(args.observable)
     ctx = context(state, obs)
@@ -307,36 +289,29 @@ def cmd_luders(args) -> dict:
     trace_error = abs(float(np.trace(conditioned.state.matrix).real) - 1.0)
     prob_error = abs(sum(conditioned.outcome_probabilities.values()) - 1.0)
     checks = [
-        _below("trace_preserved", trace_error, args.tol),
-        _below("probabilities_sum_error", prob_error, args.tol),
-        _below("equivalence_delta", equivalence.delta, args.tol),
+        Check.below("trace_preserved", trace_error, args.tol),
+        Check.below("probabilities_sum_error", prob_error, args.tol),
+        Check.below("equivalence_delta", equivalence.delta, args.tol),
     ]
-    return _report(args, results, checks)
+    return results, checks
 
 
-def cmd_representative(args) -> dict:
+def cmd_representative(args):
     state = parse_state(args.state)
     obs = parse_observable(args.observable)
     report = check_representative(luders_nonselective(context(state, obs)))
-    results = {
-        "eigenvector_condition": report.eigenvector_condition,
-        "orthogonality_condition": report.orthogonality_condition,
-        "support_condition": report.support_condition,
-        "support_eigenvalues": list(report.support_eigenvalues),
-        "excluded_eigenvalues": list(report.excluded_eigenvalues),
-    }
     checks = [
-        _check(
+        Check(
             "representative",
             report.representative,
             float(len(report.support_eigenvalues)),
             float(obs.dim),
         ),
     ]
-    return _report(args, results, checks)
+    return dataclasses.asdict(report), checks
 
 
-def cmd_equivalence(args) -> dict:
+def cmd_equivalence(args):
     state = parse_state(args.state)
     obs = parse_observable(args.observable)
     probe = parse_observable(args.probe) if args.probe else None
@@ -351,23 +326,20 @@ def cmd_equivalence(args) -> dict:
     }
     checks = []
     if compatible:
-        checks.append(_below("equivalence_delta", result.delta, args.tol))
-    return _report(args, results, checks)
+        checks.append(Check.below("equivalence_delta", result.delta, args.tol))
+    return results, checks
 
 
-def cmd_context_distance(args) -> dict:
+def cmd_context_distance(args):
     state = parse_state(args.state)
     a = parse_observable(args.observable)
     b = parse_observable(args.probe)
     distance = contexts_distance(as_density(state), a, b)
     results = {"distance": distance}
-    checks = [
-        _check("within_unit_interval", -args.tol <= distance <= 1.0 + args.tol, distance, 1.0),
-    ]
-    return _report(args, results, checks)
+    return results, [Check.within("within_unit_interval", distance, 1.0, args.tol)]
 
 
-def cmd_sequential(args) -> dict:
+def cmd_sequential(args):
     state = parse_state(args.state)
     sequence = [parse_observable(spec) for spec in args.observable]
     final = sequential_luders(as_density(state), sequence)
@@ -376,33 +348,21 @@ def cmd_sequential(args) -> dict:
         "final_state": io.matrix_to_json(final.matrix),
         "purity": final.purity(),
     }
-    checks = [
-        _below("trace_preserved", abs(float(np.trace(final.matrix).real) - 1.0), args.tol),
-    ]
-    return _report(args, results, checks)
+    trace_error = abs(float(np.trace(final.matrix).real) - 1.0)
+    return results, [Check.below("trace_preserved", trace_error, args.tol)]
 
 
-def cmd_boolean_lattice(args) -> dict:
+def cmd_boolean_lattice(args):
     obs = parse_observable(args.observable)
     states = None
     if args.seed is not None:
         rng = np.random.default_rng(args.seed)
         states = [random_density(obs.dim, rng) for _ in range(20)]
     report = boolean_lattice_check(obs, states=states, tol=args.tol)
-    results = {
-        "element_count": report.element_count,
-        "projectors_orthogonal": report.projectors_orthogonal,
-        "complete": report.complete,
-        "closed_under_meet": report.closed_under_meet,
-        "closed_under_join": report.closed_under_join,
-        "closed_under_complement": report.closed_under_complement,
-        "probabilities_consistent": report.probabilities_consistent,
-        "max_defect": report.max_defect,
-    }
     checks = [
-        _check("lattice_checks_hold", report.all_hold, report.max_defect, args.tol),
+        Check("lattice_checks_hold", report.all_hold, report.max_defect, args.tol),
     ]
-    return _report(args, results, checks)
+    return dataclasses.asdict(report), checks
 
 
 def _coplanar_partner(a: Direction, theta: float) -> Direction:
@@ -418,14 +378,10 @@ def _coplanar_partner(a: Direction, theta: float) -> Direction:
     return Direction.normalized(*b)
 
 
-def cmd_correlate(args) -> dict:
+def cmd_correlate(args):
     state = parse_state(args.state)
     rho = as_density(state)
     a = parse_direction(args.a)
-    checks: list[dict] = []
-    results: dict = {}
-    if args.points < 2:
-        raise InputError(f"--points must be at least 2, got {args.points}")
     if args.csv:
         rows = []
         worst_law = 0.0
@@ -439,36 +395,32 @@ def cmd_correlate(args) -> dict:
             )
             worst_law = max(worst_law, abs(record.expectation - direct))
         io.write_correlation_csv(args.csv, rows)
-        results["csv"] = args.csv
-        results["rows"] = len(rows)
-        checks.append(_below("expectation_trace_agreement", worst_law, args.tol))
-    else:
-        b = parse_direction(args.b)
-        record = joint_probabilities(rho, a, b)
-        direct = rho.expectation(
-            la.tensor(spin_observable(a).matrix, spin_observable(b).matrix)
-        )
-        results.update(
-            {
-                "joint": {f"{i:+d},{j:+d}": record.joint[(i, j)] for i in (1, -1) for j in (1, -1)},
-                "marginal_1": {f"{i:+d}": record.marginal_1[i] for i in (1, -1)},
-                "marginal_2": {f"{j:+d}": record.marginal_2[j] for j in (1, -1)},
-                "expectation": record.expectation,
-            }
-        )
-        checks.append(_below("expectation_trace_agreement", abs(record.expectation - direct), args.tol))
-        checks.append(
-            _check(
-                "expectation_in_range",
-                abs(record.expectation) <= 1.0 + args.tol,
-                record.expectation,
-                1.0,
-            )
-        )
-    return _report(args, results, checks)
+        results = {"csv": args.csv, "rows": len(rows)}
+        return results, [Check.below("expectation_trace_agreement", worst_law, args.tol)]
+    b = parse_direction(args.b)
+    record = joint_probabilities(rho, a, b)
+    direct = rho.expectation(
+        la.tensor(spin_observable(a).matrix, spin_observable(b).matrix)
+    )
+    results = {
+        "joint": {f"{i:+d},{j:+d}": record.joint[(i, j)] for i in (1, -1) for j in (1, -1)},
+        "marginal_1": {f"{i:+d}": record.marginal_1[i] for i in (1, -1)},
+        "marginal_2": {f"{j:+d}": record.marginal_2[j] for j in (1, -1)},
+        "expectation": record.expectation,
+    }
+    checks = [
+        Check.below("expectation_trace_agreement", abs(record.expectation - direct), args.tol),
+        Check(
+            "expectation_in_range",
+            abs(record.expectation) <= 1.0 + args.tol,
+            record.expectation,
+            1.0,
+        ),
+    ]
+    return results, checks
 
 
-def cmd_chsh(args) -> dict:
+def cmd_chsh(args):
     state = parse_state(args.state)
     rho = as_density(state)
     defaults = chsh_optimal_settings()
@@ -483,38 +435,29 @@ def cmd_chsh(args) -> dict:
         "abs_S": abs(s),
         "settings": [[d.x, d.y, d.z] for d in directions],
     }
-    checks = [
-        _check("quantum_bound", abs(s) <= bound + args.tol, abs(s), bound),
-    ]
-    return _report(args, results, checks)
+    return results, [Check("quantum_bound", abs(s) <= bound + args.tol, abs(s), bound)]
 
 
-def cmd_no_signalling(args) -> dict:
+def cmd_no_signalling(args):
     state = parse_state(args.state)
     settings = [parse_direction(spec) for spec in (args.setting or ["z", "x", "y"])]
     b = parse_direction(args.b)
     deviation = no_signalling_check(as_density(state), settings, b)
     results = {"max_deviation": deviation, "settings_count": len(settings)}
-    checks = [_below("no_signalling_deviation", deviation, args.tol)]
-    return _report(args, results, checks)
+    return results, [Check.below("no_signalling_deviation", deviation, args.tol)]
 
 
-def cmd_outcome_dependence(args) -> dict:
+def cmd_outcome_dependence(args):
     state = parse_state(args.state)
     a = parse_direction(args.a)
     b = parse_direction(args.b)
     value = outcome_dependence(as_density(state), a, b)
     results = {"outcome_dependence": value}
-    checks = [
-        _check("within_unit_interval", -args.tol <= value <= 1.0 + args.tol, value, 1.0),
-    ]
-    return _report(args, results, checks)
+    return results, [Check.within("within_unit_interval", value, 1.0, args.tol)]
 
 
-def cmd_remote_state(args) -> dict:
-    state = parse_state(args.state)
-    if not isinstance(state, PureState):
-        raise InputError("remote-state needs a pure state vector")
+def cmd_remote_state(args):
+    state = _pure_state(args)
     a = parse_direction(args.a)
     outcome = {"+1": 1, "+": 1, "1": 1, "-1": -1, "-": -1}.get(args.outcome)
     if outcome is None:
@@ -524,22 +467,16 @@ def cmd_remote_state(args) -> dict:
         "probability": probability,
         "remote_state": io.vector_to_json(remote.amplitudes),
     }
+    norm_error = abs(float(np.linalg.norm(remote.amplitudes)) - 1.0)
     checks = [
-        _below("remote_norm_error", abs(float(np.linalg.norm(remote.amplitudes)) - 1.0), args.tol),
-        _check("probability_in_range", -args.tol <= probability <= 1.0 + args.tol, probability, 1.0),
+        Check.below("remote_norm_error", norm_error, args.tol),
+        Check.within("probability_in_range", probability, 1.0, args.tol),
     ]
-    return _report(args, results, checks)
+    return results, checks
 
 
-def cmd_ks_square(args) -> dict:
+def cmd_ks_square(args):
     square = mermin_peres_square()
-    eye = np.eye(4, dtype=complex)
-    worst = 0.0
-    for ctx_indices, sign in zip(square.contexts, square.signs):
-        product = eye.copy()
-        for i in ctx_indices:
-            product = product @ square.observables[i]
-        worst = max(worst, float(np.abs(product - sign * eye).max()))
     search = search_noncontextual_assignment(square)
     results = {
         "labels": list(square.labels),
@@ -549,20 +486,19 @@ def cmd_ks_square(args) -> dict:
         "satisfying": search.satisfying_count,
     }
     checks = [
-        _below("identity_defect", worst, 1e-12),
-        _check(
+        Check.below("identity_defect", square.identity_defect, 1e-12),
+        Check(
             "no_consistent_assignment",
             search.satisfying_count == 0,
             float(search.satisfying_count),
             0.0,
         ),
     ]
-    return _report(args, results, checks)
+    return results, checks
 
 
-def cmd_ks_search(args) -> dict:
-    payload = io.load_json(args.problem)
-    problem = io.problem_from_json(payload)
+def cmd_ks_search(args):
+    problem = io.problem_from_json(io.load_json(args.problem))
     search = search_noncontextual_assignment(problem)
     results = {
         "observable_count": problem.size,
@@ -572,18 +508,12 @@ def cmd_ks_search(args) -> dict:
     }
     checks = []
     if search.example is not None:
-        checks.append(
-            _check(
-                "example_satisfies_constraints",
-                problem.assignment_satisfies(search.example),
-                1.0,
-                1.0,
-            )
-        )
-    return _report(args, results, checks)
+        satisfies = problem.assignment_satisfies(search.example)
+        checks.append(Check("example_satisfies_constraints", satisfies, 1.0, 1.0))
+    return results, checks
 
 
-def cmd_ghz(args) -> dict:
+def cmd_ghz(args):
     report = ghz_contradiction()
     results = {
         "constraints": list(report.constraint_labels),
@@ -593,18 +523,18 @@ def cmd_ghz(args) -> dict:
         "constraint_product": report.constraint_product,
     }
     checks = [
-        _below("eigenvalue_residual", max(report.residuals), args.tol),
-        _check(
+        Check.below("eigenvalue_residual", max(report.residuals), args.tol),
+        Check(
             "sign_contradiction",
             report.contradiction,
             float(report.constraint_product),
             float(report.forced_product),
         ),
     ]
-    return _report(args, results, checks)
+    return results, checks
 
 
-def cmd_value_dependence(args) -> dict:
+def cmd_value_dependence(args):
     if len(args.observable) != 3:
         raise InputError(
             "value-dependence needs exactly three --observable flags: A, B, C"
@@ -619,13 +549,10 @@ def cmd_value_dependence(args) -> dict:
         "max_distribution_shift": report.max_shift,
         "preparation_distances": report.preparation_distances,
     }
-    checks = [
-        _below("compatible_marginals_fixed", report.max_shift, args.tol),
-    ]
-    return _report(args, results, checks)
+    return results, [Check.below("compatible_marginals_fixed", report.max_shift, args.tol)]
 
 
-def cmd_mub_tomography(args) -> dict:
+def cmd_mub_tomography(args):
     bases = mub_qubit()
     if args.stats:
         stats = io.statistics_from_json(io.load_json(args.stats))
@@ -634,14 +561,8 @@ def cmd_mub_tomography(args) -> dict:
             "reconstructed": io.matrix_to_json(rebuilt.matrix),
             "purity": rebuilt.purity(),
         }
-        checks = [
-            _below(
-                "reconstruction_trace_error",
-                abs(float(np.trace(rebuilt.matrix).real) - 1.0),
-                args.tol,
-            ),
-        ]
-        return _report(args, results, checks)
+        trace_error = abs(float(np.trace(rebuilt.matrix).real) - 1.0)
+        return results, [Check.below("reconstruction_trace_error", trace_error, args.tol)]
     if args.state is None:
         raise InputError("mub-tomography needs --state or --stats")
     state = parse_state(args.state)
@@ -655,42 +576,129 @@ def cmd_mub_tomography(args) -> dict:
         "round_trip_distance": distance,
     }
     if args.samples is None:
-        checks = [_below("exact_round_trip", distance, args.tol)]
-    else:
-        checks = [_below("sampled_round_trip", distance, 0.05)]
-    return _report(args, results, checks)
+        return results, [Check.below("exact_round_trip", distance, args.tol)]
+    return results, [Check.below("sampled_round_trip", distance, 0.05)]
 
 
-def cmd_suite(args) -> dict:
+def cmd_suite(args):
     def progress(result, seconds):
         print(f"{result.summary_line()} in {seconds * 1000.0:.1f} ms", file=sys.stderr)
 
-    results = acceptance.run_suite(progress)
-    payload = {
+    criteria = acceptance.run_suite(progress)
+    results = {
         "criteria": [
             {
                 "number": r.number,
                 "title": r.title,
                 "passed": r.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "passed": c.passed,
-                        "measured": c.measured,
-                        "tolerance": c.tolerance,
-                        "detail": c.detail,
-                    }
-                    for c in r.checks
-                ],
+                "checks": [c.as_json() for c in r.checks],
             }
-            for r in results
+            for r in criteria
         ],
     }
-    checks = [
-        _check(f"criterion_{r.number}", r.passed, float(r.number), 0.0)
-        for r in results
-    ]
-    return _report(args, payload, checks)
+    checks = [Check(f"criterion_{r.number}", r.passed, float(r.number), 0.0) for r in criteria]
+    return results, checks
+
+
+def _bounded(convert, ok, expected: str):
+    """An argparse ``type``: ``convert(text)`` if ``ok`` accepts it, else exit 2."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_FINITE = _bounded(float, math.isfinite, "a finite number")
+
+
+def _arg(flag: str, **options) -> tuple[str, dict]:
+    return flag, options
+
+
+_STATE = _arg("--state", required=True)
+_OBSERVABLE = _arg("--observable", required=True)
+_DIMS = _arg("--dims", help="factorisation d1,d2")
+
+# Every subcommand takes these, ahead of its own arguments.
+_COMMON = (
+    _arg("--tol", type=_FINITE, default=1e-9, help="check tolerance"),
+    _arg("--seed", type=int, help="random seed"),
+    _arg("--out", help="also write the JSON report here"),
+)
+
+# Subcommand -> (help, its own arguments).  ``main`` looks cmd_<name> up
+# when it runs, so a wrapper rebound over the module attribute (the
+# perfbench tracer's) is the function that runs.
+COMMANDS = {
+    "schmidt": ("Schmidt decomposition of a bipartite pure state", (_STATE, _DIMS)),
+    "product-check": ("decide whether a pure state factorises", (_STATE, _DIMS)),
+    "reduced": ("reduced state of one subsystem", (
+        _STATE, _DIMS, _arg("--keep", type=int, choices=(1, 2), default=1),
+    )),
+    "total-spin": ("total spin squared of a two-spin state", (_STATE,)),
+    "evolve": ("Schmidt trace of |00> under the coupled-spin generator", (
+        _arg("--coupling", type=_FINITE, default=1.0),
+        _arg("--time", type=_FINITE, default=0.5),
+        _arg("--steps", type=int, default=10),
+    )),
+    "luders": ("condition a state on a measurement context", (_STATE, _OBSERVABLE)),
+    "representative": ("faithfulness of the conditioned expansion", (_STATE, _OBSERVABLE)),
+    "equivalence": ("expectations before and after conditioning", (
+        _STATE, _OBSERVABLE, _arg("--probe"),
+    )),
+    "context-distance": ("trace distance between two conditionings", (
+        _STATE, _OBSERVABLE, _arg("--probe", required=True),
+    )),
+    "sequential": ("apply conditionings in order", (
+        _STATE, _arg("--observable", action="append", required=True),
+    )),
+    "boolean-lattice": ("event algebra generated by one observable", (_OBSERVABLE,)),
+    "correlate": ("joint outcome table for two spin settings", (
+        _STATE,
+        _arg("--a", default="z"),
+        _arg("--b", default="z"),
+        _arg("--csv", help="write a sweep over relative angle instead"),
+        _arg(
+            "--points",
+            type=_bounded(int, lambda n: n >= 2, "an integer of at least 2"),
+            default=37,
+            help="sweep rows, at least 2",
+        ),
+    )),
+    "chsh": ("CHSH combination at four settings", (
+        _STATE, _arg("--a"), _arg("--a2"), _arg("--b"), _arg("--b2"),
+    )),
+    "no-signalling": ("distant marginals across setting choices", (
+        _STATE, _arg("--setting", action="append"), _arg("--b", default="z"),
+    )),
+    "outcome-dependence": ("conditional response to a distant outcome", (
+        _STATE, _arg("--a", default="z"), _arg("--b", default="z"),
+    )),
+    "remote-state": ("distant state after a selective measurement", (
+        _STATE, _arg("--a", default="z"), _arg("--outcome", default="+1"),
+    )),
+    "ks-square": ("the 3x3 observable square and its search", ()),
+    "ks-search": ("search a value-assignment problem file", (
+        _arg("--problem", required=True),
+    )),
+    "ghz": ("three-spin parity contradiction", ()),
+    "value-dependence": ("A-statistics under different partners", (
+        _STATE, _arg("--observable", action="append", required=True, help="A, then B, then C"),
+    )),
+    "mub-tomography": ("reconstruct a qubit from unbiased bases", (
+        _arg("--state"),
+        _arg("--samples", type=int),
+        _arg("--stats", help="statistics JSON instead of a state"),
+    )),
+    "suite": ("run the full acceptance battery", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -703,107 +711,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        p.add_argument("--tol", type=float, default=1e-9, help="check tolerance")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--out", default=None, help="also write the JSON report here")
-        return p
-
-    p = add("schmidt", cmd_schmidt, "Schmidt decomposition of a bipartite pure state")
-    p.add_argument("--state", required=True)
-    p.add_argument("--dims", default=None, help="factorisation d1,d2")
-
-    p = add("product-check", cmd_product_check, "decide whether a pure state factorises")
-    p.add_argument("--state", required=True)
-    p.add_argument("--dims", default=None)
-
-    p = add("reduced", cmd_reduced, "reduced state of one subsystem")
-    p.add_argument("--state", required=True)
-    p.add_argument("--dims", default=None)
-    p.add_argument("--keep", type=int, choices=(1, 2), default=1)
-
-    p = add("total-spin", cmd_total_spin, "total spin squared of a two-spin state")
-    p.add_argument("--state", required=True)
-
-    p = add("evolve", cmd_evolve, "Schmidt trace of |00> under the coupled-spin generator")
-    p.add_argument("--coupling", type=float, default=1.0)
-    p.add_argument("--time", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=10)
-
-    p = add("luders", cmd_luders, "condition a state on a measurement context")
-    p.add_argument("--state", required=True)
-    p.add_argument("--observable", required=True)
-
-    p = add("representative", cmd_representative, "faithfulness of the conditioned expansion")
-    p.add_argument("--state", required=True)
-    p.add_argument("--observable", required=True)
-
-    p = add("equivalence", cmd_equivalence, "expectations before and after conditioning")
-    p.add_argument("--state", required=True)
-    p.add_argument("--observable", required=True)
-    p.add_argument("--probe", default=None)
-
-    p = add("context-distance", cmd_context_distance, "trace distance between two conditionings")
-    p.add_argument("--state", required=True)
-    p.add_argument("--observable", required=True)
-    p.add_argument("--probe", required=True)
-
-    p = add("sequential", cmd_sequential, "apply conditionings in order")
-    p.add_argument("--state", required=True)
-    p.add_argument("--observable", action="append", required=True)
-
-    p = add("boolean-lattice", cmd_boolean_lattice, "event algebra generated by one observable")
-    p.add_argument("--observable", required=True)
-
-    p = add("correlate", cmd_correlate, "joint outcome table for two spin settings")
-    p.add_argument("--state", required=True)
-    p.add_argument("--a", default="z")
-    p.add_argument("--b", default="z")
-    p.add_argument("--csv", default=None, help="write a sweep over relative angle instead")
-    p.add_argument("--points", type=int, default=37, help="sweep rows, at least 2")
-
-    p = add("chsh", cmd_chsh, "CHSH combination at four settings")
-    p.add_argument("--state", required=True)
-    p.add_argument("--a", default=None)
-    p.add_argument("--a2", default=None)
-    p.add_argument("--b", default=None)
-    p.add_argument("--b2", default=None)
-
-    p = add("no-signalling", cmd_no_signalling, "distant marginals across setting choices")
-    p.add_argument("--state", required=True)
-    p.add_argument("--setting", action="append", default=None)
-    p.add_argument("--b", default="z")
-
-    p = add("outcome-dependence", cmd_outcome_dependence, "conditional response to a distant outcome")
-    p.add_argument("--state", required=True)
-    p.add_argument("--a", default="z")
-    p.add_argument("--b", default="z")
-
-    p = add("remote-state", cmd_remote_state, "distant state after a selective measurement")
-    p.add_argument("--state", required=True)
-    p.add_argument("--a", default="z")
-    p.add_argument("--outcome", default="+1")
-
-    add("ks-square", cmd_ks_square, "the 3x3 observable square and its search")
-
-    p = add("ks-search", cmd_ks_search, "search a value-assignment problem file")
-    p.add_argument("--problem", required=True)
-
-    add("ghz", cmd_ghz, "three-spin parity contradiction")
-
-    p = add("value-dependence", cmd_value_dependence, "A-statistics under different partners")
-    p.add_argument("--state", required=True)
-    p.add_argument("--observable", action="append", required=True, help="A, then B, then C")
-
-    p = add("mub-tomography", cmd_mub_tomography, "reconstruct a qubit from unbiased bases")
-    p.add_argument("--state", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--stats", default=None, help="statistics JSON instead of a state")
-
-    add("suite", cmd_suite, "run the full acceptance battery")
+        for flag, options in _COMMON + arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -813,9 +724,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     started = time.perf_counter()
     try:
-        report = args.func(args)
+        report = _report(args, *command(args))
         text = io.dump_json(report, path=args.out)
     except (
         InputError, DimensionError, ValueError, OSError, KeyError, ConvergenceError

@@ -352,12 +352,11 @@ def boolean_lattice_check(
     complement_ok = err < tol
 
     if states is None:
+        # Imported here because sampling imports this module.
+        from .sampling import random_density
+
         rng = np.random.default_rng(0)
-        states = []
-        for _ in range(20):
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            m = g @ g.conj().T
-            states.append(DensityOperator._derived(m / np.trace(m).real))
+        states = [random_density(dim, rng) for _ in range(20)]
     s_idx, t_idx = np.nonzero(index[:, None] & index[None, :] == 0)
     u_idx = s_idx | t_idx
     atoms = [1 << (k - 1 - j) for j in range(k)]

@@ -42,13 +42,15 @@ class ValueAssignmentProblem:
     ordered matrix product must equal ``signs[k]`` times the identity.
     ``labels`` name the observables and must be distinct.
     Construction verifies every constraint numerically; a corrupted
-    problem never comes into existence.
+    problem never comes into existence.  ``identity_defect`` keeps the
+    largest entry of any ``product - sign * I`` it measured on the way.
     """
 
     observables: tuple[np.ndarray, ...] = field(repr=False)
     labels: tuple[str, ...]
     contexts: tuple[tuple[int, ...], ...]
     signs: tuple[int, ...]
+    identity_defect: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         mats = tuple(la.require_hermitian(m) for m in self.observables)
@@ -75,6 +77,7 @@ class ValueAssignmentProblem:
                 raise ValueError(
                     f"observable {label!r} does not square to I (defect {defect:.3e})"
                 )
+        worst = 0.0
         for ctx, sign in zip(self.contexts, self.signs):
             if sign not in (-1, 1):
                 raise ValueError(f"context sign must be +-1, got {sign!r}")
@@ -95,6 +98,8 @@ class ValueAssignmentProblem:
                 raise ValueError(
                     f"context {ctx!r} product is not {sign:+d} I (defect {defect:.3e})"
                 )
+            worst = max(worst, defect)
+        object.__setattr__(self, "identity_defect", worst)
 
     @property
     def size(self) -> int:

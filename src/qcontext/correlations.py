@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .contexts import Observable, context, luders_nonselective, observable
+from .contexts import Observable, observable
 from .linalg import DimensionError
 from .states import DensityOperator, PureState, as_density
 
@@ -44,7 +44,8 @@ class Direction:
                 f"direction components must be finite, got "
                 f"({self.x!r}, {self.y!r}, {self.z!r})"
             )
-        norm = float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
+        # hypot scales its arguments, so components near 1e308 do not overflow.
+        norm = math.hypot(self.x, self.y, self.z)
         if abs(norm - 1.0) > DIRECTION_TOL:
             raise ValueError(f"direction is not a unit vector: |d| = {norm!r}")
 

@@ -109,13 +109,22 @@ def _dim_and_parts(obj, what: str) -> tuple[int, np.ndarray, np.ndarray]:
     return n, parts[0], parts[1]
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``re + i im`` written part by part: no arithmetic on the entries, so
+    an infinite part stays in its place and a real part of -0.0 survives."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
 def _matrix_from_parts(n: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     if re.size != n * n or im.size != n * n:
         raise ValueError(
             f"matrix of dimension {n} needs {n * n} entries, "
             f"got {re.size} re / {im.size} im"
         )
-    return (re + 1j * im).reshape(n, n)
+    return _complex(re, im).reshape(n, n)
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -137,7 +146,7 @@ def _vector_from_parts(n: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
             f"vector of dimension {n} needs {n} entries, "
             f"got {re.size} re / {im.size} im"
         )
-    return re + 1j * im
+    return _complex(re, im)
 
 
 def vector_from_json(obj: dict) -> np.ndarray:

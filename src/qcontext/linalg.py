@@ -79,10 +79,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return hermiticity_defect(m) < tol
-
-
 def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate ``m`` as Hermitian, returning it as a complex array."""
     a = as_operator(m)
@@ -387,17 +383,6 @@ def evolution_operator(h, t: float) -> np.ndarray:
     """Unitary exp(-i H t) built from the spectral resolution of H."""
     dec = spectral_decompose(h)
     return dec.apply_function(lambda a: np.exp(-1j * a * t))
-
-
-def evolve_unitary(h, t: float, w) -> np.ndarray:
-    """Propagate an operator: W -> U W U^dagger with U = exp(-i H t)."""
-    u = evolution_operator(h, t)
-    w = as_operator(w)
-    if w.shape != u.shape:
-        raise DimensionError(
-            f"state dimension {w.shape[0]} does not match generator {u.shape[0]}"
-        )
-    return u @ w @ dagger(u)
 
 
 def trace_distance(a, b) -> float:

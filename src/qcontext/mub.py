@@ -133,8 +133,11 @@ def measure_statistics(
     if samples is None:
         tables = tuple(tuple(row) for row in exact)
         return MeasurementStatistics(dim=m.dim, tables=tables, samples=None, seed=None)
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    # numpy's multinomial draw takes counts that fit an int64.
+    if not 1 <= samples <= np.iinfo(np.int64).max:
+        raise ValueError(
+            f"samples must be between 1 and {np.iinfo(np.int64).max}, got {samples}"
+        )
     rng = np.random.default_rng(seed)
     tables_s: list[tuple[float, ...]] = []
     for row in exact:

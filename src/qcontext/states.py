@@ -42,7 +42,10 @@ class PureState:
             )
         if not np.isfinite(a).all():
             raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(a))
+        # Finite entries near 1e308 overflow to an inf norm, which the
+        # test below rejects; numpy need not warn about it on stderr.
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(a))
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"state is not normalised: |psi| = {norm!r}")
         object.__setattr__(self, "amplitudes", a)

@@ -1,12 +1,16 @@
 """Command line behaviour: exit codes, report shape, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcontext import io
+from qcontext import cli, io
 from qcontext.cli import main, parse_direction, parse_observable, parse_state
 from qcontext.contexts import observable
 from qcontext.states import make_singlet
@@ -124,6 +128,46 @@ def test_correlate_sweep_needs_two_points(tmp_path, capsys, points):
     assert out == ""
     assert "--points" in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, state_file",
+    [
+        (["chsh", "--state", "singlet", "--tol", "nan"], None),
+        (["evolve", "--coupling", "inf"], None),
+        (["luders", "--state", "plus", "--observable", "spin:1e308,0,0"], None),
+        (["remote-state", "--state", "singlet", "--a=1e308,0,0"], None),
+        (["mub-tomography", "--state", "plus", "--samples", "99999999999999999999"], None),
+        (["schmidt", "--state"], '{"dim": 2, "re": [1, 0], "im": [0, Infinity]}'),
+        (["schmidt", "--state"], '{"dim": 2, "re": [1e308, 1e308], "im": [0, 0]}'),
+    ],
+    ids=[
+        "tol_nan", "coupling_inf", "observable_huge", "direction_huge",
+        "samples_huge", "state_im_infinite", "state_entries_huge",
+    ],
+)
+def test_extreme_numbers_exit_two_without_warnings(tmp_path, argv, state_file):
+    # A real process, so that numpy's RuntimeWarnings would reach stderr.
+    if state_file is not None:
+        path = tmp_path / "state.json"
+        path.write_text(state_file)
+        argv = [*argv, str(path)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "qcontext", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "error:" in proc.stderr.splitlines()[-1]
+
+
+def test_command_table_names_every_cmd_function():
+    functions = {name for name in vars(cli) if name.startswith("cmd_")}
+    assert functions == {"cmd_" + name.replace("-", "_") for name in cli.COMMANDS}
 
 
 def test_duplicate_problem_labels_exit_two(tmp_path, capsys):

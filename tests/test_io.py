@@ -54,6 +54,12 @@ def test_vector_round_trip_preserves_entries():
     assert np.max(np.abs(rebuilt - psi.amplitudes)) < 1e-11
 
 
+def test_vector_from_json_keeps_a_negative_zero_real_part():
+    v = io.vector_from_json({"dim": 2, "re": [-0.0, 1.0], "im": [0.0, 0.0]})
+    assert np.signbit(v.real).tolist() == [True, False]
+    assert np.signbit(v.imag).tolist() == [False, False]
+
+
 def test_load_state_json_dispatches_on_payload_shape():
     vec = io.load_state_json(io.vector_to_json(make_singlet().amplitudes))
     from qcontext.states import DensityOperator, PureState

@@ -298,17 +298,6 @@ def test_evolution_operator_zero_time_is_identity():
     assert np.max(np.abs(la.evolution_operator(h, 0.0) - np.eye(3))) < 1e-12
 
 
-def test_evolve_unitary_preserves_spectrum():
-    h = random_hermitian(4, seed=43)
-    w = random_hermitian(4, seed=44)
-    w = w @ w.conj().T
-    w = w / np.trace(w).real
-    moved = la.evolve_unitary(h, 1.3, w)
-    before = np.linalg.eigvalsh(w)
-    after = np.linalg.eigvalsh(moved)
-    assert np.max(np.abs(before - after)) < 1e-10
-
-
 def test_spectral_decompose_rejects_non_hermitian_input():
     m = np.array([[1.0, 1e-7], [0.0, 2.0]], dtype=complex)
     with pytest.raises(ValueError, match="not Hermitian"):
