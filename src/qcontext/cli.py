@@ -247,7 +247,8 @@ def cmd_reduced(args):
 
 
 def cmd_total_spin(args):
-    value = total_spin_squared(as_density(parse_state(args.state)))
+    state = parse_state(args.state)
+    value = total_spin_squared(as_density(state))
     results = {"total_spin_squared": value}
     return results, [Check.within("within_physical_range", value, 2.0, args.tol)]
 
@@ -498,7 +499,8 @@ def cmd_ks_square(args):
 
 
 def cmd_ks_search(args):
-    problem = io.problem_from_json(io.load_json(args.problem))
+    payload = io.load_json(args.problem)
+    problem = io.problem_from_json(payload)
     search = search_noncontextual_assignment(problem)
     results = {
         "observable_count": problem.size,
