@@ -26,7 +26,6 @@ from .correlations import (
     joint_probabilities,
     no_signalling_check,
     outcome_dependence,
-    spin_observable,
 )
 from .mub import measure_statistics, mub_qubit, reconstruct
 from .sampling import (
@@ -111,20 +110,10 @@ def criterion_singlet_anticorrelation() -> CriterionResult:
         a = random_direction(rng)
         record = joint_probabilities(singlet, a, a)
         worst_same = max(worst_same, record.joint[(1, 1)] + record.joint[(-1, -1)])
-        spectrum = spin_observable(a).spectrum
         for outcome in (1, -1):
             _, remote = conditional_remote_state(singlet, a, outcome)
-            opposite = next(
-                p
-                for value, p in zip(
-                    spectrum.eigenvalues,
-                    [
-                        float(np.vdot(remote.amplitudes, proj @ remote.amplitudes).real)
-                        for proj in spectrum.projectors
-                    ],
-                )
-                if int(round(value)) == -outcome
-            )
+            proj = a.spin_projectors[-outcome]
+            opposite = float(np.vdot(remote.amplitudes, proj @ remote.amplitudes).real)
             worst_flip = max(worst_flip, abs(opposite - 1.0))
     return CriterionResult(
         number=1,
@@ -153,9 +142,7 @@ def criterion_correlation_law() -> CriterionResult:
         b = random_direction(rng)
         e = correlation(singlet, a, b)
         worst_law = max(worst_law, abs(e + a.dot(b)))
-        ma = a.x * la.SIGMA_X + a.y * la.SIGMA_Y + a.z * la.SIGMA_Z
-        mb = b.x * la.SIGMA_X + b.y * la.SIGMA_Y + b.z * la.SIGMA_Z
-        direct = float(np.trace(rho @ np.kron(ma, mb)).real)
+        direct = float(np.trace(rho @ np.kron(a.spin_matrix(), b.spin_matrix())).real)
         worst_oracle = max(worst_oracle, abs(e - direct))
     return CriterionResult(
         number=2,

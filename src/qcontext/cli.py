@@ -391,18 +391,14 @@ def cmd_correlate(args):
             b = _coplanar_partner(a, theta)
             record = joint_probabilities(rho, a, b)
             rows.append((float(np.degrees(theta)), record))
-            direct = rho.expectation(
-                la.tensor(spin_observable(a).matrix, spin_observable(b).matrix)
-            )
+            direct = rho.expectation(la.tensor(a.spin_matrix(), b.spin_matrix()))
             worst_law = max(worst_law, abs(record.expectation - direct))
         io.write_correlation_csv(args.csv, rows)
         results = {"csv": args.csv, "rows": len(rows)}
         return results, [Check.below("expectation_trace_agreement", worst_law, args.tol)]
     b = parse_direction(args.b)
     record = joint_probabilities(rho, a, b)
-    direct = rho.expectation(
-        la.tensor(spin_observable(a).matrix, spin_observable(b).matrix)
-    )
+    direct = rho.expectation(la.tensor(a.spin_matrix(), b.spin_matrix()))
     results = {
         "joint": {f"{i:+d},{j:+d}": record.joint[(i, j)] for i in (1, -1) for j in (1, -1)},
         "marginal_1": {f"{i:+d}": record.marginal_1[i] for i in (1, -1)},
@@ -583,8 +579,16 @@ def cmd_mub_tomography(args):
 
 
 def cmd_suite(args):
+    solved = la.eigensolve_count()
+
     def progress(result, seconds):
-        print(f"{result.summary_line()} in {seconds * 1000.0:.1f} ms", file=sys.stderr)
+        nonlocal solved
+        now = la.eigensolve_count()
+        print(
+            f"{result.summary_line()} in {seconds * 1000.0:.1f} ms, {now - solved} eigensolves",
+            file=sys.stderr,
+        )
+        solved = now
 
     criteria = acceptance.run_suite(progress)
     results = {
@@ -619,6 +623,10 @@ def _bounded(convert, ok, expected: str):
 
 _FINITE = _bounded(float, math.isfinite, "a finite number")
 
+# Upper bounds on loop counts, so that no argument asks for unbounded work.
+MAX_STEPS = 10_000
+MAX_POINTS = 10_000
+
 
 def _arg(flag: str, **options) -> tuple[str, dict]:
     return flag, options
@@ -648,7 +656,12 @@ COMMANDS = {
     "evolve": ("Schmidt trace of |00> under the coupled-spin generator", (
         _arg("--coupling", type=_FINITE, default=1.0),
         _arg("--time", type=_FINITE, default=0.5),
-        _arg("--steps", type=int, default=10),
+        _arg(
+            "--steps",
+            type=_bounded(int, lambda n: 1 <= n <= MAX_STEPS, f"an integer from 1 to {MAX_STEPS}"),
+            default=10,
+            help=f"time steps, 1 to {MAX_STEPS}",
+        ),
     )),
     "luders": ("condition a state on a measurement context", (_STATE, _OBSERVABLE)),
     "representative": ("faithfulness of the conditioned expansion", (_STATE, _OBSERVABLE)),
@@ -669,9 +682,9 @@ COMMANDS = {
         _arg("--csv", help="write a sweep over relative angle instead"),
         _arg(
             "--points",
-            type=_bounded(int, lambda n: n >= 2, "an integer of at least 2"),
+            type=_bounded(int, lambda n: 2 <= n <= MAX_POINTS, f"an integer from 2 to {MAX_POINTS}"),
             default=37,
-            help="sweep rows, at least 2",
+            help=f"sweep rows, 2 to {MAX_POINTS}",
         ),
     )),
     "chsh": ("CHSH combination at four settings", (

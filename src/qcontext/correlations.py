@@ -8,6 +8,7 @@ projective measurements on both wings, p(i, j) = Tr[(P_i x Q_j) W].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +30,13 @@ OUTCOMES = (1, -1)
 
 @dataclass(frozen=True)
 class Direction:
-    """Unit vector in ordinary 3-space."""
+    """Unit vector in ordinary 3-space.
+
+    Its spin projectors are solved on first use and kept on the instance
+    (``spin_projectors``), so a direction reused across calls costs one
+    eigensolve.  The cache is not a field: ``==``, ``hash`` and ``repr``
+    see the components only.
+    """
 
     x: float
     y: float
@@ -71,25 +78,29 @@ class Direction:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
+    def spin_matrix(self) -> np.ndarray:
+        """d . sigma, built without solving it."""
+        return self.x * la.SIGMA_X + self.y * la.SIGMA_Y + self.z * la.SIGMA_Z
+
+    @functools.cached_property
+    def spin_projectors(self) -> dict[int, np.ndarray]:
+        """Read-only projectors of the spin along d, keyed by outcome +1 / -1."""
+        obs = spin_observable(self)
+        out: dict[int, np.ndarray] = {}
+        for a, p in zip(obs.spectrum.eigenvalues, obs.spectrum.projectors):
+            key = int(round(a))
+            if key not in (-1, 1) or abs(a - key) > 1e-9:
+                raise ValueError(f"observable {obs.label!r} is not two-valued with outcomes +-1")
+            p.flags.writeable = False
+            out[key] = p
+        if set(out) != {-1, 1}:
+            raise ValueError(f"observable {obs.label!r} does not resolve both outcomes")
+        return out
+
 
 def spin_observable(d: Direction) -> Observable:
     """Spin component along d, as the outcome observable d . sigma."""
-    m = d.x * la.SIGMA_X + d.y * la.SIGMA_Y + d.z * la.SIGMA_Z
-    return observable(m, label=f"spin({d.x:.6g},{d.y:.6g},{d.z:.6g})")
-
-
-def _spin_projectors(d: Direction) -> dict[int, np.ndarray]:
-    """Projectors of the spin along d, keyed by outcome +1 / -1."""
-    obs = spin_observable(d)
-    out: dict[int, np.ndarray] = {}
-    for a, p in zip(obs.spectrum.eigenvalues, obs.spectrum.projectors):
-        key = int(round(a))
-        if key not in (-1, 1) or abs(a - key) > 1e-9:
-            raise ValueError(f"observable {obs.label!r} is not two-valued with outcomes +-1")
-        out[key] = p
-    if set(out) != {-1, 1}:
-        raise ValueError(f"observable {obs.label!r} does not resolve both outcomes")
-    return out
+    return observable(d.spin_matrix(), label=f"spin({d.x:.6g},{d.y:.6g},{d.z:.6g})")
 
 
 @dataclass(frozen=True)
@@ -158,8 +169,8 @@ def _joint_record(
 def joint_probabilities(w, a: Direction, b: Direction) -> CorrelationRecord:
     """Joint +-1 outcome distribution for spins measured along a and b."""
     rho = _pair_state(w)
-    pa = _spin_projectors(a)
-    pb = pa if b == a else _spin_projectors(b)
+    pa = a.spin_projectors
+    pb = pa if b == a else b.spin_projectors
     return _joint_record(rho, a, pa, b, pb)
 
 
@@ -182,7 +193,7 @@ def conditional_remote_state(
         raise DimensionError(f"remote conditioning needs dimension 4, got {state.dim}")
     if outcome not in OUTCOMES:
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    proj = _spin_projectors(a)[outcome]
+    proj = a.spin_projectors[outcome]
     e = la.rank_one_vector(proj)
     # (<e| x I) psi leaves the distant spin's (unnormalised) amplitudes.
     m = state.amplitudes.reshape(2, 2)
@@ -199,7 +210,7 @@ def conditional_remote_state(
 def chsh(w, a: Direction, a2: Direction, b: Direction, b2: Direction) -> float:
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
     rho = _pair_state(w)
-    pa, pa2, pb, pb2 = (_spin_projectors(d) for d in (a, a2, b, b2))
+    pa, pa2, pb, pb2 = (d.spin_projectors for d in (a, a2, b, b2))
     return (
         _joint_record(rho, a, pa, b, pb).expectation
         + _joint_record(rho, a, pa, b2, pb2).expectation
@@ -235,12 +246,12 @@ def no_signalling_check(w, settings: list[Direction], b: Direction) -> float:
     rho = as_density(w)
     if rho.dim != 4:
         raise DimensionError(f"no-signalling check needs dimension 4, got {rho.dim}")
-    qb = _spin_projectors(b)
+    qb = b.spin_projectors
     reduced: list[np.ndarray] = []
     margins: list[dict[int, float]] = []
     eye = np.eye(2, dtype=complex)
     for a in settings:
-        pa = _spin_projectors(a)
+        pa = a.spin_projectors
         conditioned = np.zeros((4, 4), dtype=complex)
         for p in pa.values():
             big = la.tensor(p, eye)

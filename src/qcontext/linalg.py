@@ -30,6 +30,9 @@ JACOBI_OFF_TOL = 1e-12
 
 _JACOBI_MAX_SWEEPS = 100
 
+# Calls of ``jacobi_eigh`` so far; ``eigensolve_count`` reads it.
+_eigensolves = 0
+
 
 class DimensionError(ValueError):
     """Operands have incompatible or unsupported dimensions."""
@@ -187,7 +190,14 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return _frobenius_norm(off)
 
 
-def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigensolve_count() -> int:
+    """Number of ``jacobi_eigh`` calls made in this process so far."""
+    return _eigensolves
+
+
+def jacobi_eigh(
+    h, off_tol: float = JACOBI_OFF_TOL, *, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Diagonalise a Hermitian matrix by cyclic Jacobi rotations.
 
     Sweeps annihilate one off-diagonal entry at a time with a complex
@@ -205,11 +215,16 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL) -> tuple[np.ndarray, np.ndar
     float operations, in the same order, as the loop kept in
     ``tests/oracles.py``, so the output is identical to it bit for bit.
 
+    With ``vectors=False`` the buffer is ``d`` alone, ``(n, n)``: the same
+    rotations give the same eigenvalues, bit for bit, and no eigenvector
+    is accumulated or phase-fixed.
+
     Returns
     -------
     (eigenvalues, vectors)
         Eigenvalues ascending; ``vectors[:, i]`` is the i-th eigenvector,
         with its largest-magnitude component made real positive.
+        ``vectors`` is None when ``vectors=False``.
 
     Raises
     ------
@@ -219,13 +234,16 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL) -> tuple[np.ndarray, np.ndar
         anti-Hermitian part passes the Hermiticity check but is larger
         than the threshold (the rotations cannot remove it).
     """
+    global _eigensolves
+    _eigensolves += 1
     a = require_hermitian(h)
     n = a.shape[0]
     if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=complex)
-    dv = np.zeros((2 * n, n), dtype=complex)
+        return np.array([a[0, 0].real]), (np.eye(1, dtype=complex) if vectors else None)
+    dv = np.zeros((2 * n if vectors else n, n), dtype=complex)
     dv[:n] = a
-    dv.ravel()[n * n :: n + 1] = 1.0  # v starts as the identity
+    if vectors:
+        dv.ravel()[n * n :: n + 1] = 1.0  # v starts as the identity
     d = dv[:n]
     scale = max(1.0, _frobenius_norm(a))
     threshold = off_tol * scale
@@ -291,8 +309,9 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL) -> tuple[np.ndarray, np.ndar
     eigenvalues = d.diagonal().real.copy()
     order = eigenvalues.argsort(kind="stable")
     eigenvalues = eigenvalues[order]
-    vectors = _fix_column_phases(dv[n:, order])
-    return eigenvalues, vectors
+    if not vectors:
+        return eigenvalues, None
+    return eigenvalues, _fix_column_phases(dv[n:, order])
 
 
 @dataclass(frozen=True)
@@ -395,5 +414,5 @@ def trace_distance(a, b) -> float:
         )
     diff = a - b
     diff = 0.5 * (diff + dagger(diff))
-    eigenvalues, _ = jacobi_eigh(diff)
+    eigenvalues, _ = jacobi_eigh(diff, vectors=False)
     return 0.5 * float(np.abs(eigenvalues).sum())

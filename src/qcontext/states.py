@@ -97,7 +97,7 @@ class DensityOperator:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"density operator trace {tr!r} is not 1")
-        eigenvalues, _ = la.jacobi_eigh(m)
+        eigenvalues, _ = la.jacobi_eigh(m, vectors=False)
         low = float(eigenvalues.min())
         if low < -POSITIVITY_TOL:
             raise ValueError(

@@ -152,17 +152,59 @@ def test_extreme_numbers_exit_two_without_warnings(tmp_path, argv, state_file):
         path = tmp_path / "state.json"
         path.write_text(state_file)
         argv = [*argv, str(path)]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "qcontext", *argv],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    proc = _process(argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "error:" in proc.stderr.splitlines()[-1]
+
+
+def _process(argv):
+    """``python -m qcontext argv`` in a real process, warnings shown."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "qcontext", *argv],
+        capture_output=True, text=True, env=env, check=False, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--points"])
+def test_loop_counts_above_their_bound_are_refused_before_any_compute(tmp_path, flag):
+    target = tmp_path / "sweep.csv"
+    command = {
+        "--steps": ["evolve"],
+        "--points": ["correlate", "--state", "singlet", "--csv", str(target)],
+    }[flag]
+    proc = _process([*command, flag, str(10**9)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    usage, error = proc.stderr.splitlines()[0], proc.stderr.splitlines()[-1]
+    assert usage.startswith("usage: qcontext ")
+    assert error.startswith("qcontext ") and f"error: argument {flag}:" in error
+    assert "10000" in error
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, accepted, refused",
+    [
+        (["evolve", "--steps"], ("1", "10000"), ("0", "10001")),
+        (["correlate", "--state", "singlet", "--points"], ("2", "10000"), ("1", "10001")),
+    ],
+    ids=["steps", "points"],
+)
+def test_loop_count_bounds_are_inclusive(capsys, argv, accepted, refused):
+    parser = cli.build_parser()
+    for text in accepted:
+        args = parser.parse_args([*argv, text])
+        assert vars(args)[argv[-1][2:]] == int(text)
+    for text in refused:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, text])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_command_table_names_every_cmd_function():
@@ -431,18 +473,20 @@ def test_unwritable_out_path_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_suite_writes_one_timed_line_per_criterion_to_stderr(capsys):
+def test_suite_writes_one_timed_line_per_criterion_to_stderr(capsys, eigensolves):
     code, _, err = run(capsys, ["suite"])
     assert code == 0
     lines = err.splitlines()
     assert len(lines) == 13 and lines[-1].startswith("elapsed_ms=")
     pattern = re.compile(
-        r"\[PASS\] criterion (\d+): .+ \(worst: \S+ = \S+ vs \S+\) in (\d+\.\d) ms"
+        r"\[PASS\] criterion (\d+): .+ \(worst: \S+ = \S+ vs \S+\)"
+        r" in (\d+\.\d) ms, (\d+) eigensolves"
     )
     matches = [pattern.fullmatch(line) for line in lines[:12]]
     assert all(matches), lines
     assert [int(m.group(1)) for m in matches] == list(range(1, 13))
     assert all(float(m.group(2)) >= 0.0 for m in matches)
+    assert sum(int(m.group(3)) for m in matches) == len(eigensolves)
 
 
 def test_suite_command_all_green(capsys):

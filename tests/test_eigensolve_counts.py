@@ -1,44 +1,76 @@
 """Eigensolve counts, gated exactly where they are deterministic.
 
-Every eigensolve goes through ``qcontext.linalg.jacobi_eigh``; the
-counter replaces that module attribute, which every caller looks up at
-call time.  Counts depend only on the code path, never on timing.
+The ``eigensolves`` fixture (``conftest.py``) records every call of
+``qcontext.linalg.jacobi_eigh``.  Counts depend only on the code path,
+never on timing.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from qcontext import acceptance, linalg
 from qcontext.contexts import context, luders_nonselective, observable
-from qcontext.correlations import chsh, chsh_optimal_settings
+from qcontext.correlations import (
+    Direction,
+    chsh,
+    chsh_optimal_settings,
+    conditional_remote_state,
+    joint_probabilities,
+)
 from qcontext.states import PureState, make_singlet
 
 
-@pytest.fixture
-def eigensolves(monkeypatch):
-    calls = []
-    original = linalg.jacobi_eigh
-
-    def counting(h, *args, **kwargs):
-        calls.append(len(h))
-        return original(h, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "jacobi_eigh", counting)
-    return calls
-
-
-def test_suite_makes_at_most_2600_eigensolves(eigensolves):
+def test_suite_makes_at_most_2000_eigensolves(eigensolves):
     # 4,400 before derived states skipped validation and chsh built each
-    # direction once
+    # direction once; 2,481 before each Direction kept its projectors
     results = acceptance.run_suite()
     assert all(r.passed for r in results)
-    assert len(eigensolves) <= 2600
+    assert len(eigensolves) <= 2000
 
 
 def test_chsh_builds_each_direction_once(eigensolves):
     singlet = make_singlet()
     chsh(singlet, *chsh_optimal_settings())
     assert eigensolves == [2, 2, 2, 2]
+
+
+def test_one_direction_is_solved_once_across_calls(eigensolves):
+    singlet = make_singlet()
+    _, a2, b, b2 = chsh_optimal_settings()
+    for d in (a2, b, b2):
+        d.spin_projectors
+    eigensolves.clear()
+    a = Direction.polar(0.3, 0.7)
+    for _ in range(101):
+        chsh(singlet, a, a2, b, b2)
+    joint_probabilities(singlet, a, b)
+    conditional_remote_state(singlet, a, -1)
+    assert eigensolves == [2]
+
+
+def test_cached_projectors_are_read_only():
+    projectors = Direction(0.0, 0.6, 0.8).spin_projectors
+    for p in projectors.values():
+        with pytest.raises(ValueError, match="read-only"):
+            p[0, 0] = 0.0
+    assert sorted(projectors) == [-1, 1]
+
+
+def test_the_cache_is_not_a_field():
+    a = Direction(0.0, 0.6, 0.8)
+    b = Direction(0.0, 0.6, 0.8)
+    a.spin_projectors
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert dataclasses.asdict(a) == {"x": 0.0, "y": 0.6, "z": 0.8}
+    assert "spin_projectors" in vars(a) and "spin_projectors" not in vars(b)
+
+
+def test_eigensolve_count_follows_every_call(eigensolves):
+    before = linalg.eigensolve_count()
+    acceptance.criterion_chsh()
+    assert linalg.eigensolve_count() - before == len(eigensolves) == 4
 
 
 def test_luders_on_a_prebuilt_observable_solves_nothing(eigensolves):

@@ -7,7 +7,9 @@ norm from numpy's own dot-product branch, the eigenvector phases from one
 ``np.linalg.norm``, ``np.diag`` and ``np.mean``.  Every result here must
 match its oracle in ``tobytes()`` (or ``float.hex()``), so signed zeros
 count too.  The inputs cover n = 1-8, degenerate spectra, magnitude ties,
-transposed and strided views and entries of ``-0.0``.
+transposed and strided views and entries of ``-0.0``.  The eigenvalues-only
+mode of ``jacobi_eigh`` is held to its full path the same way, up to
+n = 64.
 """
 
 import numpy as np
@@ -191,6 +193,31 @@ def test_jacobi_matches_loop_oracle_in_every_layout():
         ref_values, ref_vectors = oracles.jacobi_eigh(h)
         assert values.tobytes() == ref_values.tobytes()
         assert vectors.tobytes() == ref_vectors.tobytes()
+
+
+def _eigenvalue_inputs(seed):
+    """Hermitian inputs at n = 1-16 in every kind, and at 24, 32 and 64 in one each."""
+    rng = np.random.default_rng(seed)
+    kinds = (
+        lambda n: _hermitian(_complex(rng, (n, n))),
+        lambda n: _hermitian(_with_signed_zeros(_complex(rng, (n, n)), rng)),
+        lambda n: _with_repeated_levels(n, rng),
+    )
+    out = []
+    for n in range(1, 17):
+        for kind in kinds:
+            out.extend(_variants(kind(n)))
+    for n, kind in zip((24, 32, 64), kinds):
+        out.extend(_variants(kind(n)))
+    out.extend(np.diag(d).astype(complex) for d in ([-0.0], [-0.0, -0.0], [0.0, -0.0, 2.0]))
+    return out
+
+
+def test_eigenvalues_only_mode_matches_the_full_path():
+    for h in _eigenvalue_inputs(43):
+        values, vectors = la.jacobi_eigh(h, vectors=False)
+        assert vectors is None
+        assert values.tobytes() == la.jacobi_eigh(h)[0].tobytes()
 
 
 def _assert_spectra_equal(h):
