@@ -623,6 +623,13 @@ def _bounded(convert, ok, expected: str):
 
 _FINITE = _bounded(float, math.isfinite, "a finite number")
 
+# Largest |--coupling| and |--time|: the generator's norm and every phase
+# lambda * t stay far from overflow, so no eigensolve or exp meets an inf.
+MAX_MAGNITUDE = 1e100
+_MODERATE = _bounded(
+    float, lambda x: abs(x) <= MAX_MAGNITUDE, f"a number of magnitude at most {MAX_MAGNITUDE:g}"
+)
+
 # Upper bounds on loop counts, so that no argument asks for unbounded work.
 MAX_STEPS = 10_000
 MAX_POINTS = 10_000
@@ -654,8 +661,8 @@ COMMANDS = {
     )),
     "total-spin": ("total spin squared of a two-spin state", (_STATE,)),
     "evolve": ("Schmidt trace of |00> under the coupled-spin generator", (
-        _arg("--coupling", type=_FINITE, default=1.0),
-        _arg("--time", type=_FINITE, default=0.5),
+        _arg("--coupling", type=_MODERATE, default=1.0),
+        _arg("--time", type=_MODERATE, default=0.5),
         _arg(
             "--steps",
             type=_bounded(int, lambda n: 1 <= n <= MAX_STEPS, f"an integer from 1 to {MAX_STEPS}"),

@@ -73,7 +73,10 @@ class DensityOperator:
 
     Every state built from outside the library is validated at
     construction: Hermiticity within 1e-9 per entry, trace within 1e-10
-    of one, eigenvalues above -1e-9 (one Jacobi eigensolve).  States the
+    of one, eigenvalues above -1e-9 (a Cholesky certificate, and one
+    Jacobi eigensolve only when it fails; see ``_require_positive``).
+    A positive state that passes the Hermiticity check is accepted even
+    when it is not exactly Hermitian; ``matrix`` is the input.  States the
     library derives from validated ones and that are positive by
     construction (``|psi><psi|``, Luders sums, partial traces, Wishart
     draws, clipped reconstructions) come from ``_derived`` and skip it.
@@ -97,12 +100,7 @@ class DensityOperator:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"density operator trace {tr!r} is not 1")
-        eigenvalues, _ = la.jacobi_eigh(m, vectors=False)
-        low = float(eigenvalues.min())
-        if low < -POSITIVITY_TOL:
-            raise ValueError(
-                f"density operator has negative eigenvalue {low:.3e}"
-            )
+        _require_positive(m)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -124,6 +122,35 @@ class DensityOperator:
                 f"observable dimension {a.shape[0]} does not match state {self.dim}"
             )
         return float(np.trace(self.matrix @ a).real)
+
+
+def _require_positive(m: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``m`` has no eigenvalue below -1e-9.
+
+    ``m`` has passed the Hermiticity and trace checks.  Its Hermitian
+    part ``h = (m + m^H) / 2`` is shifted by half the tolerance and
+    Cholesky-factored: a factor with every entry finite certifies
+    ``lambda_min(h) >= -tol/2 - O(n eps |h|)``, and at trace one that
+    error term is about 1e-14, so the Jacobi rule below would accept too.
+    The certificate is only ever a yes; when it fails (no factor, or one
+    with inf or nan in it, as for entries whose sum overflows), the
+    Jacobi minimum of ``h`` decides and words the rejection.  For an
+    exactly Hermitian ``m`` with a real diagonal, ``h`` equals ``m``.
+    """
+    # Entries near 1e308 overflow in the sum; jacobi_eigh rejects the
+    # resulting inf without numpy warning on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 0.5 * (m + m.conj().T)
+        shifted = h + (0.5 * POSITIVITY_TOL) * np.eye(h.shape[0])
+    try:
+        if np.isfinite(np.linalg.cholesky(shifted)).all():
+            return
+    except np.linalg.LinAlgError:
+        pass
+    eigenvalues, _ = la.jacobi_eigh(h, vectors=False)
+    low = float(eigenvalues.min())
+    if low < -POSITIVITY_TOL:
+        raise ValueError(f"density operator has negative eigenvalue {low:.3e}")
 
 
 def as_density(state) -> DensityOperator:

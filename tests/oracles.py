@@ -9,6 +9,9 @@ loop formed each rotation product once; tests require bit-equal output.
 ``spectral_decompose`` are the kernel helpers as they were written with
 numpy's Python-level functions (``np.kron``, ``np.linalg.norm``,
 ``np.diag``, ``np.mean``); tests require ``tobytes()`` equality.
+``density_is_positive`` is the ``DensityOperator`` positivity rule
+before the Cholesky certificate; tests require equal decisions and
+messages.
 """
 
 import itertools
@@ -29,7 +32,7 @@ from qcontext.linalg import (
     jacobi_eigh as library_jacobi_eigh,
     require_hermitian,
 )
-from qcontext.states import DensityOperator
+from qcontext.states import POSITIVITY_TOL, DensityOperator
 
 
 def tensor(a, b):
@@ -135,6 +138,15 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL):
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     return eigenvalues, fix_column_phases(v[:, order])
+
+
+def density_is_positive(m):
+    """``(accepted, message)``: the Jacobi minimum of ``m`` against -1e-9."""
+    eigenvalues, _ = library_jacobi_eigh(m, vectors=False)
+    low = float(eigenvalues.min())
+    if low < -POSITIVITY_TOL:
+        return False, f"density operator has negative eigenvalue {low:.3e}"
+    return True, None
 
 
 def search_noncontextual_assignment(problem) -> AssignmentSearchResult:

@@ -135,15 +135,22 @@ def test_correlate_sweep_needs_two_points(tmp_path, capsys, points):
     [
         (["chsh", "--state", "singlet", "--tol", "nan"], None),
         (["evolve", "--coupling", "inf"], None),
+        (["evolve", "--coupling", "1e308"], None),
+        (["evolve", "--time", "1e308"], None),
         (["luders", "--state", "plus", "--observable", "spin:1e308,0,0"], None),
         (["remote-state", "--state", "singlet", "--a=1e308,0,0"], None),
         (["mub-tomography", "--state", "plus", "--samples", "99999999999999999999"], None),
         (["schmidt", "--state"], '{"dim": 2, "re": [1, 0], "im": [0, Infinity]}'),
         (["schmidt", "--state"], '{"dim": 2, "re": [1e308, 1e308], "im": [0, 0]}'),
+        (
+            ["total-spin", "--state"],
+            '{"dim": 2, "re": [0.5, 1e308, 1e308, 0.5], "im": [0, 0, 0, 0]}',
+        ),
     ],
     ids=[
-        "tol_nan", "coupling_inf", "observable_huge", "direction_huge",
-        "samples_huge", "state_im_infinite", "state_entries_huge",
+        "tol_nan", "coupling_inf", "coupling_huge", "time_huge", "observable_huge",
+        "direction_huge", "samples_huge", "state_im_infinite", "state_entries_huge",
+        "density_sum_overflows",
     ],
 )
 def test_extreme_numbers_exit_two_without_warnings(tmp_path, argv, state_file):
@@ -158,6 +165,38 @@ def test_extreme_numbers_exit_two_without_warnings(tmp_path, argv, state_file):
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "error:" in proc.stderr.splitlines()[-1]
+
+
+def _nearly_hermitian_state(diagonal) -> str:
+    """A 4x4 state file: ``diagonal`` plus 1e-10 at (0, 1) alone, which
+    the 1e-9 Hermiticity check admits."""
+    re = np.diag(diagonal)
+    re[0, 1] = 1e-10
+    return json.dumps({"dim": 4, "re": re.ravel().tolist(), "im": [0.0] * 16})
+
+
+@pytest.mark.parametrize(
+    "diagonal, code, last_line",
+    [
+        ((0.6, 0.3, 0.2, -0.1), 2, "error: density operator has negative eigenvalue -1.000e-01"),
+        ((0.25, 0.25, 0.25, 0.25), 0, None),
+    ],
+    ids=["negative", "positive"],
+)
+def test_nearly_hermitian_states_are_decided_on_their_hermitian_part(
+    tmp_path, diagonal, code, last_line
+):
+    path = tmp_path / "state.json"
+    path.write_text(_nearly_hermitian_state(diagonal))
+    proc = _process(["total-spin", "--state", str(path)])
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    if last_line is None:
+        assert json.loads(proc.stdout)["passed"] is True
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [last_line]
 
 
 def _process(argv):
@@ -203,6 +242,19 @@ def test_loop_count_bounds_are_inclusive(capsys, argv, accepted, refused):
     for text in refused:
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([*argv, text])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--coupling", "--time"])
+def test_magnitude_bounds_are_inclusive(capsys, flag):
+    parser = cli.build_parser()
+    for text in ("1e100", "-1e100", "-0.0"):
+        args = parser.parse_args(["evolve", f"{flag}={text}"])
+        assert vars(args)[flag[2:]] == float(text)
+    for text in ("1.00000000000001e100", "-1e101", "1e308", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["evolve", f"{flag}={text}"])
         assert exc.value.code == 2
     capsys.readouterr()
 
