@@ -119,12 +119,25 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _matrix_from_parts(n: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The ``n x n`` matrix; ValueError unless its Frobenius norm is finite.
+
+    A norm that overflows (entries near 1e154 and above) would be the
+    eigensolver's scale, so such a matrix is refused here, once, rather
+    than warned about and iterated on downstream.
+    """
     if re.size != n * n or im.size != n * n:
         raise ValueError(
             f"matrix of dimension {n} needs {n * n} entries, "
             f"got {re.size} re / {im.size} im"
         )
-    return _complex(re, im).reshape(n, n)
+    m = _complex(re, im).reshape(n, n)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(m)
+    if not np.isfinite(norm):
+        raise ValueError(
+            "matrix entries must be finite, with a Frobenius norm that fits a float"
+        )
+    return m
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

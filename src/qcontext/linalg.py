@@ -3,13 +3,16 @@
 Everything in this package runs on ordinary row-major numpy arrays of
 complex numbers.  Matrices stay small (dimension 64 at most), so the
 routines here favour determinism and transparency over asymptotic speed:
-Hermitian matrices are diagonalised by cyclic Jacobi rotations, phases of
-eigenvectors are fixed by an explicit convention, and matrix functions
-are evaluated through the spectral resolution rather than series.
+Hermitian matrices are diagonalised by Jacobi rotations (in cyclic order
+up to dimension 7, in round-robin order, a round of disjoint pairs at a
+time, above), phases of eigenvectors are fixed by an explicit convention,
+and matrix functions are evaluated through the spectral resolution rather
+than series.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +32,11 @@ EIGENVALUE_MERGE_TOL = 1e-8
 JACOBI_OFF_TOL = 1e-12
 
 _JACOBI_MAX_SWEEPS = 100
+
+# Largest dimension diagonalised by cyclic sweeps; above it, sweeps run
+# in round-robin order.  Measured crossover: the cyclic kernel is faster
+# up to n = 7, the round robin from n = 8 (CHANGES.md has the table).
+_JACOBI_CYCLIC_MAX_DIM = 7
 
 # Calls of ``jacobi_eigh`` so far; ``eigensolve_count`` reads it.
 _eigensolves = 0
@@ -190,6 +198,121 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return _frobenius_norm(off)
 
 
+def _cyclic_sweep(dv: np.ndarray, d: np.ndarray, cutoff: float) -> None:
+    """One sweep of rotations in row order, (0, 1), (0, 2), ..., (n-2, n-1)."""
+    n = d.shape[0]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = d[p, q]
+            r = abs(apq)
+            if r <= cutoff:
+                continue
+            phase = apq / r
+            app = d[p, p].real
+            aqq = d[q, q].real
+            tau = (aqq - app) / (2.0 * r)
+            if tau >= 0.0:
+                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+            else:
+                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            # Unitary U differs from identity only in rows/cols p, q:
+            #   U[p,p] = c        U[p,q] = s
+            #   U[q,p] = -s*e^-if U[q,q] = c*e^-if   with e^if = apq/|apq|
+            # d <- U^dagger d U, eigenvector columns v <- v U.
+            # s * conj(phase) * dq evaluates left to right, so forming
+            # each scalar product once leaves every result unchanged.
+            conj_phase = phase.conjugate()
+            s_conj = s * conj_phase
+            c_conj = c * conj_phase
+            s_phase = s * phase
+            c_phase = c * phase
+            # All four products read the old columns (rows) before
+            # either is overwritten.
+            cp = dv[:, p]
+            cq = dv[:, q]
+            cp_c = np.multiply(c, cp)
+            cq_s = np.multiply(s_conj, cq)
+            cp_s = np.multiply(s, cp)
+            cq_c = np.multiply(c_conj, cq)
+            np.subtract(cp_c, cq_s, out=cp)
+            np.add(cp_s, cq_c, out=cq)
+            rp = d[p]
+            rq = d[q]
+            rp_c = np.multiply(c, rp)
+            rq_s = np.multiply(s_phase, rq)
+            rp_s = np.multiply(s, rp)
+            rq_c = np.multiply(c_phase, rq)
+            np.subtract(rp_c, rq_s, out=rp)
+            np.add(rp_s, rq_c, out=rq)
+
+
+@functools.cache
+def _round_robin_pairs(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The ``n - 1`` rounds (``n`` rounded up to even) of a round-robin sweep.
+
+    Circle method: index ``m - 1`` stays put while the others turn one
+    place a round, so every pair meets exactly once a sweep and the pairs
+    of a round are disjoint.  A pair with the padding index ``n`` (odd
+    ``n``) sits its round out.  Each round is ``(p, q)``, read-only index
+    arrays with ``p < q`` elementwise.
+    """
+    m = n + n % 2
+    rounds = []
+    for k in range(m - 1):
+        pairs = [(k, m - 1)] + [
+            ((k + i) % (m - 1), (k - i) % (m - 1)) for i in range(1, m // 2)
+        ]
+        pairs = sorted((min(a, b), max(a, b)) for a, b in pairs if max(a, b) < n)
+        p, q = np.array(pairs, dtype=np.intp).T
+        p.flags.writeable = q.flags.writeable = False
+        rounds.append((p, q))
+    return tuple(rounds)
+
+
+def _round_robin_sweep(dv: np.ndarray, d: np.ndarray, cutoff: float) -> None:
+    """One sweep of ``n - 1`` rounds, each rotating its disjoint pairs at once.
+
+    Every pair is rotated with the scalar formulas of ``_cyclic_sweep``,
+    evaluated elementwise over the round; disjoint pairs read nothing the
+    others write before all columns, then all rows, are rotated.
+    """
+    for p, q in _round_robin_pairs(d.shape[0]):
+        apq = d[p, q]
+        # np.hypot, not np.abs: numpy's vectorised complex abs can round
+        # the last bit differently from the scalar abs(apq).
+        r = np.hypot(apq.real, apq.imag)
+        rotate = r > cutoff
+        if not rotate.all():
+            if not rotate.any():
+                continue
+            p, q, apq, r = p[rotate], q[rotate], apq[rotate], r[rotate]
+        phase = apq / r
+        tau = (d[q, q].real - d[p, p].real) / (2.0 * r)
+        # 1 / (|tau| + sqrt(1 + tau^2)) negated where tau < 0: both
+        # branches of the scalar formula, with no division by zero in the
+        # branch not taken.
+        t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+        np.negative(t, out=t, where=tau < 0.0)
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        # Coefficient first in every product: numpy's complex multiply can
+        # round differently with its operands swapped.
+        conj_phase = phase.conj()
+        cp = dv[:, p]
+        cq = dv[:, q]
+        dv[:, p] = c * cp - (s * conj_phase) * cq
+        dv[:, q] = s * cp + (c * conj_phase) * cq
+        c = c[:, None]
+        s = s[:, None]
+        phase = phase[:, None]
+        rp = d[p]
+        rq = d[q]
+        d[p] = c * rp - (s * phase) * rq
+        d[q] = s * rp + (c * phase) * rq
+
+
 def eigensolve_count() -> int:
     """Number of ``jacobi_eigh`` calls made in this process so far."""
     return _eigensolves
@@ -198,22 +321,32 @@ def eigensolve_count() -> int:
 def jacobi_eigh(
     h, off_tol: float = JACOBI_OFF_TOL, *, vectors: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Diagonalise a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalise a Hermitian matrix by Jacobi rotations.
 
-    Sweeps annihilate one off-diagonal entry at a time with a complex
-    plane rotation until the off-diagonal Frobenius norm falls below
-    ``off_tol`` times the scale of the input.  Convergence is quadratic,
-    so a handful of sweeps suffices at these dimensions.  The input is
-    validated as Hermitian here; this is the only Hermiticity check on
-    the way to the kernel.  The caller's array is never written.
+    Sweeps annihilate off-diagonal entries with complex plane rotations
+    until the off-diagonal Frobenius norm falls below ``off_tol`` times
+    the scale of the input.  Convergence is quadratic, so a handful of
+    sweeps suffices at these dimensions.  The input is validated as
+    Hermitian here; this is the only Hermiticity check on the way to the
+    kernel.  The caller's array is never written.
+
+    Two orderings share everything but the sweep.  Up to
+    ``_JACOBI_CYCLIC_MAX_DIM`` (7) a sweep is cyclic: one pair at a time,
+    in row order.  Above it, a sweep is ``n - 1`` rounds of a round-robin
+    (Brent-Luk style) ordering, each rotating ``n/2`` disjoint pairs in
+    one vectorised step: all their columns, then all their rows.  Below
+    the cut-over a round holds too few pairs to pay for its numpy calls;
+    at n = 64 it holds 32 and a solve is three to four times faster.
+    The two orderings give different last bits, so the cut-over is fixed:
+    every solve behind the pinned reports runs at n <= 6.
 
     The working matrix ``d`` and the eigenvector accumulator ``v`` share
     one ``(2n, n)`` buffer, ``d`` in rows ``0..n-1`` and ``v`` in rows
     ``n..2n-1``, so a single column rotation updates both; rows ``p`` and
-    ``q`` of ``d`` are rotated after it.  Each rotation writes its
-    results in place with ``out=`` and performs the same elementwise
-    float operations, in the same order, as the loop kept in
-    ``tests/oracles.py``, so the output is identical to it bit for bit.
+    ``q`` of ``d`` are rotated after it.  Each rotation performs the same
+    elementwise float operations, in the same order, as the per-pair loop
+    of its ordering kept in ``tests/oracles.py``, so the output is
+    identical to it bit for bit.
 
     With ``vectors=False`` the buffer is ``d`` alone, ``(n, n)``: the same
     rotations give the same eigenvalues, bit for bit, and no eigenvector
@@ -251,54 +384,11 @@ def jacobi_eigh(
     # whole off-diagonal norm ends below threshold.
     cutoff = threshold / (2.0 * n)
 
+    sweep = _cyclic_sweep if n <= _JACOBI_CYCLIC_MAX_DIM else _round_robin_sweep
     for _ in range(_JACOBI_MAX_SWEEPS):
         if _offdiag_norm(d) < threshold:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = d[p, q]
-                r = abs(apq)
-                if r <= cutoff:
-                    continue
-                phase = apq / r
-                app = d[p, p].real
-                aqq = d[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary U differs from identity only in rows/cols p, q:
-                #   U[p,p] = c        U[p,q] = s
-                #   U[q,p] = -s*e^-if U[q,q] = c*e^-if   with e^if = apq/|apq|
-                # d <- U^dagger d U, eigenvector columns v <- v U.
-                # s * conj(phase) * dq evaluates left to right, so forming
-                # each scalar product once leaves every result unchanged.
-                conj_phase = phase.conjugate()
-                s_conj = s * conj_phase
-                c_conj = c * conj_phase
-                s_phase = s * phase
-                c_phase = c * phase
-                # All four products read the old columns (rows) before
-                # either is overwritten.
-                cp = dv[:, p]
-                cq = dv[:, q]
-                cp_c = np.multiply(c, cp)
-                cq_s = np.multiply(s_conj, cq)
-                cp_s = np.multiply(s, cp)
-                cq_c = np.multiply(c_conj, cq)
-                np.subtract(cp_c, cq_s, out=cp)
-                np.add(cp_s, cq_c, out=cq)
-                rp = d[p]
-                rq = d[q]
-                rp_c = np.multiply(c, rp)
-                rq_s = np.multiply(s_phase, rq)
-                rp_s = np.multiply(s, rp)
-                rq_c = np.multiply(c_phase, rq)
-                np.subtract(rp_c, rq_s, out=rp)
-                np.add(rp_s, rq_c, out=rq)
+        sweep(dv, d, cutoff)
     else:
         raise ConvergenceError(
             f"Jacobi diagonalisation of a dimension-{n} matrix stopped after "

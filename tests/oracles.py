@@ -3,8 +3,11 @@
 The search and lattice check are the tuple-and-dict versions of the
 vectorised combinatorial routines; tests require the library to return
 results equal to these under ``==``, down to the last bit of
-``max_defect``.  ``jacobi_eigh`` is the eigensolver before its inner
-loop formed each rotation product once; tests require bit-equal output.
+``max_defect``.  ``jacobi_eigh`` is the cyclic eigensolver before its
+inner loop formed each rotation product once, and
+``jacobi_eigh_round_robin`` the round-robin ordering one pair at a time;
+tests require the library's kernel for each ordering to match its loop
+bit for bit.
 ``tensor``, ``offdiag_norm``, ``fix_column_phases`` and
 ``spectral_decompose`` are the kernel helpers as they were written with
 numpy's Python-level functions (``np.kron``, ``np.linalg.norm``,
@@ -87,8 +90,42 @@ def spectral_decompose(h, merge_tol: float = EIGENVALUE_MERGE_TOL):
     )
 
 
-def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL):
-    """Cyclic Jacobi with every rotation product written out in place."""
+def _rotation(d, p, q, cutoff):
+    """``(c, s, phase)`` of the rotation that annihilates ``d[p, q]``, or
+    None when ``|d[p, q]|`` is at or below ``cutoff``."""
+    apq = d[p, q]
+    r = abs(apq)
+    if r <= cutoff:
+        return None
+    phase = apq / r
+    app = d[p, p].real
+    aqq = d[q, q].real
+    tau = (aqq - app) / (2.0 * r)
+    if tau >= 0.0:
+        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+    else:
+        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    return c, s, phase
+
+
+def _rotate_columns(m, p, q, c, s, phase):
+    mp = m[:, p].copy()
+    mq = m[:, q].copy()
+    m[:, p] = c * mp - s * phase.conjugate() * mq
+    m[:, q] = s * mp + c * phase.conjugate() * mq
+
+
+def _rotate_rows(m, p, q, c, s, phase):
+    rp = m[p, :].copy()
+    rq = m[q, :].copy()
+    m[p, :] = c * rp - s * phase * rq
+    m[q, :] = s * rp + c * phase * rq
+
+
+def _jacobi(h, off_tol, sweep):
+    """Validation, threshold, sweeps until converged, sorted and phase-fixed."""
     a = require_hermitian(h)
     n = a.shape[0]
     d = a.copy()
@@ -101,36 +138,9 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL):
         return np.array([d[0, 0].real]), v
 
     for _ in range(100):
-        if float(np.linalg.norm(d - np.diag(np.diag(d)))) < threshold:
+        if offdiag_norm(d) < threshold:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = d[p, q]
-                r = abs(apq)
-                if r <= cutoff:
-                    continue
-                phase = apq / r
-                app = d[p, p].real
-                aqq = d[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                dp = d[:, p].copy()
-                dq = d[:, q].copy()
-                d[:, p] = c * dp - s * phase.conjugate() * dq
-                d[:, q] = s * dp + c * phase.conjugate() * dq
-                rp = d[p, :].copy()
-                rq = d[q, :].copy()
-                d[p, :] = c * rp - s * phase * rq
-                d[q, :] = s * rp + c * phase * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * phase.conjugate() * vq
-                v[:, q] = s * vp + c * phase.conjugate() * vq
+        sweep(d, v, cutoff)
     else:
         raise ConvergenceError("Jacobi oracle did not converge")
 
@@ -138,6 +148,60 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL):
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     return eigenvalues, fix_column_phases(v[:, order])
+
+
+def _cyclic_sweep(d, v, cutoff):
+    n = d.shape[0]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            rotation = _rotation(d, p, q, cutoff)
+            if rotation is None:
+                continue
+            _rotate_columns(d, p, q, *rotation)
+            _rotate_rows(d, p, q, *rotation)
+            _rotate_columns(v, p, q, *rotation)
+
+
+def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL):
+    """Cyclic Jacobi with every rotation product written out in place."""
+    return _jacobi(h, off_tol, _cyclic_sweep)
+
+
+def round_robin_rounds(n):
+    """The circle-method rounds of one sweep, each a list of ``(p, q)``, ``p < q``.
+
+    ``n`` is rounded up to even ``m``; index ``m - 1`` stays put while the
+    others turn one place a round, and pairs with the padding index ``n``
+    are dropped.
+    """
+    m = n + n % 2
+    rounds = []
+    for k in range(m - 1):
+        pairs = [(k, m - 1)]
+        pairs += [((k + i) % (m - 1), (k - i) % (m - 1)) for i in range(1, m // 2)]
+        rounds.append(sorted((min(a, b), max(a, b)) for a, b in pairs if max(a, b) < n))
+    return rounds
+
+
+def _round_robin_sweep(d, v, cutoff):
+    for pairs in round_robin_rounds(d.shape[0]):
+        rotations = []
+        for p, q in pairs:
+            rotation = _rotation(d, p, q, cutoff)
+            if rotation is not None:
+                rotations.append((p, q, *rotation))
+        for p, q, *rotation in rotations:
+            _rotate_columns(d, p, q, *rotation)
+            _rotate_columns(v, p, q, *rotation)
+        for p, q, *rotation in rotations:
+            _rotate_rows(d, p, q, *rotation)
+
+
+def jacobi_eigh_round_robin(h, off_tol: float = JACOBI_OFF_TOL):
+    """Jacobi in round-robin order, one pair at a time: in each round every
+    pair's rotation from the round's starting ``d``, then all their column
+    rotations, then all their row rotations."""
+    return _jacobi(h, off_tol, _round_robin_sweep)
 
 
 def density_is_positive(m):

@@ -146,11 +146,20 @@ def test_correlate_sweep_needs_two_points(tmp_path, capsys, points):
             ["total-spin", "--state"],
             '{"dim": 2, "re": [0.5, 1e308, 1e308, 0.5], "im": [0, 0, 0, 0]}',
         ),
+        # Finite entries whose Frobenius norm overflows.
+        (
+            ["boolean-lattice", "--observable"],
+            '{"dim": 2, "re": [1e200, 1, 1, 1], "im": [0, 0, 0, 0]}',
+        ),
+        (
+            ["reduced", "--state"],
+            '{"dim": 2, "re": [0.5, 1e200, 1e200, 0.5], "im": [0, 0, 0, 0]}',
+        ),
     ],
     ids=[
         "tol_nan", "coupling_inf", "coupling_huge", "time_huge", "observable_huge",
         "direction_huge", "samples_huge", "state_im_infinite", "state_entries_huge",
-        "density_sum_overflows",
+        "density_sum_overflows", "observable_norm_overflows", "density_norm_overflows",
     ],
 )
 def test_extreme_numbers_exit_two_without_warnings(tmp_path, argv, state_file):

@@ -3,7 +3,8 @@
 Any JSON value or raw bytes may arrive as a state, observable, problem or
 statistics file.  Whatever it holds, the CLI must end with 0, 1 or 2 and
 a report or one ``error:`` line: never a traceback, never exit 3 (a fault
-in the program), and exit 1 only with a report that says
+in the program), never a ``RuntimeWarning`` (numpy overflowing or
+dividing by zero on the way), and exit 1 only with a report that says
 ``"passed": false``.
 """
 
@@ -12,6 +13,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -49,7 +51,11 @@ _entry = st.floats(min_value=-2.0, max_value=2.0) | st.sampled_from(
 def _matrix_like(draw):
     """A dim/re/im object near the valid shape, so checks past the first run."""
     dim = draw(st.integers(min_value=-1, max_value=4) | _scalars)
-    size = draw(st.integers(min_value=0, max_value=17))
+    sizes = st.integers(min_value=0, max_value=17)
+    if type(dim) is int and 1 <= dim <= 4:
+        # As often the entry count a vector or matrix of that dim needs.
+        sizes = sizes | st.sampled_from([dim, dim * dim])
+    size = draw(sizes)
     obj = {
         "dim": dim,
         "re": draw(st.lists(_entry, min_size=size, max_size=size) | _json),
@@ -100,13 +106,17 @@ def _contents(shaped):
 
 
 def _run(argv, payload: bytes) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI call; fails on a RuntimeWarning."""
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         path = Path(tmp) / "input.json"
         path.write_bytes(payload)
         argv = [str(path) if a == "input.json" else a for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, (argv[0], payload, runtime)
     return code, out.getvalue(), err.getvalue()
 
 

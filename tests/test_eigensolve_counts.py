@@ -19,7 +19,7 @@ from qcontext.correlations import (
     conditional_remote_state,
     joint_probabilities,
 )
-from qcontext.states import PureState, make_singlet
+from qcontext.states import PureState, entangling_evolution_demo, make_singlet
 
 
 def test_suite_makes_at_most_2000_eigensolves(eigensolves):
@@ -28,6 +28,18 @@ def test_suite_makes_at_most_2000_eigensolves(eigensolves):
     results = acceptance.run_suite()
     assert all(r.passed for r in results)
     assert len(eigensolves) <= 2000
+
+
+def test_dynamics_criterion_makes_24_eigensolves(eigensolves):
+    # Two demos at 10 steps: one generator and 11 Schmidt embeddings each
+    # (44 when every point decomposed the generator again).
+    acceptance.criterion_dynamics()
+    assert len(eigensolves) == 24
+
+
+def test_evolution_demo_decomposes_the_generator_once(eigensolves):
+    entangling_evolution_demo(1.0, 0.5, steps=100)
+    assert len(eigensolves) == 102
 
 
 def test_chsh_builds_each_direction_once(eigensolves):

@@ -1,6 +1,7 @@
 """Serialization round trips and the report/CSV formats."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,24 @@ def test_malformed_payloads_raise_value_error(payload, message):
         io.matrix_from_json(payload)
     with pytest.raises(ValueError, match=message):
         io.load_state_json(payload)
+
+
+@pytest.mark.parametrize(
+    "re", [[1e200, 1.0, 1.0, 1.0], [0.5, 1e155, 1e155, 0.5], [1.0, 0.0, 0.0, float("inf")]],
+    ids=["diagonal_1e200", "off_diagonal_1e155", "infinite"],
+)
+def test_matrices_whose_norm_overflows_are_refused_without_a_warning(re):
+    payload = {"dim": 2, "re": re, "im": [0.0] * 4}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (io.matrix_from_json, io.load_state_json, io.observable_from_json):
+            with pytest.raises(ValueError, match="Frobenius norm"):
+                read(payload)
+
+
+def test_large_matrices_whose_norm_fits_are_read():
+    m = io.matrix_from_json({"dim": 2, "re": [1e153, 0.0, 0.0, 1e153], "im": [0.0] * 4})
+    assert m[0, 0] == 1e153
 
 
 def test_observable_round_trip_keeps_label_and_matrix():

@@ -7,9 +7,11 @@ norm from numpy's own dot-product branch, the eigenvector phases from one
 ``np.linalg.norm``, ``np.diag`` and ``np.mean``.  Every result here must
 match its oracle in ``tobytes()`` (or ``float.hex()``), so signed zeros
 count too.  The inputs cover n = 1-8, degenerate spectra, magnitude ties,
-transposed and strided views and entries of ``-0.0``.  The eigenvalues-only
-mode of ``jacobi_eigh`` is held to its full path the same way, up to
-n = 64.
+transposed and strided views and entries of ``-0.0``.  The Jacobi kernel
+is held to the loop oracle of the ordering it runs: cyclic up to n = 7,
+round robin from n = 8 (n = 8-16, 24, 32 and 64 here).  The
+eigenvalues-only mode of ``jacobi_eigh`` is held to its full path the same
+way, up to n = 64.
 """
 
 import numpy as np
@@ -187,12 +189,18 @@ def _hermitian_inputs(seed):
     return out
 
 
+def _assert_matches(h, oracle):
+    values, vectors = la.jacobi_eigh(h)
+    ref_values, ref_vectors = oracle(h)
+    assert values.tobytes() == ref_values.tobytes()
+    assert vectors.tobytes() == ref_vectors.tobytes()
+
+
 def test_jacobi_matches_loop_oracle_in_every_layout():
+    # The cyclic kernel solves n <= 7 only.
     for h in _hermitian_inputs(41):
-        values, vectors = la.jacobi_eigh(h)
-        ref_values, ref_vectors = oracles.jacobi_eigh(h)
-        assert values.tobytes() == ref_values.tobytes()
-        assert vectors.tobytes() == ref_vectors.tobytes()
+        if len(h) <= la._JACOBI_CYCLIC_MAX_DIM:
+            _assert_matches(h, oracles.jacobi_eigh)
 
 
 def _eigenvalue_inputs(seed):
@@ -211,6 +219,34 @@ def _eigenvalue_inputs(seed):
         out.extend(_variants(kind(n)))
     out.extend(np.diag(d).astype(complex) for d in ([-0.0], [-0.0, -0.0], [0.0, -0.0, 2.0]))
     return out
+
+
+def test_round_robin_matches_its_loop_oracle_in_every_layout():
+    solved = 0
+    for h in _eigenvalue_inputs(44):
+        if len(h) > la._JACOBI_CYCLIC_MAX_DIM:
+            _assert_matches(h, oracles.jacobi_eigh_round_robin)
+            solved += 1
+    assert solved == 9 * 9 + 3 * 3  # n = 8-16 in every kind, 24, 32, 64 in one
+
+
+def test_pinned_dimensions_stay_on_the_cyclic_kernel():
+    # Golden stdout pins eigensolves up to n = 6; the cyclic kernel also
+    # wins at n = 7 (CHANGES.md has the crossover table).
+    assert la._JACOBI_CYCLIC_MAX_DIM >= 7
+
+
+def test_round_robin_rounds_cover_every_pair_once():
+    for n in (8, 9, 15, 16, 17, 33, 64):
+        rounds = la._round_robin_pairs(n)
+        assert len(rounds) == n - 1 + n % 2
+        met = []
+        for (p, q), want in zip(rounds, oracles.round_robin_rounds(n)):
+            assert list(zip(p.tolist(), q.tolist())) == want
+            assert (p < q).all()
+            assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)  # disjoint
+            met.extend(want)
+        assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 def test_eigenvalues_only_mode_matches_the_full_path():

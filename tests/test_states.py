@@ -258,6 +258,22 @@ def test_entangling_demo_starts_product_and_gains_rank():
     assert times == sorted(times)
 
 
+@pytest.mark.parametrize("coupling, t_final", [(1.0, 0.5), (0.0, 1.0), (-0.3, 7.25)])
+def test_entangling_demo_equals_evolving_each_point_from_scratch(coupling, t_final):
+    # The demo decomposes the generator once; the floats are those of one
+    # evolve_pure_state call per point.
+    h = coupled_spins_hamiltonian(coupling)
+    psi0 = product_basis_state(0, 0)
+    for k, point in enumerate(entangling_evolution_demo(coupling, t_final, steps=10)):
+        t = t_final * k / 10
+        dec = schmidt(evolve_pure_state(h, t, psi0), (2, 2))
+        assert point.time == t
+        assert point.rank == dec.rank
+        assert [c.hex() for c in point.coefficients] == [
+            dec.coefficient(i).hex() for i in range(2)
+        ]
+
+
 def test_entangling_demo_zero_coupling_stays_product():
     trace = entangling_evolution_demo(0.0, 1.0, steps=6)
     for point in trace:
