@@ -32,10 +32,11 @@ OUTCOMES = (1, -1)
 class Direction:
     """Unit vector in ordinary 3-space.
 
-    Its spin projectors are solved on first use and kept on the instance
-    (``spin_projectors``), so a direction reused across calls costs one
-    eigensolve.  The cache is not a field: ``==``, ``hash`` and ``repr``
-    see the components only.
+    Its spin projectors ``(I +- n . sigma)/2``, with ``n = d/|d|``, are
+    written down in closed form on first use and kept on the instance
+    (``outcome_projectors``, ``spin_projectors``); no eigensolve is made.
+    The cache is not a field: ``==``, ``hash`` and ``repr`` see the
+    components only.
     """
 
     x: float
@@ -83,19 +84,23 @@ class Direction:
         return self.x * la.SIGMA_X + self.y * la.SIGMA_Y + self.z * la.SIGMA_Z
 
     @functools.cached_property
+    def outcome_projectors(self) -> np.ndarray:
+        """Read-only ``(2, 2, 2)`` stack of the spin projectors, in ``OUTCOMES`` order."""
+        norm = math.hypot(self.x, self.y, self.z)
+        x, y, z = self.x / norm, self.y / norm, self.z / norm
+        stack = 0.5 * np.array(
+            [
+                [[1.0 + z, complex(x, -y)], [complex(x, y), 1.0 - z]],
+                [[1.0 - z, complex(-x, y)], [complex(-x, -y), 1.0 + z]],
+            ]
+        )
+        stack.flags.writeable = False
+        return stack
+
+    @functools.cached_property
     def spin_projectors(self) -> dict[int, np.ndarray]:
         """Read-only projectors of the spin along d, keyed by outcome +1 / -1."""
-        obs = spin_observable(self)
-        out: dict[int, np.ndarray] = {}
-        for a, p in zip(obs.spectrum.eigenvalues, obs.spectrum.projectors):
-            key = int(round(a))
-            if key not in (-1, 1) or abs(a - key) > 1e-9:
-                raise ValueError(f"observable {obs.label!r} is not two-valued with outcomes +-1")
-            p.flags.writeable = False
-            out[key] = p
-        if set(out) != {-1, 1}:
-            raise ValueError(f"observable {obs.label!r} does not resolve both outcomes")
-        return out
+        return dict(zip(OUTCOMES, self.outcome_projectors))
 
 
 def spin_observable(d: Direction) -> Observable:
@@ -140,19 +145,22 @@ def _pair_state(w) -> DensityOperator:
     return rho
 
 
-def _joint_record(
-    rho: DensityOperator,
-    a: Direction,
-    pa: dict[int, np.ndarray],
-    b: Direction,
-    pb: dict[int, np.ndarray],
-) -> CorrelationRecord:
-    """Joint table of a pair state from both wings' outcome projectors."""
-    joint: dict[tuple[int, int], float] = {}
-    for i in OUTCOMES:
-        for j in OUTCOMES:
-            op = la.tensor(pa[i], pb[j])
-            joint[(i, j)] = float((rho.matrix @ op).trace().real)
+def _joint_record(rho: DensityOperator, a: Direction, b: Direction) -> CorrelationRecord:
+    """Joint table of a pair state from both wings' outcome projectors.
+
+    ``p(i, j) = Tr[(P_i x Q_j) W] = sum W[ab, cd] P_i[c, a] Q_j[d, b]``:
+    all four in one ``einsum`` over ``W`` as a ``(2, 2, 2, 2)`` array,
+    with no product operator formed.
+    """
+    table = np.einsum(
+        "abcd,ica,jdb->ij",
+        rho.matrix.reshape(2, 2, 2, 2),
+        a.outcome_projectors,
+        b.outcome_projectors,
+    ).real.tolist()
+    joint = {
+        (i, j): table[k][m] for k, i in enumerate(OUTCOMES) for m, j in enumerate(OUTCOMES)
+    }
     marginal_1 = {i: joint[(i, 1)] + joint[(i, -1)] for i in OUTCOMES}
     marginal_2 = {j: joint[(1, j)] + joint[(-1, j)] for j in OUTCOMES}
     expectation = sum(i * j * joint[(i, j)] for i in OUTCOMES for j in OUTCOMES)
@@ -168,10 +176,7 @@ def _joint_record(
 
 def joint_probabilities(w, a: Direction, b: Direction) -> CorrelationRecord:
     """Joint +-1 outcome distribution for spins measured along a and b."""
-    rho = _pair_state(w)
-    pa = a.spin_projectors
-    pb = pa if b == a else b.spin_projectors
-    return _joint_record(rho, a, pa, b, pb)
+    return _joint_record(_pair_state(w), a, b)
 
 
 def correlation(w, a: Direction, b: Direction) -> float:
@@ -210,12 +215,11 @@ def conditional_remote_state(
 def chsh(w, a: Direction, a2: Direction, b: Direction, b2: Direction) -> float:
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
     rho = _pair_state(w)
-    pa, pa2, pb, pb2 = (d.spin_projectors for d in (a, a2, b, b2))
     return (
-        _joint_record(rho, a, pa, b, pb).expectation
-        + _joint_record(rho, a, pa, b2, pb2).expectation
-        + _joint_record(rho, a2, pa2, b, pb).expectation
-        - _joint_record(rho, a2, pa2, b2, pb2).expectation
+        _joint_record(rho, a, b).expectation
+        + _joint_record(rho, a, b2).expectation
+        + _joint_record(rho, a2, b).expectation
+        - _joint_record(rho, a2, b2).expectation
     )
 
 

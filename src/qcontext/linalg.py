@@ -90,15 +90,20 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate ``m`` as Hermitian, returning it as a complex array."""
+def _checked_hermitian(m, tol: float) -> tuple[np.ndarray, float]:
+    """``m`` validated as a Hermitian complex array, with its defect."""
     a = as_operator(m)
     defect = hermiticity_defect(a)
     if defect >= tol:
         raise ValueError(
             f"matrix is not Hermitian: max |H - H^dagger| entry = {defect:.3e}"
         )
-    return a
+    return a, defect
+
+
+def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Validate ``m`` as Hermitian, returning it as a complex array."""
+    return _checked_hermitian(m, tol)[0]
 
 
 def tensor(a, b) -> np.ndarray:
@@ -328,7 +333,11 @@ def jacobi_eigh(
     the scale of the input.  Convergence is quadratic, so a handful of
     sweeps suffices at these dimensions.  The input is validated as
     Hermitian here; this is the only Hermiticity check on the way to the
-    kernel.  The caller's array is never written.
+    kernel.  An input that passes the check without being exactly
+    Hermitian is replaced by its Hermitian part ``(H + H^dagger)/2``: the
+    rotations keep the norm of an anti-Hermitian part, so one above the
+    threshold would stop convergence.  An exactly Hermitian input is
+    used as it is.  The caller's array is never written.
 
     Two orderings share everything but the sweep.  Up to
     ``_JACOBI_CYCLIC_MAX_DIM`` (7) a sweep is cyclic: one pair at a time,
@@ -363,13 +372,13 @@ def jacobi_eigh(
     ------
     ConvergenceError
         If the off-diagonal norm is still above the threshold after
-        ``_JACOBI_MAX_SWEEPS`` sweeps, as for a matrix whose
-        anti-Hermitian part passes the Hermiticity check but is larger
-        than the threshold (the rotations cannot remove it).
+        ``_JACOBI_MAX_SWEEPS`` sweeps.
     """
     global _eigensolves
     _eigensolves += 1
-    a = require_hermitian(h)
+    a, defect = _checked_hermitian(h, HERMITICITY_TOL)
+    if defect:
+        a = 0.5 * (a + a.conj().T)
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), (np.eye(1, dtype=complex) if vectors else None)
@@ -431,6 +440,48 @@ class SpectralDecomposition:
             out += f(a) * p
         return out
 
+    @classmethod
+    def from_eigenpairs(
+        cls,
+        eigenvalues: np.ndarray,
+        vectors: np.ndarray,
+        merge_tol: float = EIGENVALUE_MERGE_TOL,
+    ) -> "SpectralDecomposition":
+        """Levels and projectors of known eigenpairs; nothing is solved.
+
+        ``eigenvalues`` ascend and ``vectors[:, i]`` is a unit eigenvector
+        of ``eigenvalues[i]``, the columns orthonormal.  A run of
+        eigenvalues each within ``merge_tol`` of the one before is one
+        level, its projector the symmetrised ``V V^dagger`` of the run's
+        columns.  The eigenpairs are not checked.
+        """
+        # The same doubles as Python floats: the gap tests and singleton
+        # levels below then skip numpy's scalar dispatch.
+        values = eigenvalues.tolist()
+        levels: list[float] = []
+        projectors: list[np.ndarray] = []
+        multiplicities: list[int] = []
+        i = 0
+        n = len(values)
+        while i < n:
+            j = i + 1
+            while j < n and values[j] - values[j - 1] <= merge_tol:
+                j += 1
+            block = vectors[:, i:j]
+            p = block @ block.conj().T
+            p = 0.5 * (p + p.conj().T)
+            # np.mean of one value sums it onto 0.0 and divides by 1, so the
+            # value itself comes back, except that -0.0 becomes 0.0.
+            levels.append(values[i] + 0.0 if j == i + 1 else float(np.mean(eigenvalues[i:j])))
+            projectors.append(p)
+            multiplicities.append(j - i)
+            i = j
+        return cls(
+            eigenvalues=tuple(levels),
+            projectors=tuple(projectors),
+            multiplicities=tuple(multiplicities),
+        )
+
 
 def spectral_decompose(
     h, merge_tol: float = EIGENVALUE_MERGE_TOL
@@ -442,32 +493,7 @@ def spectral_decompose(
     ``jacobi_eigh`` validates ``h``.
     """
     eigenvalues, vectors = jacobi_eigh(h)
-    # The same doubles as Python floats: the gap tests and singleton
-    # levels below then skip numpy's scalar dispatch.
-    values = eigenvalues.tolist()
-    levels: list[float] = []
-    projectors: list[np.ndarray] = []
-    multiplicities: list[int] = []
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i + 1
-        while j < n and values[j] - values[j - 1] <= merge_tol:
-            j += 1
-        block = vectors[:, i:j]
-        p = block @ block.conj().T
-        p = 0.5 * (p + p.conj().T)
-        # np.mean of one value sums it onto 0.0 and divides by 1, so the
-        # value itself comes back, except that -0.0 becomes 0.0.
-        levels.append(values[i] + 0.0 if j == i + 1 else float(np.mean(eigenvalues[i:j])))
-        projectors.append(p)
-        multiplicities.append(j - i)
-        i = j
-    return SpectralDecomposition(
-        eigenvalues=tuple(levels),
-        projectors=tuple(projectors),
-        multiplicities=tuple(multiplicities),
-    )
+    return SpectralDecomposition.from_eigenpairs(eigenvalues, vectors, merge_tol)
 
 
 def rank_one_vector(p: np.ndarray) -> np.ndarray:

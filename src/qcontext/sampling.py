@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg as la
-from .contexts import Observable, observable
+from .contexts import Observable
 from .correlations import Direction
 from .states import DensityOperator, PureState
 
@@ -45,13 +45,15 @@ def random_nondegenerate_observable(
 
     Returns the observable together with the eigenvalues and the unitary
     whose columns are the construction's eigenvectors, so callers can
-    cross-check eigensolver output against ground truth.
+    cross-check eigensolver output against ground truth.  The
+    observable's spectrum is built from those eigenpairs, not solved.
     """
     u = random_unitary(dim, rng)
     values = np.arange(1.0, dim + 1.0)
     m = (u * values) @ la.dagger(u)
     m = 0.5 * (m + la.dagger(m))
-    return observable(m, label=label), values, u
+    spectrum = la.SpectralDecomposition.from_eigenpairs(values, u)
+    return Observable(matrix=m, spectrum=spectrum, label=label), values, u
 
 
 def random_direction(rng: np.random.Generator) -> Direction:

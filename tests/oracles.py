@@ -15,13 +15,19 @@ numpy's Python-level functions (``np.kron``, ``np.linalg.norm``,
 ``density_is_positive`` is the ``DensityOperator`` positivity rule
 before the Cholesky certificate; tests require equal decisions and
 messages.
+``spin_projectors``, ``joint_table`` and ``random_nondegenerate_observable``
+are the solved and product-forming routes that the closed forms replaced:
+a Jacobi solve of ``d . sigma``, ``Tr[W (P_i x Q_j)]`` from explicit
+Kronecker products, and ``observable(m)`` on the sampled matrix.  Their
+arithmetic differs from the library's, so tests hold the two to stated
+bounds, not to equal bytes.
 """
 
 import itertools
 
 import numpy as np
 
-from qcontext.contexts import BooleanLatticeReport
+from qcontext.contexts import BooleanLatticeReport, observable
 from qcontext.contextuality import AssignmentSearchResult
 from qcontext.linalg import (
     EIGENVALUE_MERGE_TOL,
@@ -35,6 +41,7 @@ from qcontext.linalg import (
     jacobi_eigh as library_jacobi_eigh,
     require_hermitian,
 )
+from qcontext.sampling import random_unitary
 from qcontext.states import POSITIVITY_TOL, DensityOperator
 
 
@@ -211,6 +218,30 @@ def density_is_positive(m):
     if low < -POSITIVITY_TOL:
         return False, f"density operator has negative eigenvalue {low:.3e}"
     return True, None
+
+
+def spin_projectors(d):
+    """``{+1: P, -1: Q}`` of ``d . sigma`` from its Jacobi spectral resolution."""
+    obs = observable(d.spin_matrix())
+    return {int(round(a)): p for a, p in zip(obs.spectrum.eigenvalues, obs.spectrum.projectors)}
+
+
+def joint_table(rho, pa, pb):
+    """``{(i, j): Tr[W (P_i x Q_j)]}``, each product operator formed and traced."""
+    return {
+        (i, j): float((rho @ tensor(pa[i], pb[j])).trace().real)
+        for i in (1, -1)
+        for j in (1, -1)
+    }
+
+
+def random_nondegenerate_observable(dim, rng, label=""):
+    """The sampled observable, its spectrum solved from the matrix by ``observable``."""
+    u = random_unitary(dim, rng)
+    values = np.arange(1.0, dim + 1.0)
+    m = (u * values) @ dagger(u)
+    m = 0.5 * (m + dagger(m))
+    return observable(m, label=label), values, u
 
 
 def search_noncontextual_assignment(problem) -> AssignmentSearchResult:

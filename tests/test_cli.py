@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcontext import cli, io
+from qcontext import cli, io, linalg
 from qcontext.cli import main, parse_direction, parse_observable, parse_state
 from qcontext.contexts import observable
 from qcontext.states import make_singlet
@@ -366,17 +366,27 @@ def test_malformed_problem_and_statistics_files_exit_two(
     assert err.count("\n") == 1
 
 
-def test_eigensolve_that_does_not_converge_exits_two(tmp_path, capsys):
-    # Hermitian to within 1e-9, but its 1e-10 anti-Hermitian part keeps
-    # the off-diagonal norm above the Jacobi threshold.
+def test_eigensolve_that_does_not_converge_exits_two(tmp_path, capsys, monkeypatch):
+    # One sweep cannot diagonalise this dense 3x3 observable.
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+    path = tmp_path / "observable.json"
+    path.write_text('{"dim": 3, "re": [1, 2, 3, 2, 4, 5, 3, 5, 6], "im": [0, 0, 0, 0, 0, 0, 0, 0, 0]}')
+    code, out, err = run(capsys, ["boolean-lattice", "--observable", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Jacobi diagonalisation of a dimension-3 matrix")
+    assert "after 1 sweeps" in err
+    assert err.count("\n") == 1
+
+
+def test_nearly_hermitian_observable_is_decomposed(tmp_path, capsys):
+    # Hermitian to within 1e-9; its 1e-10 anti-Hermitian part is above
+    # the Jacobi threshold, so the eigensolver solves its Hermitian part.
     path = tmp_path / "observable.json"
     path.write_text('{"dim": 2, "re": [1, 1e-10, 0, 2], "im": [0, 0, 0, 0]}')
     code, out, err = run(capsys, ["luders", "--state", "plus", "--observable", str(path)])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: Jacobi diagonalisation of a dimension-2 matrix")
-    assert "100 sweeps" in err
-    assert err.count("\n") == 1
+    assert code == 0
+    assert report_of(out)["passed"] is True
 
 
 # determinism and output hygiene

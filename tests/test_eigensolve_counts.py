@@ -19,15 +19,19 @@ from qcontext.correlations import (
     conditional_remote_state,
     joint_probabilities,
 )
+from qcontext.sampling import random_nondegenerate_observable
 from qcontext.states import PureState, entangling_evolution_demo, make_singlet
 
 
-def test_suite_makes_at_most_2000_eigensolves(eigensolves):
+def test_suite_makes_1273_eigensolves(eigensolves):
     # 4,400 before derived states skipped validation and chsh built each
-    # direction once; 2,481 before each Direction kept its projectors
+    # direction once; 2,481 before each Direction kept its projectors;
+    # 1,951 before spin projectors and sampled observables were written
+    # down from their closed forms instead of solved
     results = acceptance.run_suite()
     assert all(r.passed for r in results)
-    assert len(eigensolves) <= 2000
+    assert len(eigensolves) == 1273
+    assert sum(n <= 2 for n in eigensolves) == 919
 
 
 def test_dynamics_criterion_makes_24_eigensolves(eigensolves):
@@ -42,24 +46,50 @@ def test_evolution_demo_decomposes_the_generator_once(eigensolves):
     assert len(eigensolves) == 102
 
 
-def test_chsh_builds_each_direction_once(eigensolves):
-    singlet = make_singlet()
-    chsh(singlet, *chsh_optimal_settings())
-    assert eigensolves == [2, 2, 2, 2]
+@pytest.fixture
+def tensor_calls(monkeypatch):
+    """Count of ``qcontext.linalg.tensor`` calls made while the test runs."""
+    calls = []
+    original = linalg.tensor
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(linalg, "tensor", counting)
+    return calls
 
 
-def test_one_direction_is_solved_once_across_calls(eigensolves):
+def test_chsh_builds_each_direction_once(eigensolves, tensor_calls):
     singlet = make_singlet()
-    _, a2, b, b2 = chsh_optimal_settings()
-    for d in (a2, b, b2):
-        d.spin_projectors
-    eigensolves.clear()
+    settings = chsh_optimal_settings()
+    chsh(singlet, *settings)
+    assert eigensolves == [] and tensor_calls == []
+    cached = [d.outcome_projectors for d in settings]
+    chsh(singlet, *settings)
+    assert all(d.outcome_projectors is p for d, p in zip(settings, cached))
+
+
+def test_correlation_calls_make_no_eigensolve(eigensolves, tensor_calls):
+    singlet = make_singlet()
     a = Direction.polar(0.3, 0.7)
+    _, a2, b, b2 = chsh_optimal_settings()
     for _ in range(101):
         chsh(singlet, a, a2, b, b2)
     joint_probabilities(singlet, a, b)
+    joint_probabilities(singlet, a, Direction.polar(0.3, 0.7))
     conditional_remote_state(singlet, a, -1)
-    assert eigensolves == [2]
+    assert eigensolves == [] and tensor_calls == []
+
+
+def test_sampled_observable_makes_one_eigensolve(eigensolves):
+    # random_unitary solves its generator; the observable's spectrum is
+    # built from the construction's eigenpairs
+    for dim in (2, 3, 4):
+        eigensolves.clear()
+        obs, values, _ = random_nondegenerate_observable(dim, np.random.default_rng(dim))
+        assert eigensolves == [dim]
+        assert obs.spectrum.eigenvalues == tuple(values.tolist())
 
 
 def test_cached_projectors_are_read_only():
@@ -81,8 +111,8 @@ def test_the_cache_is_not_a_field():
 
 def test_eigensolve_count_follows_every_call(eigensolves):
     before = linalg.eigensolve_count()
-    acceptance.criterion_chsh()
-    assert linalg.eigensolve_count() - before == len(eigensolves) == 4
+    acceptance.criterion_dynamics()
+    assert linalg.eigensolve_count() - before == len(eigensolves) == 24
 
 
 def test_luders_on_a_prebuilt_observable_solves_nothing(eigensolves):

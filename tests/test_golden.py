@@ -13,15 +13,22 @@ stdout comparison; it cannot pass this one.
 Recording is deliberate and rare: after a change that is meant to alter
 a report, rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff.
+
+The pinned last bits depend on the numpy version, on the SIMD loops numpy
+dispatches to and on the OpenBLAS kernel set.  Recording writes all three
+to ``RECORDED_WITH.txt``, and a failing comparison prints them next to
+this process's own.
 """
 
 import contextlib
+import ctypes
 import io
 import os
 import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcontext.acceptance import run_suite
@@ -30,6 +37,7 @@ from qcontext.cli import main
 GOLDEN_DIR = Path(__file__).parent / "golden"
 INPUTS = GOLDEN_DIR / "inputs"
 SUITE_MEASURED = GOLDEN_DIR / "suite_measured.txt"
+RECORDED_WITH = GOLDEN_DIR / "RECORDED_WITH.txt"
 
 # (name, argv, exit code).  The README commands come first, then at least
 # one invocation per subcommand.
@@ -98,6 +106,39 @@ def _run(argv, workdir: Path) -> tuple[int, bytes]:
     return code, out.getvalue().encode("utf-8")
 
 
+def _openblas_core() -> str:
+    """The kernel set numpy's bundled OpenBLAS chose, or ``unknown``."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            corename = getattr(handle, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def _environment() -> str:
+    """numpy version, SIMD tier and OpenBLAS core of this process."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return (
+        f"numpy {np.__version__}\n"
+        f"simd baseline {' '.join(umath.__cpu_baseline__)}; dispatched {' '.join(found)}\n"
+        f"openblas_core {_openblas_core()}\n"
+    )
+
+
+def _environment_note() -> str:
+    """Failure note: the recording environment against this one."""
+    return f"recorded with:\n{RECORDED_WITH.read_text()}this run:\n{_environment()}"
+
+
 def test_every_subcommand_is_recorded():
     from qcontext.cli import build_parser
 
@@ -109,11 +150,11 @@ def test_every_subcommand_is_recorded():
 def test_stdout_matches_golden(name, argv, code, tmp_path):
     got_code, stdout = _run(argv, tmp_path)
     assert got_code == code
-    assert stdout == (GOLDEN_DIR / f"{name}.out").read_bytes()
+    assert stdout == (GOLDEN_DIR / f"{name}.out").read_bytes(), _environment_note()
     if name in WRITTEN:
         written, suffix = WRITTEN[name]
         want = (GOLDEN_DIR / f"{name}.{suffix}").read_bytes()
-        assert (tmp_path / written).read_bytes() == want
+        assert (tmp_path / written).read_bytes() == want, _environment_note()
 
 
 def _suite_measured() -> str:
@@ -126,7 +167,7 @@ def _suite_measured() -> str:
 
 
 def test_suite_measured_values_match_golden_bits():
-    assert _suite_measured() == SUITE_MEASURED.read_text()
+    assert _suite_measured() == SUITE_MEASURED.read_text(), _environment_note()
 
 
 def _record() -> None:
@@ -144,6 +185,8 @@ def _record() -> None:
         print(f"recorded {name}", file=sys.stderr)
     SUITE_MEASURED.write_text(_suite_measured())
     print(f"recorded {SUITE_MEASURED.name}", file=sys.stderr)
+    RECORDED_WITH.write_text(_environment())
+    print(f"recorded {RECORDED_WITH.name}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -269,15 +269,27 @@ def test_jacobi_leaves_the_input_unchanged(n):
     assert h.tobytes() == before.tobytes()
 
 
-def test_jacobi_convergence_error_names_dimension_sweeps_and_norm():
-    # The anti-Hermitian part (5e-11 per entry) passes the 1e-9 Hermiticity
-    # check but is far above the 1e-12 threshold, and no rotation removes it.
-    h = np.array([[1.0, 1e-10], [0.0, 2.0]], dtype=complex)
+def test_jacobi_convergence_error_names_dimension_sweeps_and_norm(monkeypatch):
+    # One cyclic sweep leaves this dense 3x3 far from diagonal.
+    monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 1)
+    h = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]], dtype=complex)
     with pytest.raises(
         la.ConvergenceError,
-        match=r"dimension-2 .* after 100 sweeps .* norm \S+e-1\d, above the threshold 2\.236e-12",
+        match=r"dimension-3 .* after 1 sweeps .* norm \S+e-01, above the threshold 1\.136e-11",
     ):
         la.jacobi_eigh(h)
+
+
+def test_jacobi_solves_the_hermitian_part_of_a_nearly_hermitian_input():
+    # The anti-Hermitian part (5e-11 per entry) passes the 1e-9 Hermiticity
+    # check but is far above the 1e-12 threshold, and no rotation removes
+    # it: the solver works on (H + H^dagger)/2 instead.
+    h = np.array([[1.0, 1e-10], [0.0, 2.0]], dtype=complex)
+    values, vectors = la.jacobi_eigh(h)
+    want_values, want_vectors = la.jacobi_eigh(0.5 * (h + h.conj().T))
+    assert values.tobytes() == want_values.tobytes()
+    assert vectors.tobytes() == want_vectors.tobytes()
+    assert h[0, 1] == 1e-10 and h[1, 0] == 0.0  # the input is not written
 
 
 def test_jacobi_rejects_non_hermitian():
