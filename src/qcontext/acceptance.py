@@ -239,10 +239,10 @@ def criterion_luders_forms() -> CriterionResult:
         for _, vec in obs.eigenbasis():
             amplitude = np.vdot(vec, psi.amplitudes)
             expanded += (abs(amplitude) ** 2) * np.outer(vec, vec.conj())
-        worst_gap = max(worst_gap, la.trace_distance(conditioned.matrix, expanded))
+        worst_gap = max(worst_gap, la._trace_distance(conditioned.matrix, expanded))
 
         twice = luders_nonselective(context(conditioned, obs)).state
-        worst_idem = max(worst_idem, la.trace_distance(twice.matrix, conditioned.matrix))
+        worst_idem = max(worst_idem, la._trace_distance(twice.matrix, conditioned.matrix))
     return CriterionResult(
         number=5,
         title="conditioning forms agree and idempotence",
@@ -365,7 +365,7 @@ def criterion_holism_witness() -> CriterionResult:
     for keep in (1, 2):
         r_singlet = reduced_state(singlet, (2, 2), keep).matrix
         r_mixture = reduced_state(mixture, (2, 2), keep).matrix
-        worst_reduced = max(worst_reduced, la.trace_distance(r_singlet, r_mixture))
+        worst_reduced = max(worst_reduced, la._trace_distance(r_singlet, r_mixture))
     return CriterionResult(
         number=10,
         title="holism witness",
@@ -411,13 +411,13 @@ def criterion_tomography() -> CriterionResult:
     for _ in range(100):
         rho = random_density(2, rng)
         rebuilt = reconstruct(measure_statistics(rho, bases), bases)
-        worst_exact = max(worst_exact, la.trace_distance(rho.matrix, rebuilt.matrix))
+        worst_exact = max(worst_exact, la._trace_distance(rho.matrix, rebuilt.matrix))
     worst_sampled = 0.0
     for k in range(20):
         rho = random_density(2, rng)
         stats = measure_statistics(rho, bases, samples=100_000, seed=9000 + k)
         rebuilt = reconstruct(stats, bases)
-        worst_sampled = max(worst_sampled, la.trace_distance(rho.matrix, rebuilt.matrix))
+        worst_sampled = max(worst_sampled, la._trace_distance(rho.matrix, rebuilt.matrix))
     return CriterionResult(
         number=12,
         title="unbiased-bases tomography",

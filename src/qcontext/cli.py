@@ -580,15 +580,19 @@ def cmd_mub_tomography(args):
 
 def cmd_suite(args):
     solved = la.eigensolve_count()
+    checked = la.validation_count()
 
     def progress(result, seconds):
-        nonlocal solved
+        nonlocal solved, checked
         now = la.eigensolve_count()
+        now_checked = la.validation_count()
+        operators, hermiticity = (b - a for a, b in zip(checked, now_checked))
         print(
-            f"{result.summary_line()} in {seconds * 1000.0:.1f} ms, {now - solved} eigensolves",
+            f"{result.summary_line()} in {seconds * 1000.0:.1f} ms, {now - solved} eigensolves, "
+            f"{operators} operator and {hermiticity} Hermiticity checks",
             file=sys.stderr,
         )
-        solved = now
+        solved, checked = now, now_checked
 
     criteria = acceptance.run_suite(progress)
     results = {

@@ -62,7 +62,7 @@ class Observable:
                 f"observable {self.label!r} is degenerate; no unique eigenbasis"
             )
         return [
-            (a, la.rank_one_vector(p))
+            (a, la._rank_one_vector(p))
             for a, p in zip(self.spectrum.eigenvalues, self.spectrum.projectors)
         ]
 
@@ -101,9 +101,11 @@ class ContextualState:
     outcome_probabilities: dict[float, float]
 
     def __post_init__(self):
-        defect = float(
-            np.abs(la.commutator(self.state.matrix, self.context.observable.matrix)).max()
-        )
+        # Both operands were validated (or derived) and their dimensions
+        # matched by the context, so [W_A, A] is formed directly.
+        w = self.state.matrix
+        a = self.context.observable.matrix
+        defect = float(np.abs(w @ a - a @ w).max())
         if defect >= CONTEXT_COMMUTE_TOL:
             raise ValueError(
                 f"conditioned state fails to commute with its observable "
@@ -179,7 +181,7 @@ def check_representative(cs: ContextualState, tol: float = 1e-9) -> Representati
         raise ValueError(
             "representativeness conditions stated only for pure/non-degenerate case"
         )
-    psi = la.rank_one_vector(w.matrix)
+    psi = la._rank_one_vector(w.matrix)
     a_matrix = ctx.observable.matrix
     basis = ctx.observable.eigenbasis()
 
@@ -193,7 +195,7 @@ def check_representative(cs: ContextualState, tol: float = 1e-9) -> Representati
             excluded.append(value)
 
     eigencond = all(
-        float(np.linalg.norm(a_matrix @ vec - value * vec)) < tol
+        la._frobenius_norm(a_matrix @ vec - value * vec) < tol
         for value, vec in support
     )
     orthocond = all(
@@ -237,8 +239,9 @@ def statistical_equivalence(
         raise DimensionError(
             f"probe dimension {b.dim} does not match context {ctx.observable.dim}"
         )
-    before = ctx.initial_state.expectation(b.matrix)
-    after = luders_nonselective(ctx).state.expectation(b.matrix)
+    # Observable matrices were validated when built; the dimensions match.
+    before = ctx.initial_state._expectation(b.matrix)
+    after = luders_nonselective(ctx).state._expectation(b.matrix)
     return EquivalenceResult(expectation_initial=before, expectation_conditioned=after)
 
 
@@ -251,7 +254,7 @@ def contexts_distance(w, a: Observable, b: Observable) -> float:
     rho = as_density(w)
     wa = luders_nonselective(context(rho, a)).state.matrix
     wb = luders_nonselective(context(rho, b)).state.matrix
-    return la.trace_distance(wa, wb)
+    return la._trace_distance(wa, wb)
 
 
 def sequential_luders(w, sequence: list[Observable]) -> DensityOperator:
@@ -362,7 +365,9 @@ def boolean_lattice_check(
     atoms = [1 << (k - 1 - j) for j in range(k)]
     probs_ok = True
     for rho in states:
-        values = np.array([float(np.trace(rho.matrix @ e).real) for e in elements])
+        # One stacked product a state: each element's matmul and diagonal
+        # sum are those of np.trace(rho @ e), bit for bit.
+        values = (rho.matrix @ elements).trace(axis1=1, axis2=2).real
         if (values < -tol).any() or (values > 1.0 + tol).any():
             probs_ok = False
         defect = max(defect, float((-values).max()), float((values - 1.0).max()))

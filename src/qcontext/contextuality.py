@@ -84,7 +84,8 @@ class ValueAssignmentProblem:
             if any(i < 0 or i >= n for i in ctx):
                 raise ValueError(f"context {ctx!r} references unknown observables")
             for i, j in itertools.combinations(ctx, 2):
-                defect = float(np.abs(la.commutator(mats[i], mats[j])).max())
+                # validated above, one dimension: [A, B] needs no re-check
+                defect = float(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]).max())
                 if defect >= CONSTRAINT_TOL:
                     raise ValueError(
                         f"context {ctx!r}: {self.labels[i]!r} and "
@@ -138,9 +139,9 @@ def mermin_peres_square() -> ValueAssignmentProblem:
     eye = np.eye(2, dtype=complex)
     x, y, z = la.SIGMA_X, la.SIGMA_Y, la.SIGMA_Z
     grid = [
-        ("XI", la.tensor(x, eye)), ("IX", la.tensor(eye, x)), ("XX", la.tensor(x, x)),
-        ("IY", la.tensor(eye, y)), ("YI", la.tensor(y, eye)), ("YY", la.tensor(y, y)),
-        ("XY", la.tensor(x, y)), ("YX", la.tensor(y, x)), ("ZZ", la.tensor(z, z)),
+        ("XI", la._tensor(x, eye)), ("IX", la._tensor(eye, x)), ("XX", la._tensor(x, x)),
+        ("IY", la._tensor(eye, y)), ("YI", la._tensor(y, eye)), ("YY", la._tensor(y, y)),
+        ("XY", la._tensor(x, y)), ("YX", la._tensor(y, x)), ("ZZ", la._tensor(z, z)),
     ]
     labels = tuple(name for name, _ in grid)
     mats = tuple(m for _, m in grid)
@@ -257,8 +258,8 @@ def ghz_contradiction() -> ParityContradictionReport:
     eigenvalues = []
     residuals = []
     for name, (m1, m2, m3), sign in combos:
-        op = la.tensor(la.tensor(m1, m2), m3)
-        residual = float(np.linalg.norm(op @ psi - sign * psi))
+        op = la._tensor(la._tensor(m1, m2), m3)
+        residual = la._frobenius_norm(op @ psi - sign * psi)
         labels.append(name)
         eigenvalues.append(sign)
         residuals.append(residual)
@@ -339,9 +340,9 @@ def value_dependence_demo(
         max(abs(after_b[k] - after_c[k]) for k in plain),
     )
     distances = {
-        "plain_vs_after_b": la.trace_distance(rho.matrix, after_b_state.matrix),
-        "plain_vs_after_c": la.trace_distance(rho.matrix, after_c_state.matrix),
-        "after_b_vs_after_c": la.trace_distance(
+        "plain_vs_after_b": la._trace_distance(rho.matrix, after_b_state.matrix),
+        "plain_vs_after_c": la._trace_distance(rho.matrix, after_c_state.matrix),
+        "after_b_vs_after_c": la._trace_distance(
             after_b_state.matrix, after_c_state.matrix
         ),
     }

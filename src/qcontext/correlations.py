@@ -199,7 +199,7 @@ def conditional_remote_state(
     if outcome not in OUTCOMES:
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
     proj = a.spin_projectors[outcome]
-    e = la.rank_one_vector(proj)
+    e = la._rank_one_vector(proj)
     # (<e| x I) psi leaves the distant spin's (unnormalised) amplitudes.
     m = state.amplitudes.reshape(2, 2)
     remote = e.conj() @ m
@@ -258,9 +258,9 @@ def no_signalling_check(w, settings: list[Direction], b: Direction) -> float:
         pa = a.spin_projectors
         conditioned = np.zeros((4, 4), dtype=complex)
         for p in pa.values():
-            big = la.tensor(p, eye)
+            big = la._tensor(p, eye)
             conditioned += big @ rho.matrix @ big
-        r2 = la.partial_trace(conditioned, (2, 2), keep=2)
+        r2 = la._partial_trace(conditioned, (2, 2), keep=2)
         reduced.append(r2)
         margins.append(
             {j: float(np.trace(r2 @ qb[j]).real) for j in OUTCOMES}
@@ -268,7 +268,7 @@ def no_signalling_check(w, settings: list[Direction], b: Direction) -> float:
     worst = 0.0
     for i in range(len(settings)):
         for j in range(i + 1, len(settings)):
-            worst = max(worst, la.trace_distance(reduced[i], reduced[j]))
+            worst = max(worst, la._trace_distance(reduced[i], reduced[j]))
             tv = 0.5 * sum(
                 abs(margins[i][o] - margins[j][o]) for o in OUTCOMES
             )

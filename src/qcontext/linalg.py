@@ -38,8 +38,14 @@ _JACOBI_MAX_SWEEPS = 100
 # up to n = 7, the round robin from n = 8 (CHANGES.md has the table).
 _JACOBI_CYCLIC_MAX_DIM = 7
 
-# Calls of ``jacobi_eigh`` so far; ``eigensolve_count`` reads it.
+# Solves of the Jacobi kernel ``_eigh`` so far; ``eigensolve_count``
+# reads it.
 _eigensolves = 0
+
+# Calls of ``as_operator`` and of ``hermiticity_defect`` so far;
+# ``validation_count`` reads them.
+_operator_checks = 0
+_hermiticity_checks = 0
 
 
 class DimensionError(ValueError):
@@ -67,6 +73,8 @@ def as_operator(m) -> np.ndarray:
     ValueError
         If any entry is not finite.
     """
+    global _operator_checks
+    _operator_checks += 1
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
@@ -79,6 +87,11 @@ def as_operator(m) -> np.ndarray:
     return a
 
 
+def validation_count() -> tuple[int, int]:
+    """``(as_operator calls, hermiticity_defect calls)`` in this process so far."""
+    return _operator_checks, _hermiticity_checks
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T
@@ -86,6 +99,8 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max-entry magnitude of ``m - m^dagger``."""
+    global _hermiticity_checks
+    _hermiticity_checks += 1
     a = np.asarray(m, dtype=complex)
     return float(np.abs(a - a.conj().T).max())
 
@@ -120,6 +135,12 @@ def tensor(a, b) -> np.ndarray:
         raise DimensionError(
             f"tensor product dimension {d} exceeds supported maximum {MAX_DIM}"
         )
+    return _tensor(a, b)
+
+
+def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tensor`` of two square complex arrays the library built; unchecked."""
+    d = a.shape[0] * b.shape[0]
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
 
 
@@ -137,7 +158,15 @@ def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
 
     Returns the reduced operator on the retained subsystem.
     """
-    a = as_operator(m)
+    return _partial_trace(as_operator(m), dims, keep)
+
+
+def _partial_trace(a: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """``partial_trace`` of a square complex array already validated.
+
+    The dimensions and ``keep`` are still checked: they may come from
+    outside.
+    """
     d1, d2 = int(dims[0]), int(dims[1])
     if d1 < 1 or d2 < 1 or d1 * d2 != a.shape[0]:
         raise DimensionError(
@@ -185,13 +214,16 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
 
 
 def _frobenius_norm(a: np.ndarray) -> float:
-    """``np.linalg.norm(a)`` of a complex array, without its dispatch.
+    """``np.linalg.norm(a)`` of a float or complex array, without its dispatch.
 
     The same steps as numpy's Frobenius branch: ``ravel(order="K")`` (so a
-    transposed input is summed in memory order, as there), the real and
-    imaginary dot products added, one correctly rounded square root.
+    transposed input is summed in memory order, as there), one dot product
+    for a real array, the real and imaginary dot products added for a
+    complex one, one correctly rounded square root.
     """
     x = a.ravel(order="K")
+    if x.dtype.kind != "c":
+        return math.sqrt(x.dot(x))
     re = x.real
     im = x.imag
     return math.sqrt(re.dot(re) + im.dot(im))
@@ -319,7 +351,7 @@ def _round_robin_sweep(dv: np.ndarray, d: np.ndarray, cutoff: float) -> None:
 
 
 def eigensolve_count() -> int:
-    """Number of ``jacobi_eigh`` calls made in this process so far."""
+    """Number of Jacobi solves (``_eigh`` calls) made in this process so far."""
     return _eigensolves
 
 
@@ -328,16 +360,44 @@ def jacobi_eigh(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Diagonalise a Hermitian matrix by Jacobi rotations.
 
-    Sweeps annihilate off-diagonal entries with complex plane rotations
-    until the off-diagonal Frobenius norm falls below ``off_tol`` times
-    the scale of the input.  Convergence is quadratic, so a handful of
-    sweeps suffices at these dimensions.  The input is validated as
-    Hermitian here; this is the only Hermiticity check on the way to the
-    kernel.  An input that passes the check without being exactly
+    The input is validated as Hermitian here, and then solved by
+    ``_eigh``.  An input that passes the check without being exactly
     Hermitian is replaced by its Hermitian part ``(H + H^dagger)/2``: the
     rotations keep the norm of an anti-Hermitian part, so one above the
     threshold would stop convergence.  An exactly Hermitian input is
     used as it is.  The caller's array is never written.
+
+    Returns
+    -------
+    (eigenvalues, vectors)
+        Eigenvalues ascending; ``vectors[:, i]`` is the i-th eigenvector,
+        with its largest-magnitude component made real positive.
+        ``vectors`` is None when ``vectors=False``.
+
+    Raises
+    ------
+    ConvergenceError
+        If the off-diagonal norm is still above the threshold after
+        ``_JACOBI_MAX_SWEEPS`` sweeps.
+    """
+    a, defect = _checked_hermitian(h, HERMITICITY_TOL)
+    if defect:
+        a = 0.5 * (a + a.conj().T)
+    return _eigh(a, vectors, off_tol)
+
+
+def _eigh(
+    a: np.ndarray, vectors: bool, off_tol: float = JACOBI_OFF_TOL
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The Jacobi kernel of ``jacobi_eigh``, on an unvalidated array.
+
+    ``a`` must be a finite, exactly Hermitian square array of dimension
+    1..``MAX_DIM``, such as ``0.5 * (m + m^dagger)`` of a finite ``m``;
+    library code calls it directly only on arrays it built that way.
+    Nothing is checked.  Sweeps annihilate off-diagonal entries with
+    complex plane rotations until the off-diagonal Frobenius norm falls
+    below ``off_tol`` times the scale of the input.  Convergence is
+    quadratic, so a handful of sweeps suffices at these dimensions.
 
     Two orderings share everything but the sweep.  Up to
     ``_JACOBI_CYCLIC_MAX_DIM`` (7) a sweep is cyclic: one pair at a time,
@@ -361,24 +421,12 @@ def jacobi_eigh(
     rotations give the same eigenvalues, bit for bit, and no eigenvector
     is accumulated or phase-fixed.
 
-    Returns
-    -------
-    (eigenvalues, vectors)
-        Eigenvalues ascending; ``vectors[:, i]`` is the i-th eigenvector,
-        with its largest-magnitude component made real positive.
-        ``vectors`` is None when ``vectors=False``.
-
-    Raises
-    ------
-    ConvergenceError
-        If the off-diagonal norm is still above the threshold after
-        ``_JACOBI_MAX_SWEEPS`` sweeps.
+    The norm is tested before each sweep and once after the last allowed
+    one, so a matrix that converges in sweep ``_JACOBI_MAX_SWEEPS`` is
+    solved; ``ConvergenceError`` names the norm that was too large.
     """
     global _eigensolves
     _eigensolves += 1
-    a, defect = _checked_hermitian(h, HERMITICITY_TOL)
-    if defect:
-        a = 0.5 * (a + a.conj().T)
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), (np.eye(1, dtype=complex) if vectors else None)
@@ -394,16 +442,16 @@ def jacobi_eigh(
     cutoff = threshold / (2.0 * n)
 
     sweep = _cyclic_sweep if n <= _JACOBI_CYCLIC_MAX_DIM else _round_robin_sweep
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(d) < threshold:
-            break
+    sweeps = 0
+    while (norm := _offdiag_norm(d)) >= threshold:
+        if sweeps == _JACOBI_MAX_SWEEPS:
+            raise ConvergenceError(
+                f"Jacobi diagonalisation of a dimension-{n} matrix stopped after "
+                f"{sweeps} sweeps with off-diagonal norm "
+                f"{norm:.3e}, above the threshold {threshold:.3e}"
+            )
         sweep(dv, d, cutoff)
-    else:
-        raise ConvergenceError(
-            f"Jacobi diagonalisation of a dimension-{n} matrix stopped after "
-            f"{_JACOBI_MAX_SWEEPS} sweeps with off-diagonal norm "
-            f"{_offdiag_norm(d):.3e}, above the threshold {threshold:.3e}"
-        )
+        sweeps += 1
 
     eigenvalues = d.diagonal().real.copy()
     order = eigenvalues.argsort(kind="stable")
@@ -502,13 +550,17 @@ def rank_one_vector(p: np.ndarray) -> np.ndarray:
     The phase follows the eigenvector convention: largest-magnitude
     component real positive.
     """
-    a = as_operator(p)
+    return _rank_one_vector(as_operator(p))
+
+
+def _rank_one_vector(a: np.ndarray) -> np.ndarray:
+    """``rank_one_vector`` of a square complex array already validated."""
     diag = np.diag(a).real
     k = int(np.argmax(diag))
     if diag[k] <= 0.0:
         raise ValueError("projector has no positive diagonal entry")
     v = a[:, k] / np.sqrt(diag[k])
-    v = v / np.linalg.norm(v)
+    v = v / _frobenius_norm(v)
     m = int(np.argmax(np.abs(v)))
     z = v[m]
     return v * (z.conj() / abs(z))
@@ -528,7 +580,16 @@ def trace_distance(a, b) -> float:
         raise DimensionError(
             f"trace distance needs equal dimensions, got {a.shape[0]} and {b.shape[0]}"
         )
+    return _trace_distance(a, b)
+
+
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """``trace_distance`` of two finite square arrays of one dimension; unchecked.
+
+    The symmetrised difference is exactly Hermitian, so it goes to the
+    kernel with no second check.
+    """
     diff = a - b
     diff = 0.5 * (diff + dagger(diff))
-    eigenvalues, _ = jacobi_eigh(diff, vectors=False)
+    eigenvalues, _ = _eigh(diff, False)
     return 0.5 * float(np.abs(eigenvalues).sum())

@@ -39,6 +39,8 @@ class MubSet:
 
     def __post_init__(self):
         d = self.dim
+        if not 1 <= d <= la.MAX_DIM:
+            raise DimensionError(f"dimension {d} outside supported range 1..{la.MAX_DIM}")
         cleaned = []
         for b, basis in enumerate(self.bases):
             if len(basis) != d:
@@ -175,8 +177,10 @@ def reconstruct(stats: MeasurementStatistics, m: MubSet) -> DensityOperator:
     for row, basis in zip(stats.tables, m.bases):
         for p, v in zip(row, basis):
             raw += p * np.outer(v, v.conj())
+    # Exactly Hermitian, and finite from validated tables and bases: the
+    # kernel needs no check.
     raw = 0.5 * (raw + la.dagger(raw))
-    eigenvalues, vectors = la.jacobi_eigh(raw)
+    eigenvalues, vectors = la._eigh(raw, True)
     clipped = np.clip(eigenvalues, 0.0, None)
     total = float(clipped.sum())
     if total <= 0.0:

@@ -16,7 +16,7 @@ from .states import DensityOperator, PureState
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
     a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(a / np.linalg.norm(a))
+    return PureState(a / la._frobenius_norm(a))
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
@@ -33,8 +33,11 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """exp(i H) of a random Hermitian generator."""
-    h = random_hermitian(dim, rng)
-    dec = la.spectral_decompose(h)
+    if not 1 <= dim <= la.MAX_DIM:
+        raise la.DimensionError(f"dimension {dim} outside supported range 1..{la.MAX_DIM}")
+    # 0.5 * (g + g^dagger) is exactly Hermitian: the kernel needs no check.
+    values, vectors = la._eigh(random_hermitian(dim, rng), True)
+    dec = la.SpectralDecomposition.from_eigenpairs(values, vectors)
     return dec.apply_function(lambda a: np.exp(1j * a))
 
 
@@ -58,8 +61,8 @@ def random_nondegenerate_observable(
 
 def random_direction(rng: np.random.Generator) -> Direction:
     v = rng.standard_normal(3)
-    n = float(np.linalg.norm(v))
+    n = la._frobenius_norm(v)
     while n < 1e-12:
         v = rng.standard_normal(3)
-        n = float(np.linalg.norm(v))
+        n = la._frobenius_norm(v)
     return Direction(v[0] / n, v[1] / n, v[2] / n)

@@ -45,7 +45,7 @@ class PureState:
         # Finite entries near 1e308 overflow to an inf norm, which the
         # test below rejects; numpy need not warn about it on stderr.
         with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(a))
+            norm = la._frobenius_norm(a)
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"state is not normalised: |psi| = {norm!r}")
         object.__setattr__(self, "amplitudes", a)
@@ -121,6 +121,10 @@ class DensityOperator:
             raise DimensionError(
                 f"observable dimension {a.shape[0]} does not match state {self.dim}"
             )
+        return self._expectation(a)
+
+    def _expectation(self, a: np.ndarray) -> float:
+        """``expectation`` of a validated Hermitian matrix of this dimension; unchecked."""
         return float(np.trace(self.matrix @ a).real)
 
 
@@ -232,8 +236,8 @@ def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
         # The embedding pairs u with the conjugate of the kron factor:
         # for m = sum c u v^T the +c eigenvector is (u, v*)/sqrt(2).
         v = np.conj(w[d1:]) * np.sqrt(2.0)
-        u = u / np.linalg.norm(u)
-        v = v / np.linalg.norm(v)
+        u = u / la._frobenius_norm(u)
+        v = v / la._frobenius_norm(v)
         # Move the pair's arbitrary phase onto the right factor so the
         # left vector obeys the global convention.
         k = int(np.argmax(np.abs(u)))
@@ -265,7 +269,7 @@ def is_product(psi, dims: tuple[int, int]):
 def reduced_state(w, dims: tuple[int, int], keep: int) -> DensityOperator:
     """Reduced density operator of one subsystem of a compound state."""
     rho = as_density(w)
-    return DensityOperator._derived(la.partial_trace(rho.matrix, dims, keep))
+    return DensityOperator._derived(la._partial_trace(rho.matrix, dims, keep))
 
 
 def basis_state(dim: int, index: int) -> PureState:
@@ -303,7 +307,7 @@ def total_spin_squared_matrix() -> np.ndarray:
     eye = np.eye(2, dtype=complex)
     out = np.zeros((4, 4), dtype=complex)
     for pauli in (la.SIGMA_X, la.SIGMA_Y, la.SIGMA_Z):
-        s = 0.5 * (la.tensor(pauli, eye) + la.tensor(eye, pauli))
+        s = 0.5 * (la._tensor(pauli, eye) + la._tensor(eye, pauli))
         out += s @ s
     return out
 
@@ -317,7 +321,7 @@ def total_spin_squared(w) -> float:
     rho = as_density(w)
     if rho.dim != 4:
         raise DimensionError(f"total spin is defined for dimension 4, got {rho.dim}")
-    return rho.expectation(total_spin_squared_matrix())
+    return rho._expectation(total_spin_squared_matrix())
 
 
 def is_noninteracting(h, dims: tuple[int, int]):
@@ -358,9 +362,9 @@ def coupled_spins_hamiltonian(coupling: float) -> np.ndarray:
     """Two-spin generator sigma_z x I + I x sigma_z + g sigma_x x sigma_x."""
     eye = np.eye(2, dtype=complex)
     return (
-        la.tensor(la.SIGMA_Z, eye)
-        + la.tensor(eye, la.SIGMA_Z)
-        + coupling * la.tensor(la.SIGMA_X, la.SIGMA_X)
+        la._tensor(la.SIGMA_Z, eye)
+        + la._tensor(eye, la.SIGMA_Z)
+        + coupling * la._tensor(la.SIGMA_X, la.SIGMA_X)
     )
 
 

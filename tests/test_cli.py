@@ -545,19 +545,23 @@ def test_unwritable_out_path_exits_two(tmp_path, capsys):
 
 
 def test_suite_writes_one_timed_line_per_criterion_to_stderr(capsys, eigensolves):
+    checked = linalg.validation_count()
     code, _, err = run(capsys, ["suite"])
     assert code == 0
+    operators, hermiticity = (b - a for a, b in zip(checked, linalg.validation_count()))
     lines = err.splitlines()
     assert len(lines) == 13 and lines[-1].startswith("elapsed_ms=")
     pattern = re.compile(
         r"\[PASS\] criterion (\d+): .+ \(worst: \S+ = \S+ vs \S+\)"
-        r" in (\d+\.\d) ms, (\d+) eigensolves"
+        r" in (\d+\.\d) ms, (\d+) eigensolves, (\d+) operator and (\d+) Hermiticity checks"
     )
     matches = [pattern.fullmatch(line) for line in lines[:12]]
     assert all(matches), lines
     assert [int(m.group(1)) for m in matches] == list(range(1, 13))
     assert all(float(m.group(2)) >= 0.0 for m in matches)
     assert sum(int(m.group(3)) for m in matches) == len(eigensolves)
+    assert sum(int(m.group(4)) for m in matches) == operators
+    assert sum(int(m.group(5)) for m in matches) == hermiticity
 
 
 def test_suite_command_all_green(capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import qcontext.linalg as la
+from qcontext.sampling import random_unitary
 
 
 def random_hermitian(dim, seed):
@@ -280,6 +281,40 @@ def test_jacobi_convergence_error_names_dimension_sweeps_and_norm(monkeypatch):
         la.jacobi_eigh(h)
 
 
+def test_jacobi_tests_the_norm_after_its_last_allowed_sweep(monkeypatch):
+    # One sweep diagonalises a 2x2; the norm after it is tested before the
+    # solver gives up, so a limit of one sweep is enough.
+    monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 1)
+    h = np.array([[1.0, 2.0], [2.0, 3.0]], dtype=complex)
+    values, _ = la.jacobi_eigh(h)
+    assert np.abs(values - np.linalg.eigvalsh(h)).max() <= 1e-12 * np.linalg.norm(h)
+
+
+_PUBLIC_CHECKS = {
+    "trace_distance": lambda m: la.trace_distance(m, m),
+    "tensor": lambda m: la.tensor(m, la.SIGMA_Z),
+    "partial_trace": lambda m: la.partial_trace(m, (1, len(m)), keep=2),
+    "rank_one_vector": la.rank_one_vector,
+    "jacobi_eigh": la.jacobi_eigh,
+    "spectral_decompose": la.spectral_decompose,
+}
+_HERMITIAN_ONLY = ("trace_distance", "jacobi_eigh", "spectral_decompose")
+
+
+@pytest.mark.parametrize("name", sorted(_PUBLIC_CHECKS))
+def test_public_entry_points_still_validate(name):
+    # Library code skips these checks on arrays it built; a caller's
+    # array is still checked at every public entry point.
+    call = _PUBLIC_CHECKS[name]
+    with pytest.raises(ValueError, match="finite"):
+        call(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(la.DimensionError, match="square"):
+        call(np.ones((2, 3)))
+    if name in _HERMITIAN_ONLY:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            call(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
 def test_jacobi_solves_the_hermitian_part_of_a_nearly_hermitian_input():
     # The anti-Hermitian part (5e-11 per entry) passes the 1e-9 Hermiticity
     # check but is far above the 1e-12 threshold, and no rotation removes
@@ -302,6 +337,14 @@ def test_dimension_cap_enforced():
     big = np.eye(la.MAX_DIM + 1, dtype=complex)
     with pytest.raises(la.DimensionError):
         la.jacobi_eigh(big)
+
+
+@pytest.mark.parametrize("dim", [0, 65])
+def test_random_unitary_rejects_unsupported_dimension(dim):
+    # its generator goes to the kernel unchecked, so the dimension is
+    # checked first
+    with pytest.raises(la.DimensionError, match="outside supported range"):
+        random_unitary(dim, np.random.default_rng(0))
 
 
 # spectral decomposition contracts

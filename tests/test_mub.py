@@ -41,6 +41,14 @@ def test_mubset_rejects_biased_bases():
         MubSet(dim=2, bases=(z, z))
 
 
+@pytest.mark.parametrize("dim", [0, 65])
+def test_mubset_rejects_unsupported_dimension(dim):
+    # reconstruct solves its matrix without a second check, so the set
+    # holds the dimension to the supported range when it is built
+    with pytest.raises(DimensionError, match="outside supported range"):
+        MubSet(dim=dim, bases=())
+
+
 def test_mubset_rejects_non_orthonormal_basis():
     z = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
     skew = (

@@ -121,6 +121,15 @@ def test_lattice_matches_oracle_at_six_levels():
     assert report == oracles.boolean_lattice_check(obs)
 
 
+def test_lattice_matches_oracle_at_eight_levels_in_dimension_eight():
+    # The shape of the benchmark's scale call: 256 elements, each state's
+    # 256 probabilities from one stacked product.
+    obs = _observable_with_levels(np.random.default_rng(8), [float(v) for v in range(8)])
+    report = boolean_lattice_check(obs)
+    assert report.element_count == 256 and report.all_hold
+    assert report == oracles.boolean_lattice_check(obs)
+
+
 @pytest.mark.parametrize("k", [3, 6])
 def test_lattice_matches_oracle_on_exact_projectors(k):
     # A diagonal observable with levels 1..k has 0/1 projectors, so every
