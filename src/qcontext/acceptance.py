@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
+from .checks import Check
 from .contexts import context, contexts_distance, luders_nonselective, observable, statistical_equivalence
 from .contextuality import ghz_contradiction, mermin_peres_square, search_noncontextual_assignment
 from .correlations import (
@@ -43,42 +44,6 @@ from .states import (
     reduced_state,
     total_spin_squared,
 )
-
-
-@dataclass(frozen=True)
-class Check:
-    """One measured quantity held against one tolerance."""
-
-    name: str
-    passed: bool
-    measured: float
-    tolerance: float
-    detail: str = ""
-
-    @classmethod
-    def below(cls, name: str, measured: float, tolerance: float, detail: str = "") -> "Check":
-        return cls(name, measured < tolerance, float(measured), float(tolerance), detail)
-
-    @classmethod
-    def above(cls, name: str, measured: float, threshold: float, detail: str = "") -> "Check":
-        return cls(name, measured > threshold, float(measured), float(threshold), detail)
-
-    @classmethod
-    def within(cls, name: str, measured: float, high: float, tol: float) -> "Check":
-        """``-tol <= measured <= high + tol``, reported against ``high``."""
-        return cls(name, -tol <= measured <= high + tol, float(measured), float(high))
-
-    def as_json(self) -> dict:
-        """The report form; ``detail`` appears only when it is set."""
-        out = {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-        }
-        if self.detail:
-            out["detail"] = self.detail
-        return out
 
 
 @dataclass(frozen=True)

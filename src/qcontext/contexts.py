@@ -68,9 +68,14 @@ class Observable:
 
 
 def observable(matrix, label: str = "") -> Observable:
-    """Validate a Hermitian matrix and attach its spectral resolution."""
-    spectrum = la.spectral_decompose(matrix)
-    return Observable(matrix=la.as_operator(matrix), spectrum=spectrum, label=label)
+    """Validate a Hermitian matrix and attach its spectral resolution.
+
+    The matrix is checked once; it is solved as ``spectral_decompose``
+    would solve it.
+    """
+    a, solved = la._hermitian_input(matrix)
+    spectrum = la.SpectralDecomposition.from_eigenpairs(*la._eigh(solved, True))
+    return Observable(matrix=a, spectrum=spectrum, label=label)
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,7 @@ def conditional_remote_state(
             f"outcome {outcome:+d} has probability {probability:.3e}; "
             "nothing to condition on"
         )
-    return probability, PureState(remote / np.sqrt(probability))
+    return probability, PureState._derived(remote / np.sqrt(probability))
 
 
 def chsh(w, a: Direction, a2: Direction, b: Direction, b2: Direction) -> float:

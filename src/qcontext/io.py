@@ -2,23 +2,27 @@
 problems and measurement statistics; CSV for correlation tables.
 
 Matrices and vectors split into flat row-major "re"/"im" lists alongside
-their dimension.  All numeric output is rounded to 12 significant digits
-so that a report is byte-identical across runs with the same inputs.
+their dimension.  ``dump_json`` rounds every number to 12 significant
+digits, and the CSV writer rounds its own, so that a report is
+byte-identical across runs with the same inputs; the ``*_to_json``
+writers return the exact values for it to round.
+
+The readers and writers import the types they build when they run, so a
+process that reads only a state does not load the other modules.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .contexts import Observable, observable
-from .contextuality import ValueAssignmentProblem
-from .correlations import CorrelationRecord
-from .mub import MeasurementStatistics
-from .states import DensityOperator, PureState
+if TYPE_CHECKING:
+    from .contexts import Observable
+    from .contextuality import ValueAssignmentProblem
+    from .correlations import CorrelationRecord
+    from .mub import MeasurementStatistics
 
 
 def round_sig(x: float, digits: int = 12) -> float:
@@ -52,8 +56,8 @@ def matrix_to_json(m) -> dict:
     n = a.shape[0]
     return {
         "dim": int(n),
-        "re": [round_sig(float(x)) for x in a.real.reshape(-1)],
-        "im": [round_sig(float(x)) for x in a.imag.reshape(-1)],
+        "re": a.real.reshape(-1).tolist(),
+        "im": a.imag.reshape(-1).tolist(),
     }
 
 
@@ -148,8 +152,8 @@ def vector_to_json(v) -> dict:
     a = np.asarray(v, dtype=complex).reshape(-1)
     return {
         "dim": int(a.size),
-        "re": [round_sig(float(x)) for x in a.real],
-        "im": [round_sig(float(x)) for x in a.imag],
+        "re": a.real.tolist(),
+        "im": a.imag.tolist(),
     }
 
 
@@ -172,6 +176,8 @@ def load_state_json(obj: dict):
     A file with dim entries per part is a pure state; dim^2 entries make
     a density matrix.  Both come back validated.
     """
+    from .states import DensityOperator, PureState
+
     n, re, im = _dim_and_parts(obj, "state")
     if re.size == n:
         return PureState(_vector_from_parts(n, re, im))
@@ -190,6 +196,8 @@ def observable_to_json(obs: Observable) -> dict:
 
 
 def observable_from_json(obj: dict) -> Observable:
+    from .contexts import observable
+
     matrix = matrix_from_json(obj)
     return observable(matrix, label=str(obj.get("label", "")))
 
@@ -205,6 +213,8 @@ def problem_to_json(problem: ValueAssignmentProblem) -> dict:
 
 def problem_from_json(obj) -> ValueAssignmentProblem:
     """Shape-check an assignment problem file; ValueError for any other shape."""
+    from .contextuality import ValueAssignmentProblem
+
     what = "problem"
     observables, labels, contexts, signs = _fields(
         obj, what, "observables", "labels", "contexts", "signs"
@@ -232,7 +242,7 @@ def problem_from_json(obj) -> ValueAssignmentProblem:
 def statistics_to_json(stats: MeasurementStatistics) -> dict:
     return {
         "dim": stats.dim,
-        "tables": [[round_sig(p) for p in row] for row in stats.tables],
+        "tables": [list(row) for row in stats.tables],
         "samples": stats.samples,
         "seed": stats.seed,
     }
@@ -240,6 +250,8 @@ def statistics_to_json(stats: MeasurementStatistics) -> dict:
 
 def statistics_from_json(obj) -> MeasurementStatistics:
     """Shape-check a statistics file; ValueError for any other shape."""
+    from .mub import MeasurementStatistics
+
     what = "statistics"
     dim, tables = _fields(obj, what, "dim", "tables")
     _require(_integer(dim) and dim >= 1, what, "dim", f"a positive integer, got {dim!r}")
@@ -280,6 +292,8 @@ def write_correlation_csv(
     path: str, rows: list[tuple[float, CorrelationRecord]]
 ) -> None:
     """Correlation sweep as CSV with one row per relative angle."""
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)

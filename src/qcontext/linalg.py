@@ -380,10 +380,17 @@ def jacobi_eigh(
         If the off-diagonal norm is still above the threshold after
         ``_JACOBI_MAX_SWEEPS`` sweeps.
     """
+    return _eigh(_hermitian_input(h)[1], vectors, off_tol)
+
+
+def _hermitian_input(h) -> tuple[np.ndarray, np.ndarray]:
+    """``h`` validated as Hermitian, and the array ``_eigh`` solves for it.
+
+    The second is the first when ``h`` is exactly Hermitian, and its
+    Hermitian part ``(H + H^dagger)/2`` otherwise.
+    """
     a, defect = _checked_hermitian(h, HERMITICITY_TOL)
-    if defect:
-        a = 0.5 * (a + a.conj().T)
-    return _eigh(a, vectors, off_tol)
+    return a, (0.5 * (a + a.conj().T) if defect else a)
 
 
 def _eigh(

@@ -14,13 +14,21 @@ from .correlations import Direction
 from .states import DensityOperator, PureState
 
 
+def _require_dim(dim: int) -> None:
+    """The draws below skip validation, so their dimension is checked here."""
+    if not 1 <= dim <= la.MAX_DIM:
+        raise la.DimensionError(f"dimension {dim} outside supported range 1..{la.MAX_DIM}")
+
+
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
+    _require_dim(dim)
     a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(a / la._frobenius_norm(a))
+    return PureState._derived(a / la._frobenius_norm(a))
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     """Full-rank state from a complex Wishart draw."""
+    _require_dim(dim)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return DensityOperator._derived(m / float(np.trace(m).real))
@@ -33,8 +41,7 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """exp(i H) of a random Hermitian generator."""
-    if not 1 <= dim <= la.MAX_DIM:
-        raise la.DimensionError(f"dimension {dim} outside supported range 1..{la.MAX_DIM}")
+    _require_dim(dim)
     # 0.5 * (g + g^dagger) is exactly Hermitian: the kernel needs no check.
     values, vectors = la._eigh(random_hermitian(dim, rng), True)
     dec = la.SpectralDecomposition.from_eigenpairs(values, vectors)

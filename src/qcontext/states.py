@@ -30,9 +30,27 @@ NONINTERACTION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit vector on a finite-dimensional Hilbert space."""
+    """Unit vector on a finite-dimensional Hilbert space.
+
+    Every vector built from outside the library is validated at
+    construction: dimension 1..``MAX_DIM``, finite entries and a norm
+    within 1e-10 of one.  Vectors the library derives from validated
+    ones and that are unit by construction come from ``_derived``.
+    """
 
     amplitudes: np.ndarray = field(repr=False)
+
+    @classmethod
+    def _derived(cls, amplitudes: np.ndarray) -> "PureState":
+        """Wrap a complex 1-D vector that is unit by construction, unvalidated.
+
+        Only for vectors the library computes from validated inputs, such
+        as ``a / |a|`` or a unitary applied to a state; input from outside
+        goes through ``PureState(...)``.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -397,7 +415,7 @@ def entangling_evolution_demo(
     for k in range(steps + 1):
         t = t_final * k / steps
         u = spectrum.apply_function(lambda a: np.exp(-1j * a * t))
-        psi_t = PureState(u @ psi0.amplitudes)
+        psi_t = PureState._derived(u @ psi0.amplitudes)
         dec = schmidt(psi_t, (2, 2))
         coeffs = tuple(dec.coefficient(i) for i in range(2))
         out.append(SchmidtTracePoint(time=t, coefficients=coeffs, rank=dec.rank))

@@ -523,12 +523,13 @@ def test_mub_tomography_exact_and_from_stats(tmp_path, capsys):
 
 
 def test_unexpected_exception_exits_three_with_one_error_line(monkeypatch, capsys):
-    import qcontext.cli as cli
+    import qcontext.contextuality as contextuality
 
     def broken():
         raise TypeError("first line\nsecond line")
 
-    monkeypatch.setattr(cli, "ghz_contradiction", broken)
+    # cmd_ghz imports ghz_contradiction from its module when it runs
+    monkeypatch.setattr(contextuality, "ghz_contradiction", broken)
     code, out, err = run(capsys, ["ghz"])
     assert code == 3
     assert out == ""

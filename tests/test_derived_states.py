@@ -1,8 +1,10 @@
-"""Outside input cannot reach the unvalidated ``DensityOperator._derived``.
+"""Outside input cannot reach the unvalidated ``DensityOperator._derived``
+or ``PureState._derived``.
 
 Only states the library derives from validated ones skip validation.
 Each public way in for a matrix state must still reject a non-Hermitian
-matrix, a trace-2 matrix and one with eigenvalue -0.1.
+matrix, a trace-2 matrix and one with eigenvalue -0.1, and a derived
+pure state holds the array that validation would have stored.
 """
 
 import inspect
@@ -11,9 +13,18 @@ import json
 import numpy as np
 import pytest
 
-from qcontext import cli, io
+from qcontext import cli, io, states
 from qcontext.contexts import context, observable
-from qcontext.states import DensityOperator, as_density
+from qcontext.correlations import Direction, conditional_remote_state
+from qcontext.linalg import DimensionError
+from qcontext.sampling import random_density, random_pure_state
+from qcontext.states import (
+    DensityOperator,
+    PureState,
+    as_density,
+    entangling_evolution_demo,
+    make_singlet,
+)
 
 _BAD_STATES = {
     "non_hermitian": (0.25 * np.eye(4) + 0.1 * np.eye(4, k=1), "not Hermitian"),
@@ -59,3 +70,30 @@ def test_valid_state_file_passes_the_same_route(tmp_path, capsys):
 def test_io_and_cli_never_call_the_trusted_constructor():
     assert "_derived" not in inspect.getsource(io)
     assert "_derived" not in inspect.getsource(cli)
+
+
+def test_derived_pure_states_hold_what_validation_would_store(monkeypatch):
+    rng = np.random.default_rng(5)
+    derived = [random_pure_state(dim, rng) for dim in (1, 2, 3, 4, 64)]
+    for outcome in (1, -1):
+        derived.append(conditional_remote_state(make_singlet(), Direction(0.0, 0.6, 0.8), outcome)[1])
+    schmidt = states.schmidt
+
+    def recording(psi, dims):
+        derived.append(psi)
+        return schmidt(psi, dims)
+
+    monkeypatch.setattr(states, "schmidt", recording)
+    entangling_evolution_demo(1.0, 0.5, steps=3)
+    assert len(derived) == 11
+    for psi in derived:
+        checked = PureState(psi.amplitudes).amplitudes
+        a = psi.amplitudes
+        assert (a.dtype, a.shape, a.tobytes()) == (checked.dtype, checked.shape, checked.tobytes())
+
+
+@pytest.mark.parametrize("draw", [random_pure_state, random_density])
+@pytest.mark.parametrize("dim", [0, 65])
+def test_unvalidated_draws_reject_unsupported_dimension(draw, dim):
+    with pytest.raises(DimensionError, match="outside supported range"):
+        draw(dim, np.random.default_rng(0))

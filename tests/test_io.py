@@ -1,5 +1,6 @@
 """Serialization round trips and the report/CSV formats."""
 
+import hashlib
 import json
 import warnings
 
@@ -163,6 +164,45 @@ def test_dump_json_is_deterministic_with_trailing_newline(tmp_path):
     target = tmp_path / "report.json"
     io.dump_json(payload, path=str(target))
     assert target.read_text() == t1
+
+
+def _seeded_matrix(seed):
+    # entries spread over 24 decades, so the 12-digit rounding is exercised
+    rng = np.random.default_rng(seed)
+    n = seed + 1
+    scale = 10.0 ** rng.integers(-12, 12, (n, n))
+    return rng.standard_normal((n, n)) * scale + 1j * rng.standard_normal((n, n)) * scale.T
+
+
+def test_dumped_writer_output_is_pinned_byte_for_byte():
+    # The *_to_json writers return exact values and dump_json rounds them
+    # once; these bytes are those of writers that rounded too.
+    m = np.array([[1 / 3, -0.0], [1e-300 + 2j / 3, -(2**0.5)]])
+    assert io.dump_json(io.matrix_to_json(m)) == (
+        '{\n  "dim": 2,\n  "re": [\n    0.333333333333,\n    0.0,\n    1e-300,\n'
+        '    -1.41421356237\n  ],\n  "im": [\n    0.0,\n    0.0,\n    0.666666666667,\n'
+        '    0.0\n  ]\n}\n'
+    )
+    assert io.dump_json(io.vector_to_json(m[1])) == (
+        '{\n  "dim": 2,\n  "re": [\n    1e-300,\n    -1.41421356237\n  ],\n'
+        '  "im": [\n    0.666666666667,\n    0.0\n  ]\n}\n'
+    )
+    digests = {
+        1: "c521968f6c58179bfb1e53923434a581e57c98067452b5c1231e7618ea2cc6de",
+        2: "098f5e70405b435f2f6f30e55214df8c18faa4bf51092ee81bc0ab64105376ee",
+        3: "9c560cdd3d7f5f4a9801b7b8492ef3830521f5b4a7328277850f1a9763c73bc1",
+    }
+    for seed, digest in digests.items():
+        text = io.dump_json(io.matrix_to_json(_seeded_matrix(seed)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
+    digests = {
+        4: "2c02742bdaccbdc0495df6370d53cd2bfd9f9cb10615b6c57106566b1186fd4f",
+        5: "5b82114a7ddbad82ae5ca485ec975628219ec95ffcc64ba01ac6e953986e64c3",
+    }
+    for seed, digest in digests.items():
+        rho = random_density(2, np.random.default_rng(seed))
+        text = io.dump_json(io.statistics_to_json(measure_statistics(rho, mub_qubit())))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
 
 
 def test_correlation_csv_layout(tmp_path):
