@@ -10,24 +10,26 @@ small and dense enough to verify against hand calculations.
 
 import importlib
 
-from .linalg import (
-    ConvergenceError,
-    DimensionError,
-    SpectralDecomposition,
-    commutator,
-    commutes,
-    evolution_operator,
-    jacobi_eigh,
-    partial_trace,
-    spectral_decompose,
-    tensor,
-    trace_distance,
-)
+from . import linalg
 
-# Every other re-exported name is imported from its module on first use
-# (PEP 562), so ``import qcontext`` loads numpy and ``linalg`` alone and a
-# CLI process loads only the modules its subcommand calls.
+# Every public name, by its module.  ``linalg`` is imported above, and
+# every name is read from its module on use (PEP 562), so ``import
+# qcontext`` loads numpy and ``linalg`` alone and a CLI process loads only
+# the modules its subcommand calls.
 _LAZY = {
+    "linalg": (
+        "ConvergenceError",
+        "DimensionError",
+        "SpectralDecomposition",
+        "commutator",
+        "commutes",
+        "evolution_operator",
+        "jacobi_eigh",
+        "partial_trace",
+        "spectral_decompose",
+        "tensor",
+        "trace_distance",
+    ),
     "contexts": (
         "BooleanLatticeReport",
         "ContextualState",
@@ -105,68 +107,4 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssignmentSearchResult",
-    "BooleanLatticeReport",
-    "ContextualState",
-    "ConvergenceError",
-    "CorrelationRecord",
-    "DensityOperator",
-    "DimensionError",
-    "Direction",
-    "EquivalenceResult",
-    "MeasurementContext",
-    "MeasurementStatistics",
-    "MubSet",
-    "Observable",
-    "ParityContradictionReport",
-    "PureState",
-    "RepresentativenessReport",
-    "SchmidtDecomposition",
-    "SpectralDecomposition",
-    "ValueAssignmentProblem",
-    "ValueDependenceReport",
-    "as_density",
-    "boolean_lattice_check",
-    "check_representative",
-    "chsh",
-    "chsh_optimal_settings",
-    "commutator",
-    "commutes",
-    "conditional_remote_state",
-    "context",
-    "contexts_distance",
-    "correlation",
-    "coupled_spins_hamiltonian",
-    "entangling_evolution_demo",
-    "evolution_operator",
-    "evolve_pure_state",
-    "ghz_contradiction",
-    "is_noninteracting",
-    "is_product",
-    "jacobi_eigh",
-    "joint_probabilities",
-    "luders_nonselective",
-    "make_ghz",
-    "make_singlet",
-    "measure_statistics",
-    "mermin_peres_square",
-    "mub_qubit",
-    "no_signalling_check",
-    "observable",
-    "outcome_dependence",
-    "partial_trace",
-    "product_basis_state",
-    "reconstruct",
-    "reduced_state",
-    "schmidt",
-    "search_noncontextual_assignment",
-    "sequential_luders",
-    "spectral_decompose",
-    "spin_observable",
-    "statistical_equivalence",
-    "tensor",
-    "total_spin_squared",
-    "trace_distance",
-    "value_dependence_demo",
-]
+__all__ = sorted(_HOME)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import io, linalg as la
 from .checks import Check
-from .linalg import ConvergenceError, DimensionError
+from .linalg import ConvergenceError
 
 # Every subcommand reads or builds a state, so ``states`` is imported
 # here.  The other domain modules are imported inside the cmd_* functions
@@ -394,14 +394,14 @@ def cmd_correlate(args):
             b = _coplanar_partner(a, theta)
             record = joint_probabilities(rho, a, b)
             rows.append((float(np.degrees(theta)), record))
-            direct = rho.expectation(la.tensor(a.spin_matrix(), b.spin_matrix()))
+            direct = rho._expectation(la._tensor(a.spin_matrix(), b.spin_matrix()))
             worst_law = max(worst_law, abs(record.expectation - direct))
         io.write_correlation_csv(args.csv, rows)
         results = {"csv": args.csv, "rows": len(rows)}
         return results, [Check.below("expectation_trace_agreement", worst_law, args.tol)]
     b = parse_direction(args.b)
     record = joint_probabilities(rho, a, b)
-    direct = rho.expectation(la.tensor(a.spin_matrix(), b.spin_matrix()))
+    direct = rho._expectation(la._tensor(a.spin_matrix(), b.spin_matrix()))
     results = {
         "joint": {f"{i:+d},{j:+d}": record.joint[(i, j)] for i in (1, -1) for j in (1, -1)},
         "marginal_1": {f"{i:+d}": record.marginal_1[i] for i in (1, -1)},
@@ -588,7 +588,7 @@ def cmd_mub_tomography(args):
     rho = as_density(state)
     stats = measure_statistics(rho, bases, samples=args.samples, seed=args.seed)
     rebuilt = reconstruct(stats, bases)
-    distance = la.trace_distance(rho.matrix, rebuilt.matrix)
+    distance = la._trace_distance(rho.matrix, rebuilt.matrix)
     results = {
         "statistics": io.statistics_to_json(stats),
         "reconstructed": io.matrix_to_json(rebuilt.matrix),
@@ -791,9 +791,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = _report(args, *command(args))
         text = io.dump_json(report, path=args.out)
-    except (
-        InputError, DimensionError, ValueError, OSError, KeyError, ConvergenceError
-    ) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

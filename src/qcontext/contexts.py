@@ -31,6 +31,10 @@ CONTEXT_COMMUTE_TOL = 1e-9
 # support of the state.
 SUPPORT_TOL = 1e-8
 
+# Eigenvector residuals and overlaps in a representative expansion stay
+# below this.
+REPRESENTATIVE_TOL = 1e-9
+
 # Probabilities must obey the usual axioms within this.
 PROBABILITY_TOL = 1e-9
 
@@ -171,7 +175,7 @@ class RepresentativenessReport:
         )
 
 
-def check_representative(cs: ContextualState, tol: float = 1e-9) -> RepresentativenessReport:
+def check_representative(cs: ContextualState) -> RepresentativenessReport:
     """Verify the faithfulness conditions for a conditioned state.
 
     Raises
@@ -200,11 +204,11 @@ def check_representative(cs: ContextualState, tol: float = 1e-9) -> Representati
             excluded.append(value)
 
     eigencond = all(
-        la._frobenius_norm(a_matrix @ vec - value * vec) < tol
+        la._frobenius_norm(a_matrix @ vec - value * vec) < REPRESENTATIVE_TOL
         for value, vec in support
     )
     orthocond = all(
-        abs(np.vdot(u, v)) < tol
+        abs(np.vdot(u, v)) < REPRESENTATIVE_TOL
         for (_, u), (_, v) in itertools.combinations(support, 2)
     )
     supportcond = all(abs(np.vdot(vec, psi)) > SUPPORT_TOL for _, vec in support)

@@ -110,14 +110,15 @@ def spin_observable(d: Direction) -> Observable:
 
 @dataclass(frozen=True)
 class CorrelationRecord:
-    """Joint outcome table of one pair of spin measurements."""
+    """Joint outcome table of one pair of spin measurements.
+
+    The table is the whole record: the marginals and the expectation are
+    read off ``joint``, and the expectation is kept after its first use.
+    """
 
     setting_1: Direction
     setting_2: Direction
     joint: dict[tuple[int, int], float] = field(repr=False)
-    marginal_1: dict[int, float] = field(repr=False)
-    marginal_2: dict[int, float] = field(repr=False)
-    expectation: float
 
     def __post_init__(self):
         eps = 1e-9
@@ -126,16 +127,26 @@ class CorrelationRecord:
             raise ValueError("joint probabilities outside [0, 1]")
         if abs(sum(values) - 1.0) > 1e-10:
             raise ValueError(f"joint probabilities sum to {sum(values)!r}")
-        for i in OUTCOMES:
-            row = sum(self.joint[(i, j)] for j in OUTCOMES)
-            if abs(row - self.marginal_1[i]) > 1e-12:
-                raise ValueError("first marginal inconsistent with joint table")
-        for j in OUTCOMES:
-            col = sum(self.joint[(i, j)] for i in OUTCOMES)
-            if abs(col - self.marginal_2[j]) > 1e-12:
-                raise ValueError("second marginal inconsistent with joint table")
         if abs(self.expectation) > 1.0 + eps:
             raise ValueError(f"expectation {self.expectation!r} outside [-1, 1]")
+
+    @property
+    def marginal_1(self) -> dict[int, float]:
+        """Outcome distribution of the first spin, summed over the second."""
+        joint = self.joint
+        return {i: joint[(i, 1)] + joint[(i, -1)] for i in OUTCOMES}
+
+    @property
+    def marginal_2(self) -> dict[int, float]:
+        """Outcome distribution of the second spin, summed over the first."""
+        joint = self.joint
+        return {j: joint[(1, j)] + joint[(-1, j)] for j in OUTCOMES}
+
+    @functools.cached_property
+    def expectation(self) -> float:
+        """E = sum_ij i j p(i, j)."""
+        joint = self.joint
+        return float(sum(i * j * joint[(i, j)] for i in OUTCOMES for j in OUTCOMES))
 
 
 def _pair_state(w) -> DensityOperator:
@@ -161,17 +172,7 @@ def _joint_record(rho: DensityOperator, a: Direction, b: Direction) -> Correlati
     joint = {
         (i, j): table[k][m] for k, i in enumerate(OUTCOMES) for m, j in enumerate(OUTCOMES)
     }
-    marginal_1 = {i: joint[(i, 1)] + joint[(i, -1)] for i in OUTCOMES}
-    marginal_2 = {j: joint[(1, j)] + joint[(-1, j)] for j in OUTCOMES}
-    expectation = sum(i * j * joint[(i, j)] for i in OUTCOMES for j in OUTCOMES)
-    return CorrelationRecord(
-        setting_1=a,
-        setting_2=b,
-        joint=joint,
-        marginal_1=marginal_1,
-        marginal_2=marginal_2,
-        expectation=float(expectation),
-    )
+    return CorrelationRecord(setting_1=a, setting_2=b, joint=joint)
 
 
 def joint_probabilities(w, a: Direction, b: Direction) -> CorrelationRecord:
@@ -247,9 +248,7 @@ def no_signalling_check(w, settings: list[Direction], b: Direction) -> float:
     variation (distributions) across any two settings.  It vanishes for
     every state: the setting choice alone sends no signal.
     """
-    rho = as_density(w)
-    if rho.dim != 4:
-        raise DimensionError(f"no-signalling check needs dimension 4, got {rho.dim}")
+    rho = _pair_state(w)
     qb = b.spin_projectors
     reduced: list[np.ndarray] = []
     margins: list[dict[int, float]] = []

@@ -25,11 +25,15 @@ if TYPE_CHECKING:
     from .mub import MeasurementStatistics
 
 
-def round_sig(x: float, digits: int = 12) -> float:
-    """Round to a fixed number of significant digits."""
+# Significant digits of every number in a report.
+SIGNIFICANT_DIGITS = 12
+
+
+def round_sig(x: float) -> float:
+    """Round to ``SIGNIFICANT_DIGITS`` significant digits."""
     if x == 0.0 or not np.isfinite(x):
         return 0.0 if x == 0.0 else float(x)
-    return float(f"{x:.{digits}g}")
+    return float(f"{x:.{SIGNIFICANT_DIGITS}g}")
 
 
 def jsonable(value: Any) -> Any:

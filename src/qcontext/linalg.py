@@ -105,20 +105,20 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def _checked_hermitian(m, tol: float) -> tuple[np.ndarray, float]:
+def _checked_hermitian(m) -> tuple[np.ndarray, float]:
     """``m`` validated as a Hermitian complex array, with its defect."""
     a = as_operator(m)
     defect = hermiticity_defect(a)
-    if defect >= tol:
+    if defect >= HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max |H - H^dagger| entry = {defect:.3e}"
         )
     return a, defect
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Validate ``m`` as Hermitian, returning it as a complex array."""
-    return _checked_hermitian(m, tol)[0]
+    return _checked_hermitian(m)[0]
 
 
 def tensor(a, b) -> np.ndarray:
@@ -191,9 +191,9 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def commutes(a, b, tol: float = HERMITICITY_TOL) -> bool:
-    """True when max-entry |[A, B]| is below ``tol``."""
-    return float(np.abs(commutator(a, b)).max()) < tol
+def commutes(a, b) -> bool:
+    """True when max-entry |[A, B]| is below ``HERMITICITY_TOL``."""
+    return float(np.abs(commutator(a, b)).max()) < HERMITICITY_TOL
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
@@ -355,9 +355,7 @@ def eigensolve_count() -> int:
     return _eigensolves
 
 
-def jacobi_eigh(
-    h, off_tol: float = JACOBI_OFF_TOL, *, vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def jacobi_eigh(h, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Diagonalise a Hermitian matrix by Jacobi rotations.
 
     The input is validated as Hermitian here, and then solved by
@@ -380,7 +378,7 @@ def jacobi_eigh(
         If the off-diagonal norm is still above the threshold after
         ``_JACOBI_MAX_SWEEPS`` sweeps.
     """
-    return _eigh(_hermitian_input(h)[1], vectors, off_tol)
+    return _eigh(_hermitian_input(h)[1], vectors)
 
 
 def _hermitian_input(h) -> tuple[np.ndarray, np.ndarray]:
@@ -389,13 +387,11 @@ def _hermitian_input(h) -> tuple[np.ndarray, np.ndarray]:
     The second is the first when ``h`` is exactly Hermitian, and its
     Hermitian part ``(H + H^dagger)/2`` otherwise.
     """
-    a, defect = _checked_hermitian(h, HERMITICITY_TOL)
+    a, defect = _checked_hermitian(h)
     return a, (0.5 * (a + a.conj().T) if defect else a)
 
 
-def _eigh(
-    a: np.ndarray, vectors: bool, off_tol: float = JACOBI_OFF_TOL
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The Jacobi kernel of ``jacobi_eigh``, on an unvalidated array.
 
     ``a`` must be a finite, exactly Hermitian square array of dimension
@@ -403,7 +399,7 @@ def _eigh(
     library code calls it directly only on arrays it built that way.
     Nothing is checked.  Sweeps annihilate off-diagonal entries with
     complex plane rotations until the off-diagonal Frobenius norm falls
-    below ``off_tol`` times the scale of the input.  Convergence is
+    below ``JACOBI_OFF_TOL`` times the scale of the input.  Convergence is
     quadratic, so a handful of sweeps suffices at these dimensions.
 
     Two orderings share everything but the sweep.  Up to
@@ -443,7 +439,7 @@ def _eigh(
         dv.ravel()[n * n :: n + 1] = 1.0  # v starts as the identity
     d = dv[:n]
     scale = max(1.0, _frobenius_norm(a))
-    threshold = off_tol * scale
+    threshold = JACOBI_OFF_TOL * scale
     # Rotating every entry above this per-element cutoff guarantees the
     # whole off-diagonal norm ends below threshold.
     cutoff = threshold / (2.0 * n)
@@ -497,18 +493,15 @@ class SpectralDecomposition:
 
     @classmethod
     def from_eigenpairs(
-        cls,
-        eigenvalues: np.ndarray,
-        vectors: np.ndarray,
-        merge_tol: float = EIGENVALUE_MERGE_TOL,
+        cls, eigenvalues: np.ndarray, vectors: np.ndarray
     ) -> "SpectralDecomposition":
         """Levels and projectors of known eigenpairs; nothing is solved.
 
         ``eigenvalues`` ascend and ``vectors[:, i]`` is a unit eigenvector
         of ``eigenvalues[i]``, the columns orthonormal.  A run of
-        eigenvalues each within ``merge_tol`` of the one before is one
-        level, its projector the symmetrised ``V V^dagger`` of the run's
-        columns.  The eigenpairs are not checked.
+        eigenvalues each within ``EIGENVALUE_MERGE_TOL`` of the one before
+        is one level, its projector the symmetrised ``V V^dagger`` of the
+        run's columns.  The eigenpairs are not checked.
         """
         # The same doubles as Python floats: the gap tests and singleton
         # levels below then skip numpy's scalar dispatch.
@@ -520,7 +513,7 @@ class SpectralDecomposition:
         n = len(values)
         while i < n:
             j = i + 1
-            while j < n and values[j] - values[j - 1] <= merge_tol:
+            while j < n and values[j] - values[j - 1] <= EIGENVALUE_MERGE_TOL:
                 j += 1
             block = vectors[:, i:j]
             p = block @ block.conj().T
@@ -538,17 +531,15 @@ class SpectralDecomposition:
         )
 
 
-def spectral_decompose(
-    h, merge_tol: float = EIGENVALUE_MERGE_TOL
-) -> SpectralDecomposition:
+def spectral_decompose(h) -> SpectralDecomposition:
     """Spectral resolution of a Hermitian matrix.
 
-    Eigenvalues within ``merge_tol`` of each other collapse into a single
-    degenerate level whose projector spans the merged eigenvectors.
-    ``jacobi_eigh`` validates ``h``.
+    Eigenvalues within ``EIGENVALUE_MERGE_TOL`` of each other collapse
+    into a single degenerate level whose projector spans the merged
+    eigenvectors.  ``jacobi_eigh`` validates ``h``.
     """
     eigenvalues, vectors = jacobi_eigh(h)
-    return SpectralDecomposition.from_eigenpairs(eigenvalues, vectors, merge_tol)
+    return SpectralDecomposition.from_eigenpairs(eigenvalues, vectors)
 
 
 def rank_one_vector(p: np.ndarray) -> np.ndarray:

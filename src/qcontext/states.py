@@ -21,6 +21,9 @@ NORMALIZATION_TOL = 1e-10
 # Density operator eigenvalues may undershoot zero by at most this.
 POSITIVITY_TOL = 1e-9
 
+# A state is pure when its purity Tr(W^2) sits within this of 1.
+PURITY_TOL = 1e-9
+
 # Schmidt coefficients below this count as zero when ranking.
 SCHMIDT_RANK_TOL = 1e-8
 
@@ -129,8 +132,8 @@ class DensityOperator:
         """Tr(W^2); equals 1 exactly for pure states."""
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
-        return abs(self.purity() - 1.0) < tol
+    def is_pure(self) -> bool:
+        return abs(self.purity() - 1.0) < PURITY_TOL
 
     def expectation(self, observable_matrix) -> float:
         """Tr(W A) for a Hermitian A."""
@@ -356,9 +359,10 @@ def is_noninteracting(h, dims: tuple[int, int]):
             f"dims {d1}x{d2} do not factor operator dimension {a.shape[0]}"
         )
     total = float(np.trace(a).real)
-    h1 = la.partial_trace(a, (d1, d2), keep=1) / d2
-    h2 = (la.partial_trace(a, (d1, d2), keep=2) - (total / d2) * np.eye(d2)) / d1
-    recon = la.tensor(h1, np.eye(d2)) + la.tensor(np.eye(d1), h2)
+    h1 = la._partial_trace(a, (d1, d2), keep=1) / d2
+    h2 = (la._partial_trace(a, (d1, d2), keep=2) - (total / d2) * np.eye(d2)) / d1
+    eye1, eye2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
+    recon = la._tensor(h1, eye2) + la._tensor(eye1, h2)
     residual = float(np.abs(a - recon).max())
     if residual < NONINTERACTION_TOL:
         return True, (h1, h2)

@@ -522,11 +522,23 @@ def test_mub_tomography_exact_and_from_stats(tmp_path, capsys):
     assert rebuilt["re"] == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-9)
 
 
-def test_unexpected_exception_exits_three_with_one_error_line(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (TypeError("first line\nsecond line"), "first line second line"),
+        # A KeyError is a fault in the program too, not bad input: every
+        # input file is shape-checked before a key is read from it.
+        (KeyError("missing"), "'missing'"),
+    ],
+    ids=["TypeError", "KeyError"],
+)
+def test_unexpected_exception_exits_three_with_one_error_line(
+    monkeypatch, capsys, exc, message
+):
     import qcontext.contextuality as contextuality
 
     def broken():
-        raise TypeError("first line\nsecond line")
+        raise exc
 
     # cmd_ghz imports ghz_contradiction from its module when it runs
     monkeypatch.setattr(contextuality, "ghz_contradiction", broken)
@@ -534,7 +546,9 @@ def test_unexpected_exception_exits_three_with_one_error_line(monkeypatch, capsy
     assert code == 3
     assert out == ""
     assert re.fullmatch(
-        r"error: unexpected TypeError at test_cli\.py:\d+: first line second line\n", err
+        rf"error: unexpected {type(exc).__name__} at test_cli\.py:\d+: "
+        rf"{re.escape(message)}\n",
+        err,
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import qcontext.linalg as la
 from qcontext.correlations import (
+    CorrelationRecord,
     Direction,
     chsh,
     chsh_optimal_settings,
@@ -114,9 +115,27 @@ def test_record_marginals_are_consistent_with_joint():
     rng = np.random.default_rng(74)
     w = random_density(4, rng)
     record = joint_probabilities(w, random_direction(rng), random_direction(rng))
-    for i in (1, -1):
-        total = record.joint[(i, 1)] + record.joint[(i, -1)]
-        assert record.marginal_1[i] == pytest.approx(total, abs=1e-12)
+    joint = record.joint
+    # read off the joint table, bit for bit
+    assert record.marginal_1 == {i: joint[(i, 1)] + joint[(i, -1)] for i in (1, -1)}
+    assert record.marginal_2 == {j: joint[(1, j)] + joint[(-1, j)] for j in (1, -1)}
+    assert record.expectation == (
+        joint[(1, 1)] - joint[(1, -1)] - joint[(-1, 1)] + joint[(-1, -1)]
+    )
+    # computed once and kept on the record
+    assert record.expectation is record.expectation
+
+
+def test_record_rejects_a_joint_table_out_of_range_or_not_summing_to_one():
+    z = Direction(0.0, 0.0, 1.0)
+
+    def record(joint):
+        return CorrelationRecord(setting_1=z, setting_2=z, joint=joint)
+
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        record({(1, 1): 1.5, (1, -1): -0.5, (-1, 1): 0.0, (-1, -1): 0.0})
+    with pytest.raises(ValueError, match="sum to"):
+        record({(1, 1): 0.5, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.0})
 
 
 # conditional remote states
