@@ -16,7 +16,14 @@ import numpy as np
 
 from . import linalg as la
 from .checks import Check
-from .contexts import context, contexts_distance, luders_nonselective, observable, statistical_equivalence
+from .contexts import (
+    Observable,
+    context,
+    contexts_distance,
+    luders_nonselective,
+    observable,
+    statistical_equivalence,
+)
 from .contextuality import ghz_contradiction, mermin_peres_square, search_noncontextual_assignment
 from .correlations import (
     Direction,
@@ -226,10 +233,16 @@ def criterion_statistical_equivalence() -> CriterionResult:
     for trial in range(100):
         dim = 2 + trial % 3
         rho = random_density(dim, rng)
-        obs, _, _ = random_nondegenerate_observable(dim, rng, label="A")
+        obs, values, u = random_nondegenerate_observable(dim, rng, label="A")
         ctx = context(rho, obs)
         worst_self = max(worst_self, statistical_equivalence(ctx).delta)
-        compat = observable(obs.matrix @ obs.matrix, label="A^2")
+        # A^2 has A's eigenvectors and the squared eigenvalues (1, 4, ...,
+        # still ascending): its spectrum is written down, not solved.
+        compat = Observable(
+            matrix=obs.matrix @ obs.matrix,
+            spectrum=la.SpectralDecomposition.from_eigenpairs(values**2, u),
+            label="A^2",
+        )
         worst_compat = max(worst_compat, statistical_equivalence(ctx, probe=compat).delta)
     plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
     witness = statistical_equivalence(

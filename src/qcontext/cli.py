@@ -603,19 +603,22 @@ def cmd_suite(args):
     from . import acceptance
 
     solved = la.eigensolve_count()
+    swept = la.sweep_count()
     checked = la.validation_count()
 
     def progress(result, seconds):
-        nonlocal solved, checked
+        nonlocal solved, swept, checked
         now = la.eigensolve_count()
+        now_swept = la.sweep_count()
         now_checked = la.validation_count()
         operators, hermiticity = (b - a for a, b in zip(checked, now_checked))
         print(
-            f"{result.summary_line()} in {seconds * 1000.0:.1f} ms, {now - solved} eigensolves, "
-            f"{operators} operator and {hermiticity} Hermiticity checks",
+            f"{result.summary_line()} in {seconds * 1000.0:.1f} ms, {now - solved} eigensolves "
+            f"({now_swept - swept} sweeps), {operators} operator and {hermiticity} "
+            "Hermiticity checks",
             file=sys.stderr,
         )
-        solved, checked = now, now_checked
+        solved, swept, checked = now, now_swept, now_checked
 
     criteria = acceptance.run_suite(progress)
     results = {

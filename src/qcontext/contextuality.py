@@ -164,11 +164,15 @@ class AssignmentSearchResult:
     example: dict[str, int] | None
 
 
-def _parity(x: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each uint32 entry, as 0/1."""
+def _parity(x: np.ndarray, scratch: np.ndarray) -> None:
+    """Replace each uint32 entry of ``x`` by the parity of its set bits, 0 or 1.
+
+    ``scratch`` is a uint32 buffer of the same size; nothing is allocated.
+    """
     for shift in (16, 8, 4, 2, 1):
-        x = x ^ (x >> np.uint32(shift))
-    return x & np.uint32(1)
+        np.right_shift(x, np.uint32(shift), out=scratch)
+        np.bitwise_xor(x, scratch, out=x)
+    np.bitwise_and(x, np.uint32(1), out=x)
 
 
 def search_noncontextual_assignment(
@@ -182,8 +186,10 @@ def search_noncontextual_assignment(
     is then -1 exactly when its index mask has odd overlap with ``c``;
     the mask is an XOR, so an index repeated in a context squares away.
     The arithmetic is exact integer parity, so the verdict carries no
-    numerical tolerance.  Cases run in fixed-size blocks, keeping memory
-    flat.  Problems above 2^20 cases are refused.
+    numerical tolerance.  Cases run in fixed-size blocks, every block
+    evaluated into the same buffers, allocated once a call, so memory
+    stays flat and the time does not depend on how the allocator serves
+    a block's temporaries.  Problems above 2^20 cases are refused.
     """
     n = problem.size
     if n > _SEARCH_MAX_OBSERVABLES:
@@ -196,15 +202,26 @@ def search_noncontextual_assignment(
         for i in ctx:
             mask ^= 1 << (n - 1 - i)
         constraints.append((np.uint32(mask), 1 if sign == -1 else 0))
+    # Both powers of two, so every block is full.
+    size = min(_SEARCH_BLOCK, 1 << n)
+    offsets = np.arange(size, dtype=np.uint32)
+    block = np.empty(size, dtype=np.uint32)
+    bits = np.empty(size, dtype=np.uint32)
+    scratch = np.empty(size, dtype=np.uint32)
+    agrees = np.empty(size, dtype=bool)
+    ok = np.empty(size, dtype=bool)
     count = 0
     first: int | None = None
     cases = 0
-    for start in range(0, 1 << n, _SEARCH_BLOCK):
-        block = np.arange(start, min(start + _SEARCH_BLOCK, 1 << n), dtype=np.uint32)
-        ok = np.ones(block.size, dtype=bool)
+    for start in range(0, 1 << n, size):
+        np.add(offsets, np.uint32(start), out=block)
+        ok.fill(True)
         for mask, odd in constraints:
-            ok &= _parity(block & mask) == odd
-        cases += block.size
+            np.bitwise_and(block, mask, out=bits)
+            _parity(bits, scratch)
+            np.equal(bits, odd, out=agrees)
+            ok &= agrees
+        cases += size
         hits = int(np.count_nonzero(ok))
         if first is None and hits:
             first = start + int(np.argmax(ok))

@@ -4,10 +4,10 @@ Everything in this package runs on ordinary row-major numpy arrays of
 complex numbers.  Matrices stay small (dimension 64 at most), so the
 routines here favour determinism and transparency over asymptotic speed:
 Hermitian matrices are diagonalised by Jacobi rotations (in cyclic order
-up to dimension 7, in round-robin order, a round of disjoint pairs at a
-time, above), phases of eigenvectors are fixed by an explicit convention,
-and matrix functions are evaluated through the spectral resolution rather
-than series.
+on Python complex scalars up to dimension 7, in round-robin order, a
+round of disjoint pairs at a time on numpy arrays, above), phases of
+eigenvectors are fixed by an explicit convention, and matrix functions
+are evaluated through the spectral resolution rather than series.
 """
 
 from __future__ import annotations
@@ -34,13 +34,16 @@ JACOBI_OFF_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
 
 # Largest dimension diagonalised by cyclic sweeps; above it, sweeps run
-# in round-robin order.  Measured crossover: the cyclic kernel is faster
-# up to n = 7, the round robin from n = 8 (CHANGES.md has the table).
+# in round-robin order.  It was set where the numpy cyclic kernel stopped
+# winning; the scalar one is faster up to n = 9 and even at n = 10
+# (CHANGES.md has both tables), but moving the cut-over moves last bits
+# at n = 8-9.
 _JACOBI_CYCLIC_MAX_DIM = 7
 
-# Solves of the Jacobi kernel ``_eigh`` so far; ``eigensolve_count``
-# reads it.
+# Solves of the Jacobi kernel ``_eigh`` and the sweeps they made so far;
+# ``eigensolve_count`` and ``sweep_count`` read them.
 _eigensolves = 0
+_sweeps = 0
 
 # Calls of ``as_operator`` and of ``hermiticity_defect`` so far;
 # ``validation_count`` reads them.
@@ -235,54 +238,122 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return _frobenius_norm(off)
 
 
-def _cyclic_sweep(dv: np.ndarray, d: np.ndarray, cutoff: float) -> None:
-    """One sweep of rotations in row order, (0, 1), (0, 2), ..., (n-2, n-1)."""
-    n = d.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = d[p, q]
+def _norm_of_scalars(z: list[complex]) -> float:
+    """``sqrt(sum |z_k|^2)`` of Python complex numbers, the squares summed by
+    ``math.fsum``: exactly rounded, so their order does not count."""
+    return math.sqrt(math.fsum([x * x for x in map(abs, z)]))
+
+
+def _cyclic_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The cyclic kernel of ``_eigh`` on Python complex scalars, for n >= 2.
+
+    ``a`` is converted to a list of rows ``d`` once, and the eigenvector
+    accumulator ``v`` starts as the rows of the identity.  Sweeps rotate
+    the pairs in row order, (0, 1), (0, 2), ..., (n-2, n-1).  Rotation
+    ``(p, q)`` annihilates ``d[p][q]``::
+
+        r = |d[p][q]|, phase = d[p][q] / r   (skipped when r <= cutoff)
+        tau = (d[q][q].real - d[p][p].real) / (2 r)
+        t = 1 / (tau + sqrt(1 + tau^2)) for tau >= 0,
+            -1 / (-tau + sqrt(1 + tau^2)) otherwise
+        c = 1 / sqrt(1 + t^2), s = t c
+
+    The unitary ``U`` differs from the identity only in rows and columns
+    ``p``, ``q``: ``U[p,p] = c``, ``U[p,q] = s``, ``U[q,p] = -s e^-if`` and
+    ``U[q,q] = c e^-if``, with ``e^if`` the phase.  ``d <- U^dagger d U``
+    rotates columns ``p``, ``q`` of ``d`` and then its rows ``p``, ``q``;
+    ``v <- v U`` rotates the columns of ``v``, in the same loop over rows
+    as those of ``d``::
+
+        x_p, x_q <- c x_p - (s conj(phase)) x_q, s x_p + (c conj(phase)) x_q
+        y_p, y_q <- c y_p - (s phase) y_q,       s y_p + (c phase) y_q
+
+    for the entries ``x`` of a row and ``y`` of a column, every product
+    with its coefficient first.  The scale of the input and each sweep's
+    off-diagonal norm are ``_norm_of_scalars``; the norm is tested before
+    each sweep and once after the last allowed one.
+    All of it is CPython float and complex arithmetic, one operation at a
+    time, so no bit depends on the SIMD loops numpy dispatches to.
+    """
+    global _sweeps
+    n = a.shape[0]
+    d = a.tolist()
+    scale = max(1.0, _norm_of_scalars([z for row in d for z in row]))
+    threshold = JACOBI_OFF_TOL * scale
+    # Rotating every entry above this per-element cutoff guarantees the
+    # whole off-diagonal norm ends below threshold.
+    cutoff = threshold / (2.0 * n)
+    v = [[complex(i == j) for j in range(n)] for i in range(n)] if vectors else []
+    dv = d + v  # the same row lists: one column rotation updates both
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+
+    sweeps = 0
+    while True:
+        norm = _norm_of_scalars([z for i, row in enumerate(d) for z in row[:i] + row[i + 1 :]])
+        if norm < threshold:
+            break
+        if sweeps == _JACOBI_MAX_SWEEPS:
+            _sweeps += sweeps
+            raise _not_converged(n, sweeps, norm, threshold)
+        for p, q in pairs:
+            rp = d[p]
+            rq = d[q]
+            apq = rp[q]
             r = abs(apq)
             if r <= cutoff:
                 continue
             phase = apq / r
-            app = d[p, p].real
-            aqq = d[q, q].real
-            tau = (aqq - app) / (2.0 * r)
+            tau = (rq[q].real - rp[p].real) / (2.0 * r)
             if tau >= 0.0:
                 t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
             else:
                 t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
-            # Unitary U differs from identity only in rows/cols p, q:
-            #   U[p,p] = c        U[p,q] = s
-            #   U[q,p] = -s*e^-if U[q,q] = c*e^-if   with e^if = apq/|apq|
-            # d <- U^dagger d U, eigenvector columns v <- v U.
-            # s * conj(phase) * dq evaluates left to right, so forming
-            # each scalar product once leaves every result unchanged.
             conj_phase = phase.conjugate()
             s_conj = s * conj_phase
             c_conj = c * conj_phase
+            for row in dv:
+                x = row[p]
+                y = row[q]
+                row[p] = c * x - s_conj * y
+                row[q] = s * x + c_conj * y
             s_phase = s * phase
             c_phase = c * phase
-            # All four products read the old columns (rows) before
-            # either is overwritten.
-            cp = dv[:, p]
-            cq = dv[:, q]
-            cp_c = np.multiply(c, cp)
-            cq_s = np.multiply(s_conj, cq)
-            cp_s = np.multiply(s, cp)
-            cq_c = np.multiply(c_conj, cq)
-            np.subtract(cp_c, cq_s, out=cp)
-            np.add(cp_s, cq_c, out=cq)
-            rp = d[p]
-            rq = d[q]
-            rp_c = np.multiply(c, rp)
-            rq_s = np.multiply(s_phase, rq)
-            rp_s = np.multiply(s, rp)
-            rq_c = np.multiply(c_phase, rq)
-            np.subtract(rp_c, rq_s, out=rp)
-            np.add(rp_s, rq_c, out=rq)
+            for j in range(n):
+                x = rp[j]
+                y = rq[j]
+                rp[j] = c * x - s_phase * y
+                rq[j] = s * x + c_phase * y
+        sweeps += 1
+    _sweeps += sweeps
+
+    diagonal = [d[i][i].real for i in range(n)]
+    order = sorted(range(n), key=diagonal.__getitem__)  # stable
+    eigenvalues = np.array([diagonal[i] for i in order])
+    if not vectors:
+        return eigenvalues, None
+    columns = list(zip(*v))
+    fixed = []
+    for j in order:
+        column = columns[j]
+        magnitudes = [abs(z) for z in column]
+        largest = max(magnitudes)
+        if largest > 0.0:
+            # The phase rule of ``_fix_column_phases``: the first entry of
+            # largest magnitude becomes real positive.
+            w = column[magnitudes.index(largest)].conjugate() / largest
+            column = [z * w for z in column]
+        fixed.append(column)
+    return eigenvalues, np.array(fixed, dtype=complex).T.copy()
+
+
+def _not_converged(n: int, sweeps: int, norm: float, threshold: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"Jacobi diagonalisation of a dimension-{n} matrix stopped after "
+        f"{sweeps} sweeps with off-diagonal norm "
+        f"{norm:.3e}, above the threshold {threshold:.3e}"
+    )
 
 
 @functools.cache
@@ -311,7 +382,7 @@ def _round_robin_pairs(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 def _round_robin_sweep(dv: np.ndarray, d: np.ndarray, cutoff: float) -> None:
     """One sweep of ``n - 1`` rounds, each rotating its disjoint pairs at once.
 
-    Every pair is rotated with the scalar formulas of ``_cyclic_sweep``,
+    Every pair is rotated with the scalar formulas of ``_cyclic_eigh``,
     evaluated elementwise over the round; disjoint pairs read nothing the
     others write before all columns, then all rows, are rotated.
     """
@@ -353,6 +424,11 @@ def _round_robin_sweep(dv: np.ndarray, d: np.ndarray, cutoff: float) -> None:
 def eigensolve_count() -> int:
     """Number of Jacobi solves (``_eigh`` calls) made in this process so far."""
     return _eigensolves
+
+
+def sweep_count() -> int:
+    """Number of Jacobi sweeps, over every ``_eigh`` solve, in this process so far."""
+    return _sweeps
 
 
 def jacobi_eigh(h, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -402,37 +478,41 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     below ``JACOBI_OFF_TOL`` times the scale of the input.  Convergence is
     quadratic, so a handful of sweeps suffices at these dimensions.
 
-    Two orderings share everything but the sweep.  Up to
-    ``_JACOBI_CYCLIC_MAX_DIM`` (7) a sweep is cyclic: one pair at a time,
-    in row order.  Above it, a sweep is ``n - 1`` rounds of a round-robin
-    (Brent-Luk style) ordering, each rotating ``n/2`` disjoint pairs in
-    one vectorised step: all their columns, then all their rows.  Below
-    the cut-over a round holds too few pairs to pay for its numpy calls;
-    at n = 64 it holds 32 and a solve is three to four times faster.
-    The two orderings give different last bits, so the cut-over is fixed:
-    every solve behind the pinned reports runs at n <= 6.
+    Two kernels share the threshold (``JACOBI_OFF_TOL`` times the larger
+    of 1 and the Frobenius norm of the input), the per-element cutoff,
+    the sweep limit, the error message, the stable sort and the phase
+    rule.  Up to
+    ``_JACOBI_CYCLIC_MAX_DIM`` (7), ``_cyclic_eigh`` sweeps in cyclic
+    order, one pair at a time in row order, on Python complex scalars:
+    at these sizes a numpy call on a row of a few entries costs more
+    than its arithmetic.  Above it, a sweep is ``n - 1`` rounds of a
+    round-robin (Brent-Luk style) ordering, each rotating ``n/2``
+    disjoint pairs in one vectorised numpy step: all their columns, then
+    all their rows, of one ``(2n, n)`` buffer that holds the working
+    matrix ``d`` in rows ``0..n-1`` and the eigenvector accumulator ``v``
+    in rows ``n..2n-1``.  At n = 64 a round holds 32 pairs and a solve is
+    three to four times faster than in cyclic order.  The two kernels
+    give different last bits, so the cut-over is fixed: every solve
+    behind the pinned reports runs at n <= 6.  Each kernel performs the
+    same float operations, in the same order, as the per-pair loop of
+    its ordering kept in ``tests/oracles.py``, so its output is identical
+    to that loop's bit for bit.
 
-    The working matrix ``d`` and the eigenvector accumulator ``v`` share
-    one ``(2n, n)`` buffer, ``d`` in rows ``0..n-1`` and ``v`` in rows
-    ``n..2n-1``, so a single column rotation updates both; rows ``p`` and
-    ``q`` of ``d`` are rotated after it.  Each rotation performs the same
-    elementwise float operations, in the same order, as the per-pair loop
-    of its ordering kept in ``tests/oracles.py``, so the output is
-    identical to it bit for bit.
-
-    With ``vectors=False`` the buffer is ``d`` alone, ``(n, n)``: the same
-    rotations give the same eigenvalues, bit for bit, and no eigenvector
-    is accumulated or phase-fixed.
+    With ``vectors=False`` no eigenvector is accumulated or phase-fixed;
+    the same rotations give the same eigenvalues, bit for bit.
 
     The norm is tested before each sweep and once after the last allowed
     one, so a matrix that converges in sweep ``_JACOBI_MAX_SWEEPS`` is
-    solved; ``ConvergenceError`` names the norm that was too large.
+    solved; ``ConvergenceError`` names the norm that was too large.  Every
+    sweep is added to ``sweep_count()``.
     """
-    global _eigensolves
+    global _eigensolves, _sweeps
     _eigensolves += 1
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), (np.eye(1, dtype=complex) if vectors else None)
+    if n <= _JACOBI_CYCLIC_MAX_DIM:
+        return _cyclic_eigh(a, vectors)
     dv = np.zeros((2 * n if vectors else n, n), dtype=complex)
     dv[:n] = a
     if vectors:
@@ -440,21 +520,16 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     d = dv[:n]
     scale = max(1.0, _frobenius_norm(a))
     threshold = JACOBI_OFF_TOL * scale
-    # Rotating every entry above this per-element cutoff guarantees the
-    # whole off-diagonal norm ends below threshold.
     cutoff = threshold / (2.0 * n)
 
-    sweep = _cyclic_sweep if n <= _JACOBI_CYCLIC_MAX_DIM else _round_robin_sweep
     sweeps = 0
     while (norm := _offdiag_norm(d)) >= threshold:
         if sweeps == _JACOBI_MAX_SWEEPS:
-            raise ConvergenceError(
-                f"Jacobi diagonalisation of a dimension-{n} matrix stopped after "
-                f"{sweeps} sweeps with off-diagonal norm "
-                f"{norm:.3e}, above the threshold {threshold:.3e}"
-            )
-        sweep(dv, d, cutoff)
+            _sweeps += sweeps
+            raise _not_converged(n, sweeps, norm, threshold)
+        _round_robin_sweep(dv, d, cutoff)
         sweeps += 1
+    _sweeps += sweeps
 
     eigenvalues = d.diagonal().real.copy()
     order = eigenvalues.argsort(kind="stable")
@@ -585,9 +660,17 @@ def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """``trace_distance`` of two finite square arrays of one dimension; unchecked.
 
     The symmetrised difference is exactly Hermitian, so it goes to the
-    kernel with no second check.
+    kernel with no second check.  At n = 2 nothing is solved: the
+    eigenvalues of ``[[x, z], [z*, y]]`` are ``(x + y)/2 +- sqrt(((x - y)/2)^2
+    + |z|^2)``, so half the sum of their magnitudes is the larger of
+    ``|x + y|/2`` (both of one sign) and that square root (opposite signs).
     """
     diff = a - b
     diff = 0.5 * (diff + dagger(diff))
+    if diff.shape[0] == 2:
+        (x, z), (_, y) = diff.tolist()
+        x = x.real
+        y = y.real
+        return max(0.5 * abs(x + y), math.hypot(0.5 * (x - y), abs(z)))
     eigenvalues, _ = _eigh(diff, False)
     return 0.5 * float(np.abs(eigenvalues).sum())

@@ -3,11 +3,14 @@
 The search and lattice check are the tuple-and-dict versions of the
 vectorised combinatorial routines; tests require the library to return
 results equal to these under ``==``, down to the last bit of
-``max_defect``.  ``jacobi_eigh`` is the cyclic eigensolver before its
-inner loop formed each rotation product once, and
-``jacobi_eigh_round_robin`` the round-robin ordering one pair at a time;
-tests require the library's kernel for each ordering to match its loop
-bit for bit.
+``max_defect``.  ``jacobi_eigh`` is the cyclic eigensolver written
+literally on Python complex scalars, one matrix entry at a time, and
+``jacobi_eigh_round_robin`` the round-robin ordering one pair at a time
+on numpy rows and columns; tests require the library's kernel for each
+ordering to match its loop bit for bit.  ``jacobi_eigh_numpy`` is the
+cyclic loop on numpy rows and columns that the scalar kernel replaced;
+numpy's complex loops round differently, so tests hold the library to it
+within 1e-12 times the scale of the input.
 ``tensor``, ``offdiag_norm``, ``fix_column_phases`` and
 ``spectral_decompose`` are the kernel helpers as they were written with
 numpy's Python-level functions (``np.kron``, ``np.linalg.norm``,
@@ -15,15 +18,17 @@ numpy's Python-level functions (``np.kron``, ``np.linalg.norm``,
 ``density_is_positive`` is the ``DensityOperator`` positivity rule
 before the Cholesky certificate; tests require equal decisions and
 messages.
-``spin_projectors``, ``joint_table`` and ``random_nondegenerate_observable``
-are the solved and product-forming routes that the closed forms replaced:
-a Jacobi solve of ``d . sigma``, ``Tr[W (P_i x Q_j)]`` from explicit
-Kronecker products, and ``observable(m)`` on the sampled matrix.  Their
+``spin_projectors``, ``joint_table``, ``random_nondegenerate_observable``
+and ``trace_distance`` are the solved and product-forming routes that the
+closed forms replaced: a Jacobi solve of ``d . sigma``,
+``Tr[W (P_i x Q_j)]`` from explicit Kronecker products, ``observable(m)``
+on the sampled matrix, and the eigenvalues of a 2x2 difference.  Their
 arithmetic differs from the library's, so tests hold the two to stated
 bounds, not to equal bytes.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -169,9 +174,80 @@ def _cyclic_sweep(d, v, cutoff):
             _rotate_columns(v, p, q, *rotation)
 
 
-def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL):
-    """Cyclic Jacobi with every rotation product written out in place."""
+def jacobi_eigh_numpy(h, off_tol: float = JACOBI_OFF_TOL):
+    """Cyclic Jacobi on numpy rows and columns, every rotation product in place."""
     return _jacobi(h, off_tol, _cyclic_sweep)
+
+
+def _norm(entries):
+    """Frobenius norm of Python complex numbers: the exactly rounded sum of
+    ``|z| * |z|`` over the entries, then one square root."""
+    return math.sqrt(math.fsum([abs(z) * abs(z) for z in entries]))
+
+
+def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL):
+    """Cyclic Jacobi on Python complex scalars, one entry at a time.
+
+    ``d`` and ``v`` are lists of rows.  Each rotation rotates the columns
+    of ``d``, then its rows, then the columns of ``v``, with the formulas
+    of ``_rotation`` and every product's coefficient first.
+    """
+    a = require_hermitian(h)
+    n = a.shape[0]
+    d = [[complex(a[i, j]) for j in range(n)] for i in range(n)]
+    v = [[complex(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+    threshold = off_tol * max(1.0, _norm([d[i][j] for i in range(n) for j in range(n)]))
+    cutoff = threshold / (2.0 * n)
+    if n == 1:
+        return np.array([d[0][0].real]), np.eye(1, dtype=complex)
+
+    sweeps = 0
+    while _norm([d[i][j] for i in range(n) for j in range(n) if i != j]) >= threshold:
+        if sweeps == 100:
+            raise ConvergenceError("Jacobi oracle did not converge")
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = d[p][q]
+                r = abs(apq)
+                if r <= cutoff:
+                    continue
+                phase = apq / r
+                tau = (d[q][q].real - d[p][p].real) / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                for i in range(n):
+                    x, y = d[i][p], d[i][q]
+                    d[i][p] = c * x - s * phase.conjugate() * y
+                    d[i][q] = s * x + c * phase.conjugate() * y
+                for j in range(n):
+                    x, y = d[p][j], d[q][j]
+                    d[p][j] = c * x - s * phase * y
+                    d[q][j] = s * x + c * phase * y
+                for i in range(n):
+                    x, y = v[i][p], v[i][q]
+                    v[i][p] = c * x - s * phase.conjugate() * y
+                    v[i][q] = s * x + c * phase.conjugate() * y
+        sweeps += 1
+
+    order = sorted(range(n), key=lambda i: d[i][i].real)
+    eigenvalues = np.array([d[i][i].real for i in order])
+    vectors = np.zeros((n, n), dtype=complex)
+    for j, k in enumerate(order):
+        column = [v[i][k] for i in range(n)]
+        m = 0
+        for i in range(n):
+            if abs(column[i]) > abs(column[m]):
+                m = i
+        z = column[m]
+        if abs(z) > 0.0:
+            column = [x * (z.conjugate() / abs(z)) for x in column]
+        for i in range(n):
+            vectors[i, j] = column[i]
+    return eigenvalues, vectors
 
 
 def round_robin_rounds(n):
@@ -242,6 +318,14 @@ def random_nondegenerate_observable(dim, rng, label=""):
     m = (u * values) @ dagger(u)
     m = 0.5 * (m + dagger(m))
     return observable(m, label=label), values, u
+
+
+def trace_distance(a, b):
+    """(1/2) sum |eigenvalues| of the symmetrised difference, solved by Jacobi."""
+    diff = a - b
+    diff = 0.5 * (diff + dagger(diff))
+    eigenvalues, _ = library_jacobi_eigh(diff, vectors=False)
+    return 0.5 * float(np.abs(eigenvalues).sum())
 
 
 def search_noncontextual_assignment(problem) -> AssignmentSearchResult:

@@ -26,15 +26,20 @@ from qcontext.sampling import random_nondegenerate_observable
 from qcontext.states import PureState, entangling_evolution_demo, make_singlet
 
 
-def test_suite_makes_1273_eigensolves(eigensolves):
+def test_suite_makes_481_eigensolves_in_697_sweeps(eigensolves):
     # 4,400 before derived states skipped validation and chsh built each
     # direction once; 2,481 before each Direction kept its projectors;
     # 1,951 before spin projectors and sampled observables were written
-    # down from their closed forms instead of solved
+    # down from their closed forms instead of solved; 1,273 (919 at
+    # n <= 2, 998 sweeps) before the 2x2 trace distance was written down
+    # (692 solves) and criterion 6 built its A^2 probe from known
+    # eigenpairs (100 solves at n = 2-4)
+    swept = linalg.sweep_count()
     results = acceptance.run_suite()
     assert all(r.passed for r in results)
-    assert len(eigensolves) == 1273
-    assert sum(n <= 2 for n in eigensolves) == 919
+    assert len(eigensolves) == 481
+    assert sum(n <= 2 for n in eigensolves) == 193
+    assert linalg.sweep_count() - swept == 697
 
 
 def test_dynamics_criterion_makes_24_eigensolves(eigensolves):
@@ -49,19 +54,20 @@ def test_evolution_demo_decomposes_the_generator_once(eigensolves):
     assert len(eigensolves) == 102
 
 
-def test_suite_validates_148_operators_and_148_hermiticity_defects():
+def test_suite_validates_48_operators_and_48_hermiticity_defects():
     # 5,988 and 3,344 before library-derived arrays skipped re-validation:
     # trace_distance checked both operands and then its own symmetrised
     # difference again, and every tensor, partial trace, commutator,
     # expectation and rank-one vector re-checked arrays the library built.
     # 253 operators before observable() stopped converting its matrix a
-    # second time.  What is left: observable() (the A^2 probe and five
-    # named ones), the Schmidt embeddings, the observable square and two
-    # public states, each one operator and one Hermiticity check.
+    # second time, 148 before criterion 6 stopped passing its 100 A^2
+    # probes through observable().  What is left: observable() (five named
+    # ones), the Schmidt embeddings, the observable square and two public
+    # states, each one operator and one Hermiticity check.
     before = linalg.validation_count()
     acceptance.run_suite()
     operators, hermiticity = (b - a for a, b in zip(before, linalg.validation_count()))
-    assert (operators, hermiticity) == (148, 148)
+    assert (operators, hermiticity) == (48, 48)
 
 
 def test_validation_count_follows_every_check():
@@ -93,7 +99,7 @@ def test_every_kernel_input_of_a_suite_pass_is_exactly_hermitian(kernel_inputs):
     # input is symmetrised in jacobi_eigh and the library's own callers
     # pass 0.5 * (m + m^dagger), so skipping the check changes no bit.
     acceptance.run_suite()
-    assert len(kernel_inputs) == 1273
+    assert len(kernel_inputs) == 481
     assert all(np.array_equal(a, a.conj().T) for a in kernel_inputs)
 
 

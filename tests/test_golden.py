@@ -14,16 +14,19 @@ Recording is deliberate and rare: after a change that is meant to alter
 a report, rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff.
 
-The pinned last bits depend on the numpy version, on the SIMD loops numpy
-dispatches to and on the OpenBLAS kernel set.  Recording writes all three
-to ``RECORDED_WITH.txt``, and a failing comparison prints them next to
-this process's own.
+The pinned last bits depend on the Python build, whose float and complex
+arithmetic runs the Jacobi kernel up to n = 7 and the closed-form 2x2
+trace distance, on the numpy version, on the SIMD loops numpy dispatches
+to and on the OpenBLAS kernel set.  Recording writes all four to
+``RECORDED_WITH.txt``, and a failing comparison prints them next to this
+process's own.
 """
 
 import contextlib
 import ctypes
 import io
 import os
+import platform
 import shutil
 import sys
 from pathlib import Path
@@ -121,13 +124,14 @@ def _openblas_core() -> str:
 
 
 def _environment() -> str:
-    """numpy version, SIMD tier and OpenBLAS core of this process."""
+    """Python, numpy version, SIMD tier and OpenBLAS core of this process."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as umath
     found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
     return (
+        f"python {platform.python_implementation()} {platform.python_version()}\n"
         f"numpy {np.__version__}\n"
         f"simd baseline {' '.join(umath.__cpu_baseline__)}; dispatched {' '.join(found)}\n"
         f"openblas_core {_openblas_core()}\n"

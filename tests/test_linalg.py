@@ -103,20 +103,12 @@ def test_round_robin_agrees_with_lapack(make):
 
 
 def _sweeps(monkeypatch, h, cyclic_max_dim):
-    """Sweeps of one solve, with the cyclic kernel up to ``cyclic_max_dim``:
-    the kernel tests the off-diagonal norm once before each sweep and once
-    after the last."""
-    tests = []
-    norm = la._offdiag_norm
-
-    def counting(a):
-        tests.append(len(a))
-        return norm(a)
-
-    monkeypatch.setattr(la, "_offdiag_norm", counting)
+    """Sweeps of one solve, with the cyclic kernel up to ``cyclic_max_dim``,
+    read off the library's sweep counter."""
     monkeypatch.setattr(la, "_JACOBI_CYCLIC_MAX_DIM", cyclic_max_dim)
+    before = la.sweep_count()
     la.jacobi_eigh(h, vectors=False)
-    return len(tests) - 1
+    return la.sweep_count() - before
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -288,6 +280,25 @@ def test_jacobi_tests_the_norm_after_its_last_allowed_sweep(monkeypatch):
     h = np.array([[1.0, 2.0], [2.0, 3.0]], dtype=complex)
     values, _ = la.jacobi_eigh(h)
     assert np.abs(values - np.linalg.eigvalsh(h)).max() <= 1e-12 * np.linalg.norm(h)
+
+
+def test_sweep_count_follows_both_kernels(monkeypatch):
+    def swept(h):
+        before = la.sweep_count()
+        la.jacobi_eigh(h)
+        return la.sweep_count() - before
+
+    assert swept(np.eye(1)) == 0
+    assert swept(np.diag([3.0, -1.0, 2.0])) == 0  # converged before any sweep
+    assert swept(np.array([[1.0, 2.0], [2.0, 3.0]])) == 1
+    assert 3 <= swept(random_hermitian(4, seed=7)) <= 6
+    assert 3 <= swept(random_hermitian(16, seed=7)) <= 12  # round robin
+    # A solve that gives up has made every sweep it was allowed.
+    monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 2)
+    before = la.sweep_count()
+    with pytest.raises(la.ConvergenceError, match="after 2 sweeps"):
+        la.jacobi_eigh(random_hermitian(6, seed=7))
+    assert la.sweep_count() - before == 2
 
 
 _PUBLIC_CHECKS = {
