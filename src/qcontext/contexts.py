@@ -5,12 +5,14 @@ measurement (without reading the outcome) replaces the state W by
 
     W_A = sum_i P_i W P_i
 
-over the observable's spectral projectors.  The conditioned state is
-diagonal in the measurement basis, reproduces every statistic of
-observables compatible with A, and generally differs between
-incompatible contexts.  The routines here compute that conditioning, the
-conditions under which the conditioned state faithfully represents the
-original one, and the Boolean structure a single context carries.
+over the observable's spectral projectors, formed one level at a time
+from its eigenvectors (``SpectralDecomposition.levels``).  The
+conditioned state is diagonal in the measurement basis, reproduces
+every statistic of observables compatible with A, and generally differs
+between incompatible contexts.  The routines here compute that
+conditioning, the conditions under which the conditioned state
+faithfully represents the original one, and the Boolean structure a
+single context carries.
 """
 
 from __future__ import annotations
@@ -65,10 +67,7 @@ class Observable:
             raise ValueError(
                 f"observable {self.label!r} is degenerate; no unique eigenbasis"
             )
-        return [
-            (a, la._rank_one_vector(p))
-            for a, p in zip(self.spectrum.eigenvalues, self.spectrum.projectors)
-        ]
+        return [(a, la._rank_one_vector(p)) for a, p in self.spectrum.levels()]
 
 
 def observable(matrix, label: str = "") -> Observable:
@@ -138,7 +137,7 @@ def luders_nonselective(ctx: MeasurementContext) -> ContextualState:
     w = ctx.initial_state.matrix
     out = np.zeros_like(w)
     probabilities: dict[float, float] = {}
-    for a, p in zip(ctx.observable.spectrum.eigenvalues, ctx.observable.spectrum.projectors):
+    for a, p in ctx.observable.spectrum.levels():
         out += p @ w @ p
         probabilities[a] = float((w @ p).trace().real)
     return ContextualState(
@@ -312,13 +311,13 @@ def boolean_lattice_check(
     probabilities behave additively on a batch of states (a fixed seeded
     batch of twenty when none is supplied).
     """
-    projectors = list(a.spectrum.projectors)
-    k = len(projectors)
+    k = len(a.spectrum.eigenvalues)
     if k > _LATTICE_MAX_LEVELS:
         raise DimensionError(
             f"lattice expansion supports at most {_LATTICE_MAX_LEVELS} distinct "
             f"eigenvalues, observable has {k}"
         )
+    projectors = a.spectrum.projectors
     dim = a.dim
     defect = 0.0
 

@@ -341,10 +341,7 @@ def value_dependence_demo(
         )
 
     def distribution(state: DensityOperator) -> dict[float, float]:
-        return {
-            value: float(np.trace(state.matrix @ p).real)
-            for value, p in zip(a.spectrum.eigenvalues, a.spectrum.projectors)
-        }
+        return {value: float(np.trace(state.matrix @ p).real) for value, p in a.spectrum.levels()}
 
     after_b_state = sequential_luders(rho, [b])
     after_c_state = sequential_luders(rho, [c])

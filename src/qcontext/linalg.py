@@ -7,7 +7,9 @@ Hermitian matrices are diagonalised by Jacobi rotations (in cyclic order
 on Python complex scalars up to dimension 7, in round-robin order, a
 round of disjoint pairs at a time on numpy arrays, above), phases of
 eigenvectors are fixed by an explicit convention, and matrix functions
-are evaluated through the spectral resolution rather than series.
+are evaluated through the spectral resolution rather than series.  A
+spectral resolution keeps its eigenvectors and forms a level's projector
+only when the level is read.
 """
 
 from __future__ import annotations
@@ -170,6 +172,8 @@ def _partial_trace(a: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarra
     The dimensions and ``keep`` are still checked: they may come from
     outside.
     """
+    if len(dims) != 2:
+        raise DimensionError(f"dims must be a pair (d1, d2), got {dims!r}")
     d1, d2 = int(dims[0]), int(dims[1])
     if d1 < 1 or d2 < 1 or d1 * d2 != a.shape[0]:
         raise DimensionError(
@@ -505,14 +509,30 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     one, so a matrix that converges in sweep ``_JACOBI_MAX_SWEEPS`` is
     solved; ``ConvergenceError`` names the norm that was too large.  Every
     sweep is added to ``sweep_count()``.
+
+    An entry above 2^500 could overflow the squares in the norms: such a
+    matrix is solved divided by a power of two (exactly) and its eigenvalues
+    scaled back; one beyond the float range raises ``ValueError``.
     """
-    global _eigensolves, _sweeps
+    global _eigensolves
     _eigensolves += 1
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), (np.eye(1, dtype=complex) if vectors else None)
-    if n <= _JACOBI_CYCLIC_MAX_DIM:
-        return _cyclic_eigh(a, vectors)
+    kernel = _cyclic_eigh if n <= _JACOBI_CYCLIC_MAX_DIM else _round_robin_eigh
+    if np.abs(a).max() <= 2.0**500:
+        return kernel(a, vectors)
+    k = max(math.frexp(float(np.abs(x).max()))[1] for x in (a.real, a.imag))
+    eigenvalues, v = kernel(a * 2.0**-k, vectors)
+    if math.frexp(float(np.abs(eigenvalues).max()))[1] + k > 1024:
+        raise ValueError("an eigenvalue exceeds the float range")
+    return np.ldexp(eigenvalues, k), v
+
+
+def _round_robin_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The round-robin kernel of ``_eigh``, on numpy arrays, for n >= 2."""
+    global _sweeps
+    n = a.shape[0]
     dv = np.zeros((2 * n if vectors else n, n), dtype=complex)
     dv[:n] = a
     if vectors:
@@ -543,17 +563,31 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
 class SpectralDecomposition:
     """Spectral resolution H = sum_i a_i P_i with distinct eigenvalues.
 
-    ``eigenvalues`` ascend; ``projectors[i]`` projects onto the full
-    eigenspace of ``eigenvalues[i]`` (rank given by ``multiplicities[i]``).
+    ``eigenvalues`` ascend; level i's eigenvectors are the next ``multiplicities[i]``
+    columns of the read-only ``vectors``.  ``projectors`` and ``levels()``
+    form each projector anew when read, ``levels()`` one at a time.
     """
 
     eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...] = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
     multiplicities: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.vectors.shape[0]
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        return tuple(p for _, p in self.levels())
+
+    def levels(self):
+        """Yield ``(a_i, P_i)``, P_i the symmetrised V V^dagger of its columns V."""
+        start = 0
+        for a, m in zip(self.eigenvalues, self.multiplicities):
+            block = self.vectors[:, start : start + m]
+            p = block @ block.conj().T
+            yield a, 0.5 * (p + p.conj().T)
+            start += m
 
     def reconstruct(self) -> np.ndarray:
         """Reassemble sum_i a_i P_i."""
@@ -562,7 +596,7 @@ class SpectralDecomposition:
     def apply_function(self, f) -> np.ndarray:
         """Evaluate f(H) = sum_i f(a_i) P_i."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for a, p in zip(self.eigenvalues, self.projectors):
+        for a, p in self.levels():
             out += f(a) * p
         return out
 
@@ -570,19 +604,18 @@ class SpectralDecomposition:
     def from_eigenpairs(
         cls, eigenvalues: np.ndarray, vectors: np.ndarray
     ) -> "SpectralDecomposition":
-        """Levels and projectors of known eigenpairs; nothing is solved.
+        """Levels of known eigenpairs; nothing is solved.
 
         ``eigenvalues`` ascend and ``vectors[:, i]`` is a unit eigenvector
         of ``eigenvalues[i]``, the columns orthonormal.  A run of
         eigenvalues each within ``EIGENVALUE_MERGE_TOL`` of the one before
-        is one level, its projector the symmetrised ``V V^dagger`` of the
-        run's columns.  The eigenpairs are not checked.
+        is one level.  The eigenpairs are not checked; ``vectors`` is
+        copied, memory layout kept, so later writes to it change nothing.
         """
         # The same doubles as Python floats: the gap tests and singleton
         # levels below then skip numpy's scalar dispatch.
         values = eigenvalues.tolist()
         levels: list[float] = []
-        projectors: list[np.ndarray] = []
         multiplicities: list[int] = []
         i = 0
         n = len(values)
@@ -590,20 +623,14 @@ class SpectralDecomposition:
             j = i + 1
             while j < n and values[j] - values[j - 1] <= EIGENVALUE_MERGE_TOL:
                 j += 1
-            block = vectors[:, i:j]
-            p = block @ block.conj().T
-            p = 0.5 * (p + p.conj().T)
             # np.mean of one value sums it onto 0.0 and divides by 1, so the
             # value itself comes back, except that -0.0 becomes 0.0.
             levels.append(values[i] + 0.0 if j == i + 1 else float(np.mean(eigenvalues[i:j])))
-            projectors.append(p)
             multiplicities.append(j - i)
             i = j
-        return cls(
-            eigenvalues=tuple(levels),
-            projectors=tuple(projectors),
-            multiplicities=tuple(multiplicities),
-        )
+        snapshot = np.copy(vectors)  # order "K": the layout, so the product bits, kept
+        snapshot.flags.writeable = False
+        return cls(tuple(levels), snapshot, tuple(multiplicities))
 
 
 def spectral_decompose(h) -> SpectralDecomposition:

@@ -83,10 +83,6 @@ class PureState:
     def to_density(self) -> "DensityOperator":
         return DensityOperator._derived(self.projector())
 
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -135,17 +131,8 @@ class DensityOperator:
     def is_pure(self) -> bool:
         return abs(self.purity() - 1.0) < PURITY_TOL
 
-    def expectation(self, observable_matrix) -> float:
-        """Tr(W A) for a Hermitian A."""
-        a = la.require_hermitian(observable_matrix)
-        if a.shape[0] != self.dim:
-            raise DimensionError(
-                f"observable dimension {a.shape[0]} does not match state {self.dim}"
-            )
-        return self._expectation(a)
-
     def _expectation(self, a: np.ndarray) -> float:
-        """``expectation`` of a validated Hermitian matrix of this dimension; unchecked."""
+        """Tr(W A) for a Hermitian A of this dimension the library validated; unchecked."""
         return float(np.trace(self.matrix @ a).real)
 
 

@@ -27,6 +27,7 @@ arithmetic differs from the library's, so tests hold the two to stated
 bounds, not to equal bytes.
 """
 
+import collections
 import itertools
 import math
 
@@ -40,7 +41,6 @@ from qcontext.linalg import (
     MAX_DIM,
     ConvergenceError,
     DimensionError,
-    SpectralDecomposition,
     as_operator,
     dagger,
     jacobi_eigh as library_jacobi_eigh,
@@ -78,6 +78,10 @@ def fix_column_phases(v):
     return out
 
 
+# The oracle's own record: every projector formed and kept.
+Spectrum = collections.namedtuple("Spectrum", "eigenvalues projectors multiplicities")
+
+
 def spectral_decompose(h, merge_tol: float = EIGENVALUE_MERGE_TOL):
     """Levels as ``np.mean`` of each run of close eigenvalues, library solver."""
     eigenvalues, vectors = library_jacobi_eigh(h)
@@ -95,11 +99,7 @@ def spectral_decompose(h, merge_tol: float = EIGENVALUE_MERGE_TOL):
         projectors.append(p)
         multiplicities.append(j - i)
         i = j
-    return SpectralDecomposition(
-        eigenvalues=tuple(levels),
-        projectors=tuple(projectors),
-        multiplicities=tuple(multiplicities),
-    )
+    return Spectrum(tuple(levels), tuple(projectors), tuple(multiplicities))
 
 
 def _rotation(d, p, q, cutoff):

@@ -5,13 +5,18 @@ independent oracle; everything downstream relies on it, so it gets the
 densest coverage.
 """
 
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 import qcontext.linalg as la
-from qcontext.sampling import random_unitary
+from qcontext.contexts import context, luders_nonselective, observable
+from qcontext.sampling import random_density, random_nondegenerate_observable, random_unitary
 
 
 def random_hermitian(dim, seed):
@@ -338,6 +343,36 @@ def test_jacobi_solves_the_hermitian_part_of_a_nearly_hermitian_input():
     assert h[0, 1] == 1e-10 and h[1, 0] == 0.0  # the input is not written
 
 
+@pytest.mark.parametrize("n", [2, 8])
+def test_jacobi_solves_entries_whose_squares_overflow(n):
+    # Squares of 1e160 overflow, so the Frobenius scale would be inf and no
+    # rotation would run: the kernel solves the matrix divided by a power
+    # of two and multiplies the eigenvalues back.
+    base = np.array([[1.0, 1.0], [1.0, -1.0]]) if n == 2 else random_hermitian(8, seed=52)
+    h = 1e160 * base
+    count = la.eigensolve_count()
+    values, vectors = la.jacobi_eigh(h)
+    assert la.eigensolve_count() == count + 1
+    assert np.all(np.isfinite(values))
+    top = float(np.abs(values).max())
+    assert np.allclose(values, np.linalg.eigvalsh(h), rtol=0.0, atol=1e-12 * top)
+    assert np.max(np.abs(h @ vectors - vectors * values)) < 1e-12 * top
+    assert np.allclose(vectors.conj().T @ vectors, np.eye(n), atol=1e-12)
+    if n == 2:
+        assert values == pytest.approx([-math.sqrt(2.0) * 1e160, math.sqrt(2.0) * 1e160])
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_jacobi_rejects_eigenvalues_beyond_the_float_range(n):
+    # Finite entries whose eigenvalues are not: sqrt(2) * 1.5e308 at n = 2
+    # and 8 * 1e308 for the all-ones matrix at n = 8.
+    h = 1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]]) if n == 2 else np.full((8, 8), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range"):
+            la.jacobi_eigh(h)
+
+
 def test_jacobi_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
@@ -387,6 +422,61 @@ def test_projectors_resolve_identity_and_are_orthogonal():
             assert np.max(np.abs(p @ q - expected)) < 1e-10
 
 
+def test_projectors_are_formed_alike_on_every_read():
+    dec = la.spectral_decompose(la.tensor(random_hermitian(3, seed=10), np.eye(2)))
+    assert dec.multiplicities == (2, 2, 2)
+    first = [p.tobytes() for p in dec.projectors]
+    assert [p.tobytes() for p in dec.projectors] == first
+    assert [p.tobytes() for _, p in dec.levels()] == first
+    assert [a for a, _ in dec.levels()] == list(dec.eigenvalues)
+
+
+def test_from_eigenpairs_keeps_a_snapshot_of_the_vectors():
+    values, vectors = la.jacobi_eigh(random_hermitian(4, seed=11))
+    dec = la.SpectralDecomposition.from_eigenpairs(values, vectors)
+    before = [p.tobytes() for p in dec.projectors]
+    values[:] = 0.0
+    vectors[:] = 0.0
+    assert [p.tobytes() for p in dec.projectors] == before
+    assert not dec.vectors.flags.writeable
+    # The sampled observable hands its eigenvector matrix to the caller.
+    obs, _, u = random_nondegenerate_observable(3, np.random.default_rng(12))
+    before = [p.tobytes() for p in obs.spectrum.projectors]
+    u[:] = 0.0
+    assert [p.tobytes() for p in obs.spectrum.projectors] == before
+
+
+def _traced(call):
+    """``call()``, with the bytes tracemalloc saw kept after it and at peak."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    tracemalloc.start()
+    try:
+        out = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
+
+
+def test_d64_decomposition_keeps_eigenvectors_not_projectors():
+    # 64 dense projectors would keep 4 MB; the eigenvector matrix is 64 KB.
+    h = random_hermitian(64, seed=64)
+    la.spectral_decompose(h)  # the round-robin schedule is cached on first use
+    dec, kept, _ = _traced(lambda: la.spectral_decompose(h))
+    assert dec.multiplicities == (1,) * 64
+    assert kept <= 0.25 * 2**20
+
+
+def test_d64_luders_sum_holds_one_projector_at_a_time():
+    # Solve, condition and check, as one d = 64 Luders call from a matrix.
+    rho = random_density(64, np.random.default_rng(65))
+    h = random_hermitian(64, seed=66)
+    conditioned, _, peak = _traced(lambda: luders_nonselective(context(rho, observable(h))))
+    assert conditioned.context.observable.non_degenerate
+    assert peak <= 2**20
+
+
 def test_apply_function_exponential_matches_series():
     h = random_hermitian(4, seed=9)
     dec = la.spectral_decompose(h)
@@ -425,6 +515,12 @@ def test_partial_trace_preserves_trace():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(la.DimensionError):
         la.partial_trace(np.eye(5, dtype=complex), (2, 3), keep=1)
+
+
+@pytest.mark.parametrize("dims", [(4,), (2, 2, 1), ()])
+def test_partial_trace_rejects_dims_that_are_not_a_pair(dims):
+    with pytest.raises(la.DimensionError, match="pair"):
+        la.partial_trace(np.eye(4, dtype=complex), dims, 1)
 
 
 def test_tensor_associativity_with_three_factors():
