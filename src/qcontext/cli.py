@@ -394,14 +394,14 @@ def cmd_correlate(args):
             b = _coplanar_partner(a, theta)
             record = joint_probabilities(rho, a, b)
             rows.append((float(np.degrees(theta)), record))
-            direct = rho._expectation(la._tensor(a.spin_matrix(), b.spin_matrix()))
+            direct = la._trace_product(rho.matrix, la._tensor(a.spin_matrix(), b.spin_matrix()))
             worst_law = max(worst_law, abs(record.expectation - direct))
         io.write_correlation_csv(args.csv, rows)
         results = {"csv": args.csv, "rows": len(rows)}
         return results, [Check.below("expectation_trace_agreement", worst_law, args.tol)]
     b = parse_direction(args.b)
     record = joint_probabilities(rho, a, b)
-    direct = rho._expectation(la._tensor(a.spin_matrix(), b.spin_matrix()))
+    direct = la._trace_product(rho.matrix, la._tensor(a.spin_matrix(), b.spin_matrix()))
     results = {
         "joint": {f"{i:+d},{j:+d}": record.joint[(i, j)] for i in (1, -1) for j in (1, -1)},
         "marginal_1": {f"{i:+d}": record.marginal_1[i] for i in (1, -1)},

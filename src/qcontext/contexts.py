@@ -111,9 +111,7 @@ class ContextualState:
     def __post_init__(self):
         # Both operands were validated (or derived) and their dimensions
         # matched by the context, so [W_A, A] is formed directly.
-        w = self.state.matrix
-        a = self.context.observable.matrix
-        defect = float(np.abs(w @ a - a @ w).max())
+        defect = la._commutator_defect(self.state.matrix, self.context.observable.matrix)
         if defect >= CONTEXT_COMMUTE_TOL:
             raise ValueError(
                 f"conditioned state fails to commute with its observable "
@@ -138,8 +136,8 @@ def luders_nonselective(ctx: MeasurementContext) -> ContextualState:
     out = np.zeros_like(w)
     probabilities: dict[float, float] = {}
     for a, p in ctx.observable.spectrum.levels():
-        out += p @ w @ p
-        probabilities[a] = float((w @ p).trace().real)
+        out += la._sandwich(p, w)
+        probabilities[a] = la._trace_product(w, p)
     return ContextualState(
         state=DensityOperator._derived(out),
         context=ctx,
@@ -177,6 +175,10 @@ class RepresentativenessReport:
 def check_representative(cs: ContextualState) -> RepresentativenessReport:
     """Verify the faithfulness conditions for a conditioned state.
 
+    Every support vector carries amplitude above ``SUPPORT_TOL`` by
+    construction, so the support condition is that the support is not
+    empty; for a unit state it never is.
+
     Raises
     ------
     ValueError
@@ -210,11 +212,10 @@ def check_representative(cs: ContextualState) -> RepresentativenessReport:
         abs(np.vdot(u, v)) < REPRESENTATIVE_TOL
         for (_, u), (_, v) in itertools.combinations(support, 2)
     )
-    supportcond = all(abs(np.vdot(vec, psi)) > SUPPORT_TOL for _, vec in support)
     return RepresentativenessReport(
         eigenvector_condition=eigencond,
         orthogonality_condition=orthocond,
-        support_condition=supportcond,
+        support_condition=bool(support),
         support_eigenvalues=tuple(value for value, _ in support),
         excluded_eigenvalues=tuple(excluded),
     )
@@ -248,8 +249,8 @@ def statistical_equivalence(
             f"probe dimension {b.dim} does not match context {ctx.observable.dim}"
         )
     # Observable matrices were validated when built; the dimensions match.
-    before = ctx.initial_state._expectation(b.matrix)
-    after = luders_nonselective(ctx).state._expectation(b.matrix)
+    before = la._trace_product(ctx.initial_state.matrix, b.matrix)
+    after = la._trace_product(luders_nonselective(ctx).state.matrix, b.matrix)
     return EquivalenceResult(expectation_initial=before, expectation_conditioned=after)
 
 
@@ -321,20 +322,6 @@ def boolean_lattice_check(
     dim = a.dim
     defect = 0.0
 
-    orthogonal = True
-    for i in range(k):
-        for j in range(k):
-            prod = projectors[i] @ projectors[j]
-            target = projectors[i] if i == j else np.zeros_like(prod)
-            err = float(np.abs(prod - target).max())
-            defect = max(defect, err)
-            if err >= tol:
-                orthogonal = False
-    total = sum(projectors)
-    err = float(np.abs(total - np.eye(dim)).max())
-    defect = max(defect, err)
-    complete = err < tol
-
     # Subset s holds projector i when bit k-1-i is set, so s = 0, 1, ...
     # is itertools.product((0, 1), repeat=k) order.  Meet, join and
     # complement are s & t, s | t and full ^ s.  Each element sums its
@@ -342,25 +329,33 @@ def boolean_lattice_check(
     # its last projector, plus that projector.
     full = (1 << k) - 1
     index = np.arange(full + 1)
+    atoms = [1 << (k - 1 - j) for j in range(k)]
     elements = np.zeros((full + 1, dim, dim), dtype=complex)
     for s in range(1, full + 1):
         elements[s] = elements[s & (s - 1)] + projectors[k - (s & -s).bit_length()]
 
-    meet_ok = join_ok = True
+    # Orthogonality is read off the meet table's atom rows and columns,
+    # P_i P_j; completeness off row 0 of the complement table, I - sum P_i.
+    orthogonal = meet_ok = join_ok = True
     for s in range(full + 1):
         meets = elements[s] @ elements
-        err = float(np.abs(meets - elements[s & index]).max())
+        gaps = np.abs(meets - elements[s & index])
+        err = float(gaps.max())
         defect = max(defect, err)
         if err >= tol:
             meet_ok = False
+        if s in atoms and gaps[atoms].max() >= tol:
+            orthogonal = False
         joins = elements[s] + elements - meets
         err = float(np.abs(joins - elements[s | index]).max())
         defect = max(defect, err)
         if err >= tol:
             join_ok = False
-    err = float(np.abs((np.eye(dim) - elements) - elements[full ^ index]).max())
+    gaps = np.abs((np.eye(dim) - elements) - elements[full ^ index]).max(axis=(1, 2))
+    err = float(gaps.max())
     defect = max(defect, err)
     complement_ok = err < tol
+    complete = bool(gaps[0] < tol)
 
     if states is None:
         # Imported here because sampling imports this module.
@@ -370,7 +365,6 @@ def boolean_lattice_check(
         states = [random_density(dim, rng) for _ in range(20)]
     s_idx, t_idx = np.nonzero(index[:, None] & index[None, :] == 0)
     u_idx = s_idx | t_idx
-    atoms = [1 << (k - 1 - j) for j in range(k)]
     probs_ok = True
     for rho in states:
         # One stacked product a state: each element's matmul and diagonal

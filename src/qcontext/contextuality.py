@@ -85,7 +85,7 @@ class ValueAssignmentProblem:
                 raise ValueError(f"context {ctx!r} references unknown observables")
             for i, j in itertools.combinations(ctx, 2):
                 # validated above, one dimension: [A, B] needs no re-check
-                defect = float(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]).max())
+                defect = la._commutator_defect(mats[i], mats[j])
                 if defect >= CONSTRAINT_TOL:
                     raise ValueError(
                         f"context {ctx!r}: {self.labels[i]!r} and "
@@ -328,20 +328,21 @@ def value_dependence_demo(
     measurement) and the prepared states themselves.
     """
     rho = as_density(w)
+    if not a.dim == b.dim == c.dim:
+        raise la.DimensionError(f"commutators need equal dimensions, got {a.dim}, {b.dim}, {c.dim}")
     for label, first, second in (("A,B", a, b), ("A,C", a, c)):
-        defect = float(np.abs(la.commutator(first.matrix, second.matrix)).max())
+        defect = la._commutator_defect(first.matrix, second.matrix)
         if defect >= tol:
             raise ValueError(
                 f"[{label}] must vanish, max entry {defect:.3e}"
             )
-    bc = float(np.abs(la.commutator(b.matrix, c.matrix)).max())
-    if bc < tol:
+    if la._commutator_defect(b.matrix, c.matrix) < tol:
         raise ValueError(
             "B and C commute; the comparison needs incompatible partners"
         )
 
     def distribution(state: DensityOperator) -> dict[float, float]:
-        return {value: float(np.trace(state.matrix @ p).real) for value, p in a.spectrum.levels()}
+        return {value: la._trace_product(state.matrix, p) for value, p in a.spectrum.levels()}
 
     after_b_state = sequential_luders(rho, [b])
     after_c_state = sequential_luders(rho, [c])

@@ -258,11 +258,11 @@ def no_signalling_check(w, settings: list[Direction], b: Direction) -> float:
         conditioned = np.zeros((4, 4), dtype=complex)
         for p in pa.values():
             big = la._tensor(p, eye)
-            conditioned += big @ rho.matrix @ big
+            conditioned += la._sandwich(big, rho.matrix)
         r2 = la._partial_trace(conditioned, (2, 2), keep=2)
         reduced.append(r2)
         margins.append(
-            {j: float(np.trace(r2 @ qb[j]).real) for j in OUTCOMES}
+            {j: la._trace_product(r2, qb[j]) for j in OUTCOMES}
         )
     worst = 0.0
     for i in range(len(settings)):

@@ -10,6 +10,11 @@ eigenvectors are fixed by an explicit convention, and matrix functions
 are evaluated through the spectral resolution rather than series.  A
 spectral resolution keeps its eigenvectors and forms a level's projector
 only when the level is read.
+
+Four products the other modules share are written out once, here, as
+private unchecked kernels (``_hermitian_part``, ``_trace_product``,
+``_sandwich``, ``_commutator_defect``), so the BLAS and SIMD bits each
+puts into a report can be attributed, or its body swapped, in one place.
 """
 
 from __future__ import annotations
@@ -100,6 +105,26 @@ def validation_count() -> tuple[int, int]:
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(M + M^dagger) / 2`` of a square complex array; unchecked."""
+    return 0.5 * (m + m.conj().T)
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """``Re Tr(A B)`` of two square arrays of one dimension; unchecked."""
+    return float(np.trace(a @ b).real)
+
+
+def _sandwich(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``P W P``, the product taken left to right; unchecked."""
+    return p @ w @ p
+
+
+def _commutator_defect(a: np.ndarray, b: np.ndarray) -> float:
+    """Max-entry magnitude of ``AB - BA`` for two arrays of one dimension; unchecked."""
+    return float(np.abs(a @ b - b @ a).max())
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -468,7 +493,7 @@ def _hermitian_input(h) -> tuple[np.ndarray, np.ndarray]:
     Hermitian part ``(H + H^dagger)/2`` otherwise.
     """
     a, defect = _checked_hermitian(h)
-    return a, (0.5 * (a + a.conj().T) if defect else a)
+    return a, (_hermitian_part(a) if defect else a)
 
 
 def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -585,8 +610,7 @@ class SpectralDecomposition:
         start = 0
         for a, m in zip(self.eigenvalues, self.multiplicities):
             block = self.vectors[:, start : start + m]
-            p = block @ block.conj().T
-            yield a, 0.5 * (p + p.conj().T)
+            yield a, _hermitian_part(block @ block.conj().T)
             start += m
 
     def reconstruct(self) -> np.ndarray:
@@ -692,8 +716,7 @@ def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     + |z|^2)``, so half the sum of their magnitudes is the larger of
     ``|x + y|/2`` (both of one sign) and that square root (opposite signs).
     """
-    diff = a - b
-    diff = 0.5 * (diff + dagger(diff))
+    diff = _hermitian_part(a - b)
     if diff.shape[0] == 2:
         (x, z), (_, y) = diff.tolist()
         x = x.real

@@ -179,7 +179,7 @@ def reconstruct(stats: MeasurementStatistics, m: MubSet) -> DensityOperator:
             raw += p * np.outer(v, v.conj())
     # Exactly Hermitian, and finite from validated tables and bases: the
     # kernel needs no check.
-    raw = 0.5 * (raw + la.dagger(raw))
+    raw = la._hermitian_part(raw)
     eigenvalues, vectors = la._eigh(raw, True)
     clipped = np.clip(eigenvalues, 0.0, None)
     total = float(clipped.sum())

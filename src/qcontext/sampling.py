@@ -36,7 +36,7 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (g + g.conj().T)
+    return la._hermitian_part(g)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -61,7 +61,7 @@ def random_nondegenerate_observable(
     u = random_unitary(dim, rng)
     values = np.arange(1.0, dim + 1.0)
     m = (u * values) @ la.dagger(u)
-    m = 0.5 * (m + la.dagger(m))
+    m = la._hermitian_part(m)
     spectrum = la.SpectralDecomposition.from_eigenpairs(values, u)
     return Observable(matrix=m, spectrum=spectrum, label=label), values, u
 

@@ -126,14 +126,10 @@ class DensityOperator:
 
     def purity(self) -> float:
         """Tr(W^2); equals 1 exactly for pure states."""
-        return float(np.trace(self.matrix @ self.matrix).real)
+        return la._trace_product(self.matrix, self.matrix)
 
     def is_pure(self) -> bool:
         return abs(self.purity() - 1.0) < PURITY_TOL
-
-    def _expectation(self, a: np.ndarray) -> float:
-        """Tr(W A) for a Hermitian A of this dimension the library validated; unchecked."""
-        return float(np.trace(self.matrix @ a).real)
 
 
 def _require_positive(m: np.ndarray) -> None:
@@ -152,7 +148,7 @@ def _require_positive(m: np.ndarray) -> None:
     # Entries near 1e308 overflow in the sum; jacobi_eigh rejects the
     # resulting inf without numpy warning on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
-        h = 0.5 * (m + m.conj().T)
+        h = la._hermitian_part(m)
         shifted = h + (0.5 * POSITIVITY_TOL) * np.eye(h.shape[0])
     try:
         if np.isfinite(np.linalg.cholesky(shifted)).all():
@@ -329,7 +325,7 @@ def total_spin_squared(w) -> float:
     rho = as_density(w)
     if rho.dim != 4:
         raise DimensionError(f"total spin is defined for dimension 4, got {rho.dim}")
-    return rho._expectation(total_spin_squared_matrix())
+    return la._trace_product(rho.matrix, total_spin_squared_matrix())
 
 
 def is_noninteracting(h, dims: tuple[int, int]):

@@ -1,0 +1,295 @@
+"""Boundary errors of the public entry points, one row per raise.
+
+Each row names a call that must fail, the exception type it raises and a
+fragment of its message.  The rows reach raises that no other test
+reaches, or only a hypothesis draw does; ``coverage_ratchet.py`` keeps
+them reached.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qcontext.linalg as la
+from qcontext import cli, io
+from qcontext.contexts import (
+    boolean_lattice_check,
+    context,
+    observable,
+    statistical_equivalence,
+)
+from qcontext.contextuality import (
+    ValueAssignmentProblem,
+    mermin_peres_square,
+    search_noncontextual_assignment,
+    value_dependence_demo,
+)
+from qcontext.correlations import (
+    CorrelationRecord,
+    Direction,
+    conditional_remote_state,
+    joint_probabilities,
+    outcome_dependence,
+)
+from qcontext.mub import MeasurementStatistics, MubSet, mub_qubit, reconstruct
+from qcontext.states import (
+    PureState,
+    as_density,
+    entangling_evolution_demo,
+    evolve_pure_state,
+    is_noninteracting,
+    make_singlet,
+    product_basis_state,
+    total_spin_squared,
+)
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+Z = Direction(0.0, 0.0, 1.0)
+E0 = np.array([1.0, 0.0], dtype=complex)
+E1 = np.array([0.0, 1.0], dtype=complex)
+
+
+def _problem(observables=(la.SIGMA_Z,), labels=("Z",), contexts=(), signs=()):
+    return ValueAssignmentProblem(
+        observables=observables, labels=labels, contexts=contexts, signs=signs
+    )
+
+
+def _qubit_statistics(tables=((1.0, 0.0), (0.5, 0.5), (0.5, 0.5)), dim=2):
+    return MeasurementStatistics(dim=dim, tables=tables)
+
+
+BOUNDARIES = {
+    # contexts
+    "value_dependence_unequal_dimensions": (
+        lambda: value_dependence_demo(
+            np.eye(2) / 2, observable(la.SIGMA_Z), observable(la.SIGMA_Z),
+            observable(la.tensor(la.SIGMA_X, la.SIGMA_X)),
+        ),
+        la.DimensionError, "equal dimensions",
+    ),
+    "equivalence_probe_dimension": (
+        lambda: statistical_equivalence(
+            context(E0, observable(la.SIGMA_Z)),
+            probe=observable(la.tensor(la.SIGMA_Z, la.SIGMA_Z)),
+        ),
+        la.DimensionError, "probe dimension 4",
+    ),
+    "lattice_nine_levels": (
+        lambda: boolean_lattice_check(observable(np.diag(np.arange(9.0)))),
+        la.DimensionError, "at most 8 distinct eigenvalues, observable has 9",
+    ),
+    "eigenbasis_degenerate": (
+        lambda: observable(np.eye(2), label="I").eigenbasis(),
+        ValueError, "'I' is degenerate",
+    ),
+    # contextuality
+    "problem_label_count": (
+        lambda: _problem(labels=("Z", "X")), ValueError, "1 observables but 2 labels",
+    ),
+    "problem_sign_count": (
+        lambda: _problem(contexts=((0,),)), ValueError, "1 contexts but 0 signs",
+    ),
+    "problem_sign_value": (
+        lambda: _problem(contexts=((0,),), signs=(2,)), ValueError, "sign must be +-1, got 2",
+    ),
+    "problem_unknown_observable": (
+        lambda: _problem(contexts=((0, 5),), signs=(1,)),
+        ValueError, "references unknown observables",
+    ),
+    "problem_dimensions": (
+        lambda: _problem(
+            observables=(la.SIGMA_Z, la.tensor(la.SIGMA_Z, la.SIGMA_Z)), labels=("Z", "ZZ")
+        ),
+        la.DimensionError, "different spaces",
+    ),
+    "problem_without_missing_context": (
+        lambda: mermin_peres_square().without_context(99),
+        ValueError, "no context with index 99",
+    ),
+    "search_above_cap": (
+        lambda: search_noncontextual_assignment(
+            _problem(observables=(np.eye(1),) * 21, labels=tuple(map(str, range(21))))
+        ),
+        ValueError, "2^21 exceeds the 2^20 cap",
+    ),
+    # correlations
+    "direction_zero": (
+        lambda: Direction.normalized(0.0, 0.0, 0.0), ValueError, "zero vector",
+    ),
+    "remote_state_outcome": (
+        lambda: conditional_remote_state(make_singlet(), Z, 0),
+        ValueError, "outcome must be +1 or -1, got 0",
+    ),
+    "remote_state_dimension": (
+        lambda: conditional_remote_state(PureState(E0), Z, 1),
+        la.DimensionError, "needs dimension 4, got 2",
+    ),
+    "outcome_dependence_impossible_condition": (
+        lambda: outcome_dependence(product_basis_state(0, 0), Direction(0.0, 0.0, -1.0), Z),
+        ValueError, "conditional is undefined",
+    ),
+    "correlation_expectation_above_one": (
+        # Each entry and the sum pass within their tolerances, the
+        # expectation 1 + 1.8e-9 does not.
+        lambda: CorrelationRecord(
+            Z, Z, {(1, 1): 1 + 0.9e-9, (1, -1): -0.45e-9, (-1, 1): -0.45e-9, (-1, -1): 0.0}
+        ),
+        ValueError, "outside [-1, 1]",
+    ),
+    "pair_state_dimension": (
+        lambda: joint_probabilities(PureState(E0), Z, Z),
+        la.DimensionError, "pair correlations need dimension 4, got 2",
+    ),
+    # cli and io
+    "direction_not_a_triple": (
+        lambda: cli.parse_direction("1,2"), cli.InputError, "must be an axis name",
+    ),
+    "direction_non_numeric": (
+        lambda: cli.parse_direction("1,a,0"), cli.InputError, "has non-numeric components",
+    ),
+    "direction_bad_angle": (
+        lambda: cli.parse_direction("deg:x"), cli.InputError, "bad angle in 'deg:x'",
+    ),
+    "product_state_bad": (
+        lambda: cli.parse_state("product:a,b"), cli.InputError, "bad product state",
+    ),
+    "state_file_not_json": (
+        lambda: cli.parse_state(__file__), cli.InputError, "is not valid JSON",
+    ),
+    "vector_size_mismatch": (
+        lambda: io.vector_from_json({"dim": 2, "re": [1.0], "im": [0.0]}),
+        ValueError, "dimension 2 needs 2 entries, got 1 re / 1 im",
+    ),
+    "matrix_size_mismatch": (
+        lambda: io.matrix_from_json({"dim": 2, "re": [1.0], "im": [0.0]}),
+        ValueError, "dimension 2 needs 4 entries, got 1 re / 1 im",
+    ),
+    "state_file_entry_count": (
+        lambda: io.load_state_json({"dim": 2, "re": [1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0]}),
+        ValueError, "must carry 2 (vector) or 4 (matrix) entries, got 3",
+    ),
+    # linalg
+    "partial_trace_keep": (
+        lambda: la.partial_trace(np.eye(4), (2, 2), keep=3), ValueError, "keep must be 1 or 2",
+    ),
+    "commutator_dimensions": (
+        lambda: la.commutator(np.eye(2), np.eye(3)), la.DimensionError, "got 2 and 3",
+    ),
+    "trace_distance_dimensions": (
+        lambda: la.trace_distance(np.eye(2) / 2, np.eye(3) / 3),
+        la.DimensionError, "got 2 and 3",
+    ),
+    "rank_one_vector_of_zero": (
+        lambda: la.rank_one_vector(np.zeros((2, 2))), ValueError, "no positive diagonal",
+    ),
+    # mub
+    "mub_basis_size": (
+        lambda: MubSet(dim=2, bases=((E0,),)), la.DimensionError, "has 1 vectors, expected 2",
+    ),
+    "mub_vector_size": (
+        lambda: MubSet(dim=2, bases=((np.ones(3), np.ones(3)),)),
+        la.DimensionError, "vector has dimension 3",
+    ),
+    "statistics_outside_unit_interval": (
+        lambda: _qubit_statistics(tables=((1.5, -0.5),)), ValueError, "outside [0, 1]",
+    ),
+    "reconstruct_dimension": (
+        lambda: reconstruct(_qubit_statistics(tables=((1.0, 0.0, 0.0),), dim=3), mub_qubit()),
+        la.DimensionError, "dimension 3 does not match bases 2",
+    ),
+    "reconstruct_incomplete_set": (
+        lambda: reconstruct(_qubit_statistics(), MubSet(dim=2, bases=mub_qubit().bases[:2])),
+        ValueError, "needs 3 mutually unbiased bases, set has 2",
+    ),
+    "reconstruct_table_count": (
+        lambda: reconstruct(_qubit_statistics(tables=((1.0, 0.0),) * 2), mub_qubit()),
+        la.DimensionError, "2 tables for 3 bases",
+    ),
+    # states
+    "pure_state_above_max_dim": (
+        lambda: PureState(np.ones(65) / np.sqrt(65.0)), la.DimensionError, "dimension 65",
+    ),
+    "noninteracting_dims": (
+        lambda: is_noninteracting(np.eye(4), (2, 3)),
+        la.DimensionError, "dims 2x3 do not factor operator dimension 4",
+    ),
+    "evolve_dimension": (
+        lambda: evolve_pure_state(np.eye(4), 1.0, E0),
+        la.DimensionError, "generator dimension 4 does not match state 2",
+    ),
+    "total_spin_dimension": (
+        lambda: total_spin_squared(np.eye(2) / 2), la.DimensionError, "dimension 4, got 2",
+    ),
+    "evolution_demo_no_steps": (
+        lambda: entangling_evolution_demo(1.0, 0.5, steps=0), ValueError, "steps must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARIES))
+def test_boundary_raises(name):
+    call, error, fragment = BOUNDARIES[name]
+    with pytest.raises(error) as caught:
+        call()
+    assert fragment in str(caught.value)
+
+
+def test_round_robin_kernel_gives_up_after_its_last_allowed_sweep(monkeypatch):
+    monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 1)
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    before = la.sweep_count()
+    with pytest.raises(la.ConvergenceError, match="dimension-8 .* after 1 sweeps"):
+        la.jacobi_eigh(0.5 * (g + g.conj().T))
+    assert la.sweep_count() - before == 1
+
+
+def test_as_density_takes_a_bare_vector():
+    assert np.array_equal(as_density(E1).matrix, np.diag([0.0, 1.0]).astype(complex))
+
+
+def _run(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["schmidt", "--state", str(INPUTS / "rho2.json")], "schmidt needs a pure state vector"),
+        (["schmidt", "--state", str(INPUTS / "pure8.json")], "needs an explicit --dims"),
+        (["schmidt", "--state", "singlet", "--dims", "2x2"], "bad dims '2x2'"),
+        (["remote-state", "--state", "singlet", "--outcome", "0"], "outcome must be +1 or -1"),
+        (["mub-tomography"], "needs --state or --stats"),
+        (
+            ["value-dependence", "--state", "plus", "--observable", "sigma_z"],
+            "exactly three --observable flags",
+        ),
+        (["evolve", "--coupling", "abc"], "expected a number of magnitude at most"),
+    ],
+)
+def test_cli_bad_input_exits_two(capsys, argv, fragment):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["evolve", "--coupling", "0"], "free_second_coefficient"),
+        (
+            ["equivalence", "--state", "plus", "--observable", "sigma_z", "--probe", "sigma_z"],
+            "equivalence_delta",
+        ),
+    ],
+)
+def test_cli_optional_check_runs(capsys, argv, check):
+    code, out, _ = _run(capsys, argv)
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert check in json.dumps(report["checks"])
