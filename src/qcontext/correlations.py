@@ -114,21 +114,13 @@ class CorrelationRecord:
 
     The table is the whole record: the marginals and the expectation are
     read off ``joint``, and the expectation is kept after its first use.
+    A result record of ``joint_probabilities``, built unchecked: that the
+    table is a distribution is asserted in ``tests/test_result_records.py``.
     """
 
     setting_1: Direction
     setting_2: Direction
     joint: dict[tuple[int, int], float] = field(repr=False)
-
-    def __post_init__(self):
-        eps = 1e-9
-        values = list(self.joint.values())
-        if any(p < -eps or p > 1.0 + eps for p in values):
-            raise ValueError("joint probabilities outside [0, 1]")
-        if abs(sum(values) - 1.0) > 1e-10:
-            raise ValueError(f"joint probabilities sum to {sum(values)!r}")
-        if abs(self.expectation) > 1.0 + eps:
-            raise ValueError(f"expectation {self.expectation!r} outside [-1, 1]")
 
     @property
     def marginal_1(self) -> dict[int, float]:

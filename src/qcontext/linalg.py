@@ -19,6 +19,7 @@ puts into a report can be attributed, or its body swapped, in one place.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -151,6 +152,21 @@ def require_hermitian(m) -> np.ndarray:
     return _checked_hermitian(m)[0]
 
 
+@contextlib.contextmanager
+def _float_range(what: str):
+    """Raise ``ValueError`` where numpy would warn that ``what`` overflowed.
+
+    Inside the block numpy's overflow and invalid-value flags raise, so a
+    public entry refuses finite input whose result leaves the float range
+    instead of returning inf or nan.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"{what} leaves the float range") from None
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two operators, ordered subsystem 1 (x) subsystem 2.
 
@@ -165,7 +181,8 @@ def tensor(a, b) -> np.ndarray:
         raise DimensionError(
             f"tensor product dimension {d} exceeds supported maximum {MAX_DIM}"
         )
-    return _tensor(a, b)
+    with _float_range("tensor product"):
+        return _tensor(a, b)
 
 
 def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -692,8 +709,11 @@ def _rank_one_vector(a: np.ndarray) -> np.ndarray:
 
 def evolution_operator(h, t: float) -> np.ndarray:
     """Unitary exp(-i H t) built from the spectral resolution of H."""
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t!r}")
     dec = spectral_decompose(h)
-    return dec.apply_function(lambda a: np.exp(-1j * a * t))
+    with _float_range("exp(-i H t)"):
+        return dec.apply_function(lambda a: np.exp(-1j * a * t))
 
 
 def trace_distance(a, b) -> float:
@@ -704,7 +724,8 @@ def trace_distance(a, b) -> float:
         raise DimensionError(
             f"trace distance needs equal dimensions, got {a.shape[0]} and {b.shape[0]}"
         )
-    return _trace_distance(a, b)
+    with _float_range("trace distance"):
+        return _trace_distance(a, b)
 
 
 def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -69,7 +69,4 @@ def random_nondegenerate_observable(
 def random_direction(rng: np.random.Generator) -> Direction:
     v = rng.standard_normal(3)
     n = la._frobenius_norm(v)
-    while n < 1e-12:
-        v = rng.standard_normal(3)
-        n = la._frobenius_norm(v)
     return Direction(v[0] / n, v[1] / n, v[2] / n)

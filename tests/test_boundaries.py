@@ -27,7 +27,6 @@ from qcontext.contextuality import (
     value_dependence_demo,
 )
 from qcontext.correlations import (
-    CorrelationRecord,
     Direction,
     conditional_remote_state,
     joint_probabilities,
@@ -131,14 +130,6 @@ BOUNDARIES = {
         lambda: outcome_dependence(product_basis_state(0, 0), Direction(0.0, 0.0, -1.0), Z),
         ValueError, "conditional is undefined",
     ),
-    "correlation_expectation_above_one": (
-        # Each entry and the sum pass within their tolerances, the
-        # expectation 1 + 1.8e-9 does not.
-        lambda: CorrelationRecord(
-            Z, Z, {(1, 1): 1 + 0.9e-9, (1, -1): -0.45e-9, (-1, 1): -0.45e-9, (-1, -1): 0.0}
-        ),
-        ValueError, "outside [-1, 1]",
-    ),
     "pair_state_dimension": (
         lambda: joint_probabilities(PureState(E0), Z, Z),
         la.DimensionError, "pair correlations need dimension 4, got 2",
@@ -181,6 +172,22 @@ BOUNDARIES = {
     "trace_distance_dimensions": (
         lambda: la.trace_distance(np.eye(2) / 2, np.eye(3) / 3),
         la.DimensionError, "got 2 and 3",
+    ),
+    "tensor_overflow": (
+        lambda: la.tensor(1e200 * np.eye(2), 1e200 * np.eye(2)),
+        ValueError, "tensor product leaves the float range",
+    ),
+    "trace_distance_overflow": (
+        lambda: la.trace_distance(np.diag([1e308, -1e308]), np.diag([-1e308, 1e308])),
+        ValueError, "trace distance leaves the float range",
+    ),
+    "evolution_operator_overflow": (
+        lambda: la.evolution_operator(2 * la.SIGMA_Z, 1e308),
+        ValueError, "exp(-i H t) leaves the float range",
+    ),
+    "evolution_operator_time_not_finite": (
+        lambda: la.evolution_operator(la.SIGMA_Z, float("nan")),
+        ValueError, "evolution time must be finite, got nan",
     ),
     "rank_one_vector_of_zero": (
         lambda: la.rank_one_vector(np.zeros((2, 2))), ValueError, "no positive diagonal",

@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, report shape, determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -550,6 +551,45 @@ def test_unexpected_exception_exits_three_with_one_error_line(
         rf"{re.escape(message)}\n",
         err,
     )
+
+
+def _failed_checks(out):
+    return {c["name"]: c["measured"] for c in report_of(out)["checks"] if not c["passed"]}
+
+
+def test_conditioning_fault_is_a_failed_check(monkeypatch, capsys):
+    # Result records check nothing themselves, so a wrong derived value
+    # reaches the report with its margin instead of exiting 2 as bad input.
+    import qcontext.contexts as contexts
+
+    luders = contexts.luders_nonselective
+
+    def short_weights(ctx):
+        cs = luders(ctx)
+        weights = {a: 0.9 * p for a, p in cs.outcome_probabilities.items()}
+        return dataclasses.replace(cs, outcome_probabilities=weights)
+
+    # cmd_luders imports luders_nonselective from its module when it runs
+    monkeypatch.setattr(contexts, "luders_nonselective", short_weights)
+    code, out, _ = run(capsys, ["luders", "--state", "plus", "--observable", "sigma_z"])
+    assert code == 1
+    failed = _failed_checks(out)
+    assert list(failed) == ["probabilities_sum_error"]
+    assert failed["probabilities_sum_error"] == pytest.approx(0.1)
+
+
+def test_correlation_fault_is_a_failed_check(monkeypatch, capsys):
+    import qcontext.correlations as correlations
+
+    def out_of_range(rho, a, b):
+        joint = {(1, 1): 1.2, (1, -1): -0.1, (-1, 1): -0.1, (-1, -1): 0.0}
+        return correlations.CorrelationRecord(a, b, joint)
+
+    monkeypatch.setattr(correlations, "joint_probabilities", out_of_range)
+    code, out, _ = run(capsys, ["correlate", "--state", "singlet", "--a", "z", "--b", "z"])
+    assert code == 1
+    failed = _failed_checks(out)
+    assert failed["expectation_in_range"] == pytest.approx(1.4)
 
 
 def test_unwritable_out_path_exits_two(tmp_path, capsys):

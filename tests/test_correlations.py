@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import qcontext.linalg as la
 from qcontext.correlations import (
-    CorrelationRecord,
     Direction,
     chsh,
     chsh_optimal_settings,
@@ -124,18 +123,6 @@ def test_record_marginals_are_consistent_with_joint():
     )
     # computed once and kept on the record
     assert record.expectation is record.expectation
-
-
-def test_record_rejects_a_joint_table_out_of_range_or_not_summing_to_one():
-    z = Direction(0.0, 0.0, 1.0)
-
-    def record(joint):
-        return CorrelationRecord(setting_1=z, setting_2=z, joint=joint)
-
-    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-        record({(1, 1): 1.5, (1, -1): -0.5, (-1, 1): 0.0, (-1, -1): 0.0})
-    with pytest.raises(ValueError, match="sum to"):
-        record({(1, 1): 0.5, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.0})
 
 
 # conditional remote states

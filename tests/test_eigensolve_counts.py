@@ -42,6 +42,22 @@ def test_suite_makes_481_eigensolves_in_697_sweeps(eigensolves):
     assert linalg.sweep_count() - swept == 697
 
 
+def test_suite_forms_33_commutator_defects(monkeypatch):
+    # 438 while every Lüders result re-checked [W_A, A]; the 33 left are
+    # ValueAssignmentProblem's context pairs, 18 for the square and 15
+    # for it without one context.
+    calls = []
+    original = linalg._commutator_defect
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(linalg, "_commutator_defect", counting)
+    acceptance.run_suite()
+    assert len(calls) == 33
+
+
 def test_dynamics_criterion_makes_24_eigensolves(eigensolves):
     # Two demos at 10 steps: one generator and 11 Schmidt embeddings each
     # (44 when every point decomposed the generator again).
