@@ -5,9 +5,10 @@ measurement (without reading the outcome) replaces the state W by
 
     W_A = sum_i P_i W P_i
 
-over the observable's spectral projectors, formed one level at a time
-from its eigenvectors (``SpectralDecomposition.levels``).  The
-conditioned state is diagonal in the measurement basis, reproduces
+over the observable's spectral projectors.  In the observable's
+eigenbasis V that keeps the diagonal blocks of ``V^dagger W V``, one block
+a level, so it is computed there and no projector is formed.  The
+conditioned state is block diagonal in the measurement basis, reproduces
 every statistic of observables compatible with A, and generally differs
 between incompatible contexts.  The routines here compute that
 conditioning, the conditions under which the conditioned state
@@ -56,12 +57,16 @@ class Observable:
         return all(m == 1 for m in self.spectrum.multiplicities)
 
     def eigenbasis(self) -> list[tuple[float, np.ndarray]]:
-        """(eigenvalue, unit vector) pairs; defined only without degeneracy."""
+        """(eigenvalue, unit vector) pairs; defined only without degeneracy.
+
+        The vectors are the spectrum's columns with the eigenvector phase
+        rule applied: largest-magnitude component real positive.
+        """
         if not self.non_degenerate:
             raise ValueError(
                 f"observable {self.label!r} is degenerate; no unique eigenbasis"
             )
-        return [(a, la._rank_one_vector(p)) for a, p in self.spectrum.levels()]
+        return list(zip(self.spectrum.eigenvalues, la._fix_column_phases(self.spectrum.vectors).T))
 
 
 def observable(matrix, label: str = "") -> Observable:
@@ -108,21 +113,38 @@ class ContextualState:
     outcome_probabilities: dict[float, float]
 
 
+def _level_weights(spectrum: la.SpectralDecomposition, m: np.ndarray) -> dict[float, float]:
+    """``{a_i: Tr(W P_i)}`` read off ``M = V^dagger W V``.
+
+    Level i's weight is the sum of ``Re M_jj`` over its columns j, in
+    column order.
+    """
+    diagonal = m.diagonal().real.tolist()
+    weights: dict[float, float] = {}
+    start = 0
+    for a, k in zip(spectrum.eigenvalues, spectrum.multiplicities):
+        weights[a] = sum(diagonal[start : start + k])
+        start += k
+    return weights
+
+
 def luders_nonselective(ctx: MeasurementContext) -> ContextualState:
     """Condition the context's state on its measurement, keeping no record.
 
-    W -> sum_i P_i W P_i over the spectral projectors of the observable.
+    W -> sum_i P_i W P_i over the spectral projectors of the observable,
+    computed as ``V M V^dagger`` where ``M = V^dagger W V`` is zeroed
+    outside the levels' diagonal blocks (``V`` the spectrum's vectors).
     The trace is preserved and each outcome keeps its original weight
-    p_i = Tr(W P_i).
+    p_i = Tr(W P_i), the level's share of the diagonal of ``M``.
     """
-    w = ctx.initial_state.matrix
-    out = np.zeros_like(w)
-    probabilities: dict[float, float] = {}
-    for a, p in ctx.observable.spectrum.levels():
-        out += la._sandwich(p, w)
-        probabilities[a] = la._trace_product(w, p)
+    spectrum = ctx.observable.spectrum
+    v = spectrum.vectors
+    m = la._to_basis(v, ctx.initial_state.matrix)
+    probabilities = _level_weights(spectrum, m)
+    level = np.repeat(np.arange(len(spectrum.multiplicities)), spectrum.multiplicities)
+    m[level[:, None] != level[None, :]] = 0.0
     return ContextualState(
-        state=DensityOperator._derived(out),
+        state=DensityOperator._derived(la._from_basis(v, m)),
         context=ctx,
         outcome_probabilities=probabilities,
     )

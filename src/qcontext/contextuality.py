@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .contexts import Observable, observable, sequential_luders
+from .contexts import Observable, _level_weights, observable, sequential_luders
 from .states import DensityOperator, as_density, make_ghz
 
 # Observables must square to I and satisfy their product constraints
@@ -342,7 +342,7 @@ def value_dependence_demo(
         )
 
     def distribution(state: DensityOperator) -> dict[float, float]:
-        return {value: la._trace_product(state.matrix, p) for value, p in a.spectrum.levels()}
+        return _level_weights(a.spectrum, la._to_basis(a.spectrum.vectors, state.matrix))
 
     after_b_state = sequential_luders(rho, [b])
     after_c_state = sequential_luders(rho, [c])

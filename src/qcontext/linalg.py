@@ -11,10 +11,11 @@ are evaluated through the spectral resolution rather than series.  A
 spectral resolution keeps its eigenvectors and forms a level's projector
 only when the level is read.
 
-Four products the other modules share are written out once, here, as
+Six products the other modules share are written out once, here, as
 private unchecked kernels (``_hermitian_part``, ``_trace_product``,
-``_sandwich``, ``_commutator_defect``), so the BLAS and SIMD bits each
-puts into a report can be attributed, or its body swapped, in one place.
+``_sandwich``, ``_commutator_defect``, ``_to_basis``, ``_from_basis``), so
+the BLAS and SIMD bits each puts into a report can be attributed, or its
+body swapped, in one place.
 """
 
 from __future__ import annotations
@@ -128,12 +129,23 @@ def _commutator_defect(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a @ b - b @ a).max())
 
 
+def _to_basis(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``V^dagger W V``, the product taken left to right; unchecked."""
+    return v.conj().T @ w @ v
+
+
+def _from_basis(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``V M V^dagger``, the product taken left to right; unchecked."""
+    return v @ m @ v.conj().T
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-entry magnitude of ``m - m^dagger``."""
+    """Max-entry magnitude of ``m - m^dagger``; inf where that overflows."""
     global _hermiticity_checks
     _hermiticity_checks += 1
     a = np.asarray(m, dtype=complex)
-    return float(np.abs(a - a.conj().T).max())
+    with np.errstate(over="ignore"):
+        return float(np.abs(a - a.conj().T).max())
 
 
 def _checked_hermitian(m) -> tuple[np.ndarray, float]:
@@ -204,8 +216,16 @@ def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
         1 to retain subsystem 1 (trace out 2), 2 to retain subsystem 2.
 
     Returns the reduced operator on the retained subsystem.
+
+    Raises
+    ------
+    ValueError
+        If a traced entry leaves the float range.
     """
-    return _partial_trace(as_operator(m), dims, keep)
+    out = _partial_trace(as_operator(m), dims, keep)
+    if not np.isfinite(out).all():
+        raise ValueError("partial trace leaves the float range")
+    return out
 
 
 def _partial_trace(a: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -230,14 +250,15 @@ def _partial_trace(a: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarra
 
 
 def commutator(a, b) -> np.ndarray:
-    """[A, B] = AB - BA."""
+    """[A, B] = AB - BA; ``ValueError`` where a product leaves the float range."""
     a = as_operator(a)
     b = as_operator(b)
     if a.shape != b.shape:
         raise DimensionError(
             f"commutator needs equal dimensions, got {a.shape[0]} and {b.shape[0]}"
         )
-    return a @ b - b @ a
+    with _float_range("commutator"):
+        return a @ b - b @ a
 
 
 def commutes(a, b) -> bool:

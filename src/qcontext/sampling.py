@@ -34,18 +34,24 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     return DensityOperator._derived(m / float(np.trace(m).real))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return la._hermitian_part(g)
-
-
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """exp(i H) of a random Hermitian generator."""
+    """Haar-random unitary: the Gram-Schmidt columns of a complex Gaussian draw.
+
+    Each column is orthogonalised against the ones before it twice
+    (classical Gram-Schmidt with one reorthogonalisation), then
+    normalised, so the columns are orthonormal to rounding and nothing
+    is solved.
+    """
     _require_dim(dim)
-    # 0.5 * (g + g^dagger) is exactly Hermitian: the kernel needs no check.
-    values, vectors = la._eigh(random_hermitian(dim, rng), True)
-    dec = la.SpectralDecomposition.from_eigenpairs(values, vectors)
-    return dec.apply_function(lambda a: np.exp(1j * a))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u = np.empty_like(g)
+    for j in range(dim):
+        v = g[:, j]
+        done = u[:, :j]
+        for _ in range(2):
+            v = v - done @ (done.conj().T @ v)
+        u[:, j] = v / la._frobenius_norm(v)
+    return u
 
 
 def random_nondegenerate_observable(
@@ -55,8 +61,8 @@ def random_nondegenerate_observable(
 
     Returns the observable together with the eigenvalues and the unitary
     whose columns are the construction's eigenvectors, so callers can
-    cross-check eigensolver output against ground truth.  The
-    observable's spectrum is built from those eigenpairs, not solved.
+    cross-check eigensolver output against ground truth.  Nothing is
+    solved: the observable's spectrum is built from those eigenpairs.
     """
     u = random_unitary(dim, rng)
     values = np.arange(1.0, dim + 1.0)

@@ -22,9 +22,12 @@ messages.
 and ``trace_distance`` are the solved and product-forming routes that the
 closed forms replaced: a Jacobi solve of ``d . sigma``,
 ``Tr[W (P_i x Q_j)]`` from explicit Kronecker products, ``observable(m)``
-on the sampled matrix, and the eigenvalues of a 2x2 difference.  Their
-arithmetic differs from the library's, so tests hold the two to stated
-bounds, not to equal bytes.
+on the sampled matrix, and the eigenvalues of a 2x2 difference.
+``luders_nonselective`` and ``eigenbasis`` are the per-level routes that
+the eigenbasis forms replaced: ``sum_i P_i W P_i`` with weights
+``Tr(W P_i)`` from each level's projector, and each eigenvector extracted
+from its level's projector.  Their arithmetic differs from the library's,
+so tests hold the two to stated bounds, not to equal bytes.
 """
 
 import collections
@@ -44,6 +47,7 @@ from qcontext.linalg import (
     as_operator,
     dagger,
     jacobi_eigh as library_jacobi_eigh,
+    rank_one_vector,
     require_hermitian,
 )
 from qcontext.sampling import random_unitary
@@ -318,6 +322,21 @@ def random_nondegenerate_observable(dim, rng, label=""):
     m = (u * values) @ dagger(u)
     m = 0.5 * (m + dagger(m))
     return observable(m, label=label), values, u
+
+
+def luders_nonselective(w, spectrum):
+    """``(sum_i P_i W P_i, {a_i: Tr(W P_i)})``, each level's projector formed."""
+    out = np.zeros_like(w)
+    weights = {}
+    for a, p in spectrum.levels():
+        out += p @ w @ p
+        weights[a] = float(np.trace(w @ p).real)
+    return out, weights
+
+
+def eigenbasis(spectrum):
+    """``[(a_i, v_i)]`` of a non-degenerate spectrum, ``v_i`` extracted from ``P_i``."""
+    return [(a, rank_one_vector(p)) for a, p in spectrum.levels()]
 
 
 def trace_distance(a, b):

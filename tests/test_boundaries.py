@@ -48,6 +48,8 @@ INPUTS = Path(__file__).parent / "golden" / "inputs"
 Z = Direction(0.0, 0.0, 1.0)
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
+# Finite, but H - H^dagger overflows: its defect counts as inf.
+HUGE_ANTI_HERMITIAN = [[0.0, 1e308], [-1e308, 0.0]]
 
 
 def _problem(observables=(la.SIGMA_Z,), labels=("Z",), contexts=(), signs=()):
@@ -83,6 +85,10 @@ BOUNDARIES = {
     "eigenbasis_degenerate": (
         lambda: observable(np.eye(2), label="I").eigenbasis(),
         ValueError, "'I' is degenerate",
+    ),
+    "observable_hermiticity_defect_overflow": (
+        lambda: observable(HUGE_ANTI_HERMITIAN),
+        ValueError, "not Hermitian: max |H - H^dagger| entry = inf",
     ),
     # contextuality
     "problem_label_count": (
@@ -166,8 +172,28 @@ BOUNDARIES = {
     "partial_trace_keep": (
         lambda: la.partial_trace(np.eye(4), (2, 2), keep=3), ValueError, "keep must be 1 or 2",
     ),
+    "partial_trace_overflow": (
+        lambda: la.partial_trace(1e308 * np.eye(4), (2, 2), 1),
+        ValueError, "partial trace leaves the float range",
+    ),
     "commutator_dimensions": (
         lambda: la.commutator(np.eye(2), np.eye(3)), la.DimensionError, "got 2 and 3",
+    ),
+    "commutator_overflow": (
+        lambda: la.commutator(1e200 * la.SIGMA_X, 1e200 * la.SIGMA_Y),
+        ValueError, "commutator leaves the float range",
+    ),
+    "commutes_overflow": (
+        lambda: la.commutes(1e200 * la.SIGMA_X, 1e200 * la.SIGMA_Y),
+        ValueError, "commutator leaves the float range",
+    ),
+    "jacobi_eigh_hermiticity_defect_overflow": (
+        lambda: la.jacobi_eigh(HUGE_ANTI_HERMITIAN),
+        ValueError, "not Hermitian: max |H - H^dagger| entry = inf",
+    ),
+    "spectral_decompose_hermiticity_defect_overflow": (
+        lambda: la.spectral_decompose(HUGE_ANTI_HERMITIAN),
+        ValueError, "not Hermitian: max |H - H^dagger| entry = inf",
     ),
     "trace_distance_dimensions": (
         lambda: la.trace_distance(np.eye(2) / 2, np.eye(3) / 3),

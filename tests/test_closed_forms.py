@@ -4,10 +4,13 @@
 ``correlations._joint_record`` contracts the pair state with both wings'
 projectors in one ``einsum``, ``random_nondegenerate_observable``
 builds its spectrum from the construction's eigenpairs, criterion 6
-builds its ``A^2`` probe from them too, and the 2x2 trace distance is
-the larger of ``|x + y|/2`` and ``hypot((x - y)/2, |z|)``.  ``oracles.py``
-keeps the Jacobi solve, the Kronecker-product trace, ``observable(m)``
-and the solved trace distance.
+builds its ``A^2`` probe from them too, the 2x2 trace distance is
+the larger of ``|x + y|/2`` and ``hypot((x - y)/2, |z|)``,
+``luders_nonselective`` keeps the level blocks of ``V^dagger W V`` and
+``Observable.eigenbasis`` reads the spectrum's columns.  ``oracles.py``
+keeps the Jacobi solve, the Kronecker-product trace, ``observable(m)``,
+the solved trace distance, the per-level Lüders sum and the
+projector-extracted eigenbasis.
 The arithmetic differs, so each comparison has a bound stated in units of
 ``EPS``, the spacing of doubles at 1.
 """
@@ -17,7 +20,7 @@ import pytest
 
 import oracles
 from qcontext import linalg as la
-from qcontext.contexts import observable
+from qcontext.contexts import Observable, context, luders_nonselective, observable
 from qcontext.correlations import Direction, _joint_record, chsh_optimal_settings
 from qcontext.linalg import JACOBI_OFF_TOL
 from qcontext.sampling import (
@@ -25,6 +28,7 @@ from qcontext.sampling import (
     random_direction,
     random_nondegenerate_observable,
     random_pure_state,
+    random_unitary,
 )
 
 EPS = np.finfo(float).eps
@@ -75,9 +79,9 @@ def test_joint_table_matches_the_tensor_and_trace_oracle(seed):
 def test_sampled_observable_matches_the_solved_one(dim):
     # The oracle's Jacobi solve stops once the off-diagonal norm is below
     # JACOBI_OFF_TOL times |A|_F (about 5 at dim 4), so its projectors are
-    # only that good: |A P - a P| reaches 6,600 EPS for them over 300
-    # seeds, against 38 EPS for the construction's (idempotent to 9.5 EPS,
-    # eigenvalues 76 EPS from the oracle's at most).
+    # only that good: |A P - a P| reaches 8,000 EPS for them over 300
+    # seeds, against 6 EPS for the construction's (idempotent to 2 EPS,
+    # eigenvalues 36 EPS from the oracle's at most).
     for seed in range(100):
         obs, values, u = random_nondegenerate_observable(dim, np.random.default_rng(seed))
         ref, ref_values, ref_u = oracles.random_nondegenerate_observable(
@@ -117,7 +121,7 @@ def test_qubit_trace_distance_exact_cases():
 def test_known_spectrum_of_a_squared_matches_the_solved_one(dim):
     # Criterion 6's probe A^2 takes A's eigenvectors and squared
     # eigenvalues.  Over 300 seeds the solved levels of A @ A were at most
-    # 576 EPS away, its projectors 2.2e-12, and |A^2 P - a P| reached 384
+    # 152 EPS away, its projectors 1.9e-12, and |A^2 P - a P| reached 56
     # EPS for the known ones: A @ A rounds entries near 16.
     for seed in range(100):
         obs, values, u = random_nondegenerate_observable(dim, np.random.default_rng(seed))
@@ -129,3 +133,54 @@ def test_known_spectrum_of_a_squared_matches_the_solved_one(dim):
         for a, p, q in zip(known.eigenvalues, known.projectors, solved.projectors):
             assert np.abs(p - q).max() <= 10 * JACOBI_OFF_TOL
             assert np.abs(m @ p - a * p).max() <= 1024 * EPS
+
+
+EIGENBASIS_DIMS = [2, 3, 4, 8, 16, 64]
+
+
+def _degenerate_observable(dim, rng):
+    """Levels of multiplicity 3 (the last one shorter) on a random basis."""
+    u = random_unitary(dim, rng)
+    values = np.arange(dim) // 3 + 1.0
+    m = la._hermitian_part((u * values) @ la.dagger(u))
+    return Observable(matrix=m, spectrum=la.SpectralDecomposition.from_eigenpairs(values, u))
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["non_degenerate", "degenerate"])
+@pytest.mark.parametrize("dim", EIGENBASIS_DIMS)
+def test_luders_in_the_eigenbasis_matches_the_per_level_sum(dim, degenerate):
+    # 1.5 EPS is the largest gap seen here, in the state and in the weights.
+    rng = np.random.default_rng(300 + dim)
+    for trial in range(10):
+        if degenerate:
+            obs = _degenerate_observable(dim, rng)
+        else:
+            obs, _, _ = random_nondegenerate_observable(dim, rng)
+        state = random_pure_state(dim, rng) if trial % 2 else random_density(dim, rng)
+        got = luders_nonselective(context(state, obs))
+        want, weights = oracles.luders_nonselective(got.context.initial_state.matrix, obs.spectrum)
+        assert np.abs(got.state.matrix - want).max() <= 16 * EPS
+        assert got.outcome_probabilities.keys() == weights.keys()
+        assert max(abs(got.outcome_probabilities[a] - weights[a]) for a in weights) <= 16 * EPS
+
+
+@pytest.mark.parametrize("dim", EIGENBASIS_DIMS)
+def test_eigenbasis_columns_match_the_projector_extracted_vectors(dim):
+    # 2 EPS is the largest gap seen here.
+    rng = np.random.default_rng(400 + dim)
+    for _ in range(10):
+        obs, _, _ = random_nondegenerate_observable(dim, rng)
+        got = obs.eigenbasis()
+        want = oracles.eigenbasis(obs.spectrum)
+        assert [a for a, _ in got] == [a for a, _ in want]
+        for (_, v), (_, w) in zip(got, want):
+            assert np.abs(v - w).max() <= 16 * EPS
+
+
+@pytest.mark.parametrize("dim", [1, *EIGENBASIS_DIMS])
+def test_random_unitary_columns_are_orthonormal(dim):
+    # 3 EPS is the largest defect seen here.
+    rng = np.random.default_rng(500 + dim)
+    for _ in range(10):
+        u = random_unitary(dim, rng)
+        assert np.abs(u.conj().T @ u - np.eye(dim)).max() <= 16 * EPS

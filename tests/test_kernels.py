@@ -1,9 +1,9 @@
-"""The four shared product kernels of ``linalg`` and their single home.
+"""The six shared product kernels of ``linalg`` and their single home.
 
-``_hermitian_part``, ``_trace_product``, ``_sandwich`` and
-``_commutator_defect`` are the only spelling of those operations in
-``src/``: each must give, bit for bit, what its call sites computed
-inline before, and no other module may write one out again.
+``_hermitian_part``, ``_trace_product``, ``_sandwich``,
+``_commutator_defect``, ``_to_basis`` and ``_from_basis`` are the only
+spelling of those operations in ``src/``: each must give, bit for bit,
+its inline spelling, and no other module may write one out again.
 """
 
 import ast
@@ -34,6 +34,8 @@ def test_kernels_match_their_inline_spelling_bit_for_bit(n):
     assert _bits(la._trace_product(a, b)) == _bits(float(np.trace(a @ b).real))
     assert _bits(la._sandwich(a, b)) == _bits(a @ b @ a)
     assert _bits(la._commutator_defect(a, b)) == _bits(float(np.abs(a @ b - b @ a).max()))
+    assert _bits(la._to_basis(a, b)) == _bits(a.conj().T @ b @ a)
+    assert _bits(la._from_basis(a, b)) == _bits(a @ b @ a.conj().T)
 
 
 def _same(x, y):
@@ -67,8 +69,13 @@ def kernel_written_out(node):
             and isinstance(s.op, ast.Add) and _is_dagger_of(s.right, s.left)
         ):
             return "_hermitian_part"
-    if _matmul(node) and _matmul(node.left) and _same(node.left.left, node.right):
-        return "_sandwich"
+    if _matmul(node) and _matmul(node.left):
+        if _same(node.left.left, node.right):
+            return "_sandwich"
+        if _is_dagger_of(node.left.left, node.right):
+            return "_to_basis"
+        if _is_dagger_of(node.right, node.left.left):
+            return "_from_basis"
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
         ab, ba = node.left, node.right
         if (
@@ -118,6 +125,10 @@ EXEMPT = {
         ("float((w @ p).trace().real)", "_trace_product"),
         ("out += p @ w @ p", "_sandwich"),
         ("big @ rho.matrix @ big", "_sandwich"),
+        ("v.conj().T @ w @ v", "_to_basis"),
+        ("la.dagger(u) @ rho.matrix @ u", "_to_basis"),
+        ("v @ m @ v.conj().T", "_from_basis"),
+        ("vectors @ np.diag(values) @ dagger(vectors)", "_from_basis"),
         ("np.abs(w @ a - a @ w).max()", "_commutator_defect"),
         ("mats[i] @ mats[j] - mats[j] @ mats[i]", "_commutator_defect"),
         ("np.abs(la.commutator(b.matrix, c.matrix)).max()", "_commutator_defect"),
@@ -131,6 +142,7 @@ def test_scan_finds_each_inline_spelling(source, kernel):
     "source",
     [
         "0.5 * (a + b)", "0.5 * (p - p.conj().T)", "np.trace(m)", "a @ b @ c",
+        "(u * values) @ la.dagger(u)", "v.conj().T @ w @ u",
         "a @ b - a @ b", "(rho @ elements).trace(axis1=1, axis2=2)", "la.commutator(a, b)",
     ],
 )
