@@ -82,8 +82,6 @@ _LAZY = {
         "as_density",
         "coupled_spins_hamiltonian",
         "entangling_evolution_demo",
-        "evolve_pure_state",
-        "is_noninteracting",
         "is_product",
         "make_ghz",
         "make_singlet",

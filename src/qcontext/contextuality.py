@@ -246,10 +246,6 @@ class ParityContradictionReport:
     constraint_product: int
 
     @property
-    def state_is_joint_eigenvector(self) -> bool:
-        return all(r < 1e-12 for r in self.residuals)
-
-    @property
     def contradiction(self) -> bool:
         return self.forced_product != self.constraint_product
 
@@ -311,10 +307,6 @@ class ValueDependenceReport:
     max_shift: float
     distributions_agree: bool
     preparation_distances: dict[str, float]
-
-    @property
-    def preparations_differ(self) -> bool:
-        return max(self.preparation_distances.values()) > 1e-9
 
 
 def value_dependence_demo(

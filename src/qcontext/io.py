@@ -170,10 +170,6 @@ def _vector_from_parts(n: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return _complex(re, im)
 
 
-def vector_from_json(obj: dict) -> np.ndarray:
-    return _vector_from_parts(*_dim_and_parts(obj, "vector"))
-
-
 def load_state_json(obj: dict):
     """Dispatch a state file to PureState or DensityOperator by entry count.
 

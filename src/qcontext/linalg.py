@@ -72,7 +72,6 @@ class ConvergenceError(ArithmeticError):
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
 def as_operator(m) -> np.ndarray:
@@ -687,12 +686,25 @@ class SpectralDecomposition:
                 j += 1
             # np.mean of one value sums it onto 0.0 and divides by 1, so the
             # value itself comes back, except that -0.0 becomes 0.0.
-            levels.append(values[i] + 0.0 if j == i + 1 else float(np.mean(eigenvalues[i:j])))
+            levels.append(values[i] + 0.0 if j == i + 1 else _level_mean(eigenvalues[i:j]))
             multiplicities.append(j - i)
             i = j
         snapshot = np.copy(vectors)  # order "K": the layout, so the product bits, kept
         snapshot.flags.writeable = False
         return cls(tuple(levels), snapshot, tuple(multiplicities))
+
+
+def _level_mean(x: np.ndarray) -> float:
+    """``np.mean`` of one level's ascending eigenvalues, without overflow.
+
+    A level holds at most ``MAX_DIM`` = 2^6 values, so their sum fits a
+    float while none exceeds 2^1017 in magnitude.  Larger ones are averaged
+    times 2^-7, which is exact at that size, and the mean scaled back: the
+    bits ``np.mean`` would give with an unbounded exponent.
+    """
+    if max(-x[0], x[-1]) <= 2.0**1017:
+        return float(np.mean(x))
+    return math.ldexp(float(np.mean(np.ldexp(x, -7))), 7)
 
 
 def spectral_decompose(h) -> SpectralDecomposition:
@@ -706,21 +718,16 @@ def spectral_decompose(h) -> SpectralDecomposition:
     return SpectralDecomposition.from_eigenpairs(eigenvalues, vectors)
 
 
-def rank_one_vector(p: np.ndarray) -> np.ndarray:
-    """Extract the unit vector of a rank-one projector ``p = v v^dagger``.
+def _rank_one_vector(a: np.ndarray) -> np.ndarray:
+    """The unit vector of a rank-one projector ``a = v v^dagger``, unchecked.
 
     The phase follows the eigenvector convention: largest-magnitude
-    component real positive.
+    component real positive.  Both callers pass a matrix whose largest
+    diagonal entry is positive: a spin projector ``(I +- n.sigma)/2``
+    (at least 1/2) or a trace-one pure state (at least 1/n).
     """
-    return _rank_one_vector(as_operator(p))
-
-
-def _rank_one_vector(a: np.ndarray) -> np.ndarray:
-    """``rank_one_vector`` of a square complex array already validated."""
     diag = np.diag(a).real
     k = int(np.argmax(diag))
-    if diag[k] <= 0.0:
-        raise ValueError("projector has no positive diagonal entry")
     v = a[:, k] / np.sqrt(diag[k])
     v = v / _frobenius_norm(v)
     m = int(np.argmax(np.abs(v)))

@@ -27,9 +27,6 @@ PURITY_TOL = 1e-9
 # Schmidt coefficients below this count as zero when ranking.
 SCHMIDT_RANK_TOL = 1e-8
 
-# Residual threshold for recognising H = H1 x I + I x H2.
-NONINTERACTION_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -328,41 +325,6 @@ def total_spin_squared(w) -> float:
     return la._trace_product(rho.matrix, total_spin_squared_matrix())
 
 
-def is_noninteracting(h, dims: tuple[int, int]):
-    """Test whether H = H1 (x) I + I (x) H2 and recover the parts.
-
-    The candidate split is fixed by convention: H1 carries the full trace
-    of H and H2 is traceless.  Returns ``(True, (h1, h2))`` when the
-    reassembled sum matches H within 1e-9 per entry, else ``(False, None)``.
-    """
-    a = la.require_hermitian(h)
-    d1, d2 = int(dims[0]), int(dims[1])
-    if d1 * d2 != a.shape[0]:
-        raise DimensionError(
-            f"dims {d1}x{d2} do not factor operator dimension {a.shape[0]}"
-        )
-    total = float(np.trace(a).real)
-    h1 = la._partial_trace(a, (d1, d2), keep=1) / d2
-    h2 = (la._partial_trace(a, (d1, d2), keep=2) - (total / d2) * np.eye(d2)) / d1
-    eye1, eye2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
-    recon = la._tensor(h1, eye2) + la._tensor(eye1, h2)
-    residual = float(np.abs(a - recon).max())
-    if residual < NONINTERACTION_TOL:
-        return True, (h1, h2)
-    return False, None
-
-
-def evolve_pure_state(h, t: float, psi) -> PureState:
-    """psi -> exp(-i H t) psi, through the spectral resolution of H."""
-    state = psi if isinstance(psi, PureState) else PureState(psi)
-    u = la.evolution_operator(h, t)
-    if u.shape[0] != state.dim:
-        raise DimensionError(
-            f"generator dimension {u.shape[0]} does not match state {state.dim}"
-        )
-    return PureState(u @ state.amplitudes)
-
-
 def coupled_spins_hamiltonian(coupling: float) -> np.ndarray:
     """Two-spin generator sigma_z x I + I x sigma_z + g sigma_x x sigma_x."""
     eye = np.eye(2, dtype=complex)
@@ -392,7 +354,7 @@ def entangling_evolution_demo(
     generically entangles the pair.  Each point is propagated directly
     from t = 0 so errors do not accumulate across steps.  The generator
     is decomposed once; each point applies exp(-i a t) to its levels,
-    the same floats as ``evolve_pure_state``.
+    the same floats as ``evolution_operator(H, t)`` applied to |00>.
     """
     if steps < 1:
         raise ValueError("steps must be positive")

@@ -46,8 +46,8 @@ from qcontext.linalg import (
     DimensionError,
     as_operator,
     dagger,
+    _rank_one_vector,
     jacobi_eigh as library_jacobi_eigh,
-    rank_one_vector,
     require_hermitian,
 )
 from qcontext.sampling import random_unitary
@@ -336,7 +336,7 @@ def luders_nonselective(w, spectrum):
 
 def eigenbasis(spectrum):
     """``[(a_i, v_i)]`` of a non-degenerate spectrum, ``v_i`` extracted from ``P_i``."""
-    return [(a, rank_one_vector(p)) for a, p in spectrum.levels()]
+    return [(a, _rank_one_vector(p)) for a, p in spectrum.levels()]
 
 
 def trace_distance(a, b):

@@ -7,6 +7,7 @@ them reached.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +38,6 @@ from qcontext.states import (
     PureState,
     as_density,
     entangling_evolution_demo,
-    evolve_pure_state,
-    is_noninteracting,
     make_singlet,
     product_basis_state,
     total_spin_squared,
@@ -157,8 +156,8 @@ BOUNDARIES = {
         lambda: cli.parse_state(__file__), cli.InputError, "is not valid JSON",
     ),
     "vector_size_mismatch": (
-        lambda: io.vector_from_json({"dim": 2, "re": [1.0], "im": [0.0]}),
-        ValueError, "dimension 2 needs 2 entries, got 1 re / 1 im",
+        lambda: io.load_state_json({"dim": 2, "re": [1.0, 0.0], "im": [0.0]}),
+        ValueError, "dimension 2 needs 2 entries, got 2 re / 1 im",
     ),
     "matrix_size_mismatch": (
         lambda: io.matrix_from_json({"dim": 2, "re": [1.0], "im": [0.0]}),
@@ -215,9 +214,6 @@ BOUNDARIES = {
         lambda: la.evolution_operator(la.SIGMA_Z, float("nan")),
         ValueError, "evolution time must be finite, got nan",
     ),
-    "rank_one_vector_of_zero": (
-        lambda: la.rank_one_vector(np.zeros((2, 2))), ValueError, "no positive diagonal",
-    ),
     # mub
     "mub_basis_size": (
         lambda: MubSet(dim=2, bases=((E0,),)), la.DimensionError, "has 1 vectors, expected 2",
@@ -245,14 +241,6 @@ BOUNDARIES = {
     "pure_state_above_max_dim": (
         lambda: PureState(np.ones(65) / np.sqrt(65.0)), la.DimensionError, "dimension 65",
     ),
-    "noninteracting_dims": (
-        lambda: is_noninteracting(np.eye(4), (2, 3)),
-        la.DimensionError, "dims 2x3 do not factor operator dimension 4",
-    ),
-    "evolve_dimension": (
-        lambda: evolve_pure_state(np.eye(4), 1.0, E0),
-        la.DimensionError, "generator dimension 4 does not match state 2",
-    ),
     "total_spin_dimension": (
         lambda: total_spin_squared(np.eye(2) / 2), la.DimensionError, "dimension 4, got 2",
     ),
@@ -268,6 +256,27 @@ def test_boundary_raises(name):
     with pytest.raises(error) as caught:
         call()
     assert fragment in str(caught.value)
+
+
+# Calls at the edge of the float range that must return, with no warning.
+RETURNS = {
+    # A degenerate level's eigenvalues sum past the float range.
+    "spectral_decompose_degenerate_level_near_float_max": (
+        lambda: la.spectral_decompose(1e308 * np.eye(2)).eigenvalues, (1e308,),
+    ),
+    "observable_degenerate_levels_near_float_max": (
+        lambda: observable(1e308 * la.tensor(la.SIGMA_Z, la.SIGMA_Z)).spectrum.eigenvalues,
+        (-1e308, 1e308),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETURNS))
+def test_boundary_returns(name):
+    call, expected = RETURNS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert call() == expected
 
 
 def test_round_robin_kernel_gives_up_after_its_last_allowed_sweep(monkeypatch):

@@ -315,6 +315,27 @@ def test_malformed_state_file_exits_two(tmp_path, capsys, text):
     assert err.startswith("error: state ")
 
 
+@pytest.mark.parametrize(
+    "command", [["total-spin"], ["luders", "--observable", "sigma_z"]], ids=["total_spin", "luders"]
+)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dim": 2, "re": [1, 1], "im": [0, 0]}', "state is not normalised"),
+        ('{"dim": 2, "re": [1.5, 0, 0, -0.5], "im": [0, 0, 0, 0]}', "negative eigenvalue"),
+    ],
+    ids=["unnormalised", "not_positive"],
+)
+def test_invalid_state_file_exits_two(tmp_path, capsys, command, text, message):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, out, err = run(capsys, [command[0], "--state", str(path), *command[1:]])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 _ONE_OBSERVABLE = '[{"dim": 1, "re": [1], "im": [0]}]'
 
 

@@ -155,7 +155,6 @@ def test_problem_rejects_non_involution():
 
 def test_ghz_is_exact_joint_eigenvector():
     report = ghz_contradiction()
-    assert report.state_is_joint_eigenvector
     assert max(report.residuals) == 0.0
     assert report.eigenvalues == (1.0, -1.0, -1.0, -1.0)
 
@@ -221,7 +220,6 @@ def test_value_dependence_marginals_agree_but_preparations_differ():
     assert report.preparation_distances["after_b_vs_after_c"] == pytest.approx(
         0.5, abs=1e-12
     )
-    assert report.preparations_differ
 
 
 def test_value_dependence_distributions_match_born_rule():

@@ -226,7 +226,7 @@ def test_round_robin_matches_loop_oracle_bit_for_bit():
 
 
 def _pauli_sum(terms):
-    factors = {"i": np.eye(2), **la.PAULIS}
+    factors = {"i": np.eye(2), "x": la.SIGMA_X, "y": la.SIGMA_Y, "z": la.SIGMA_Z}
     out = 0
     for weight, word in terms:
         op = np.eye(1, dtype=complex)
@@ -310,7 +310,6 @@ _PUBLIC_CHECKS = {
     "trace_distance": lambda m: la.trace_distance(m, m),
     "tensor": lambda m: la.tensor(m, la.SIGMA_Z),
     "partial_trace": lambda m: la.partial_trace(m, (1, len(m)), keep=2),
-    "rank_one_vector": la.rank_one_vector,
     "jacobi_eigh": la.jacobi_eigh,
     "spectral_decompose": la.spectral_decompose,
 }

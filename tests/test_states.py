@@ -13,8 +13,6 @@ from qcontext.states import (
     basis_state,
     coupled_spins_hamiltonian,
     entangling_evolution_demo,
-    evolve_pure_state,
-    is_noninteracting,
     is_product,
     make_ghz,
     make_singlet,
@@ -174,31 +172,12 @@ def test_total_spin_squared_frozen_values():
     assert total_spin_squared(mixture) == pytest.approx(1.0, abs=1e-12)
 
 
-# interaction detection
+# dynamics
 
 
-def test_kron_sum_is_noninteracting_and_splits():
-    h1 = np.array([[1.0, 0.3], [0.3, -0.5]], dtype=complex)
-    h2 = np.array([[0.2, 1j], [-1j, 0.9]], dtype=complex)
-    h = la.tensor(h1, np.eye(2)) + la.tensor(np.eye(2), h2)
-    flag, parts = is_noninteracting(h, (2, 2))
-    assert flag
-    rebuilt = la.tensor(parts[0], np.eye(2)) + la.tensor(np.eye(2), parts[1])
-    assert np.max(np.abs(rebuilt - h)) < 1e-9
-    for part in parts:
-        assert np.max(np.abs(part - part.conj().T)) < 1e-12
-
-
-def test_coupling_term_is_detected_as_interaction():
-    h = coupled_spins_hamiltonian(1.0)
-    flag, parts = is_noninteracting(h, (2, 2))
-    assert not flag
-    assert parts is None
-
-
-def test_zero_coupling_hamiltonian_is_noninteracting():
-    flag, _ = is_noninteracting(coupled_spins_hamiltonian(0.0), (2, 2))
-    assert flag
+def _evolve(h, t, psi):
+    """exp(-i H t) psi through the spectral resolution of H."""
+    return PureState(la.evolution_operator(h, t) @ psi.amplitudes)
 
 
 def test_coupled_spins_hamiltonian_frozen_matrix():
@@ -206,9 +185,6 @@ def test_coupled_spins_hamiltonian_frozen_matrix():
     z_part = la.tensor(la.SIGMA_Z, np.eye(2)) + la.tensor(np.eye(2), la.SIGMA_Z)
     x_part = la.tensor(la.SIGMA_X, la.SIGMA_X)
     assert np.max(np.abs(h - (z_part + 0.7 * x_part))) < 1e-15
-
-
-# dynamics
 
 
 def _rk4_evolve(h, t, psi0, steps=4000):
@@ -231,7 +207,7 @@ def _rk4_evolve(h, t, psi0, steps=4000):
 def test_evolution_matches_runge_kutta_oracle():
     h = coupled_spins_hamiltonian(1.0)
     psi0 = product_basis_state(0, 0).amplitudes
-    spectral = evolve_pure_state(h, 0.5, product_basis_state(0, 0))
+    spectral = _evolve(h, 0.5, product_basis_state(0, 0))
     integrated = _rk4_evolve(h, 0.5, psi0)
     overlap = abs(np.vdot(spectral.amplitudes, integrated))
     assert overlap == pytest.approx(1.0, abs=1e-9)
@@ -261,12 +237,12 @@ def test_entangling_demo_starts_product_and_gains_rank():
 @pytest.mark.parametrize("coupling, t_final", [(1.0, 0.5), (0.0, 1.0), (-0.3, 7.25)])
 def test_entangling_demo_equals_evolving_each_point_from_scratch(coupling, t_final):
     # The demo decomposes the generator once; the floats are those of one
-    # evolve_pure_state call per point.
+    # evolution_operator call per point.
     h = coupled_spins_hamiltonian(coupling)
     psi0 = product_basis_state(0, 0)
     for k, point in enumerate(entangling_evolution_demo(coupling, t_final, steps=10)):
         t = t_final * k / 10
-        dec = schmidt(evolve_pure_state(h, t, psi0), (2, 2))
+        dec = schmidt(_evolve(h, t, psi0), (2, 2))
         assert point.time == t
         assert point.rank == dec.rank
         assert [c.hex() for c in point.coefficients] == [
@@ -345,7 +321,7 @@ def test_property_unitary_evolution_preserves_schmidt_spectrum_under_local_h(see
     rng = np.random.default_rng(seed)
     psi = random_pure_state(4, rng)
     h = la.tensor(la.SIGMA_Z, np.eye(2)) + la.tensor(np.eye(2), la.SIGMA_X)
-    moved = evolve_pure_state(h, t, psi)
+    moved = _evolve(h, t, psi)
     before = schmidt(psi, (2, 2)).coefficients
     after = schmidt(moved, (2, 2)).coefficients
     padded = max(len(before), len(after))
