@@ -70,9 +70,7 @@ _LAZY = {
     ),
     "mub": (
         "MeasurementStatistics",
-        "MubSet",
         "measure_statistics",
-        "mub_qubit",
         "reconstruct",
     ),
     "states": (

@@ -35,7 +35,7 @@ from .correlations import (
     no_signalling_check,
     outcome_dependence,
 )
-from .mub import measure_statistics, mub_qubit, reconstruct
+from .mub import measure_statistics, reconstruct
 from .sampling import (
     random_density,
     random_direction,
@@ -384,17 +384,16 @@ def criterion_dynamics() -> CriterionResult:
 def criterion_tomography() -> CriterionResult:
     """Unbiased-basis statistics reconstruct states exactly, or nearly from samples."""
     rng = np.random.default_rng(112)
-    bases = mub_qubit()
     worst_exact = 0.0
     for _ in range(100):
         rho = random_density(2, rng)
-        rebuilt = reconstruct(measure_statistics(rho, bases), bases)
+        rebuilt = reconstruct(measure_statistics(rho))
         worst_exact = max(worst_exact, la._trace_distance(rho.matrix, rebuilt.matrix))
     worst_sampled = 0.0
     for k in range(20):
         rho = random_density(2, rng)
-        stats = measure_statistics(rho, bases, samples=100_000, seed=9000 + k)
-        rebuilt = reconstruct(stats, bases)
+        stats = measure_statistics(rho, samples=100_000, seed=9000 + k)
+        rebuilt = reconstruct(stats)
         worst_sampled = max(worst_sampled, la._trace_distance(rho.matrix, rebuilt.matrix))
     return CriterionResult(
         number=12,

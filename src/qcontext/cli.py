@@ -570,12 +570,11 @@ def cmd_value_dependence(args):
 
 
 def cmd_mub_tomography(args):
-    from .mub import measure_statistics, mub_qubit, reconstruct
+    from .mub import measure_statistics, reconstruct
 
-    bases = mub_qubit()
     if args.stats:
         stats = io.statistics_from_json(io.load_json(args.stats))
-        rebuilt = reconstruct(stats, bases)
+        rebuilt = reconstruct(stats)
         results = {
             "reconstructed": io.matrix_to_json(rebuilt.matrix),
             "purity": rebuilt.purity(),
@@ -586,8 +585,8 @@ def cmd_mub_tomography(args):
         raise InputError("mub-tomography needs --state or --stats")
     state = parse_state(args.state)
     rho = as_density(state)
-    stats = measure_statistics(rho, bases, samples=args.samples, seed=args.seed)
-    rebuilt = reconstruct(stats, bases)
+    stats = measure_statistics(rho, samples=args.samples, seed=args.seed)
+    rebuilt = reconstruct(stats)
     distance = la._trace_distance(rho.matrix, rebuilt.matrix)
     results = {
         "statistics": io.statistics_to_json(stats),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,19 +234,32 @@ def _partial_trace(a: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarra
     The dimensions and ``keep`` are still checked: they may come from
     outside.
     """
-    if len(dims) != 2:
-        raise DimensionError(f"dims must be a pair (d1, d2), got {dims!r}")
-    d1, d2 = int(dims[0]), int(dims[1])
-    if d1 < 1 or d2 < 1 or d1 * d2 != a.shape[0]:
-        raise DimensionError(
-            f"dims {d1}x{d2} do not factor operator dimension {a.shape[0]}"
-        )
+    d1, d2 = _bipartite_dims(dims, a.shape[0])
     if keep not in (1, 2):
         raise ValueError(f"keep must be 1 or 2, got {keep!r}")
     t = a.reshape(d1, d2, d1, d2)
     if keep == 1:
         return np.einsum("ijkj->ik", t)
     return np.einsum("ijil->jl", t)
+
+
+def _bipartite_dims(dims, dim: int) -> tuple[int, int]:
+    """``dims`` as ``(d1, d2)``: two positive integers whose product is ``dim``.
+
+    Anything else, a bool or a float entry included, raises
+    ``DimensionError``.
+    """
+    try:
+        d1, d2 = dims
+    except (TypeError, ValueError):
+        raise DimensionError(f"dims must be a pair (d1, d2), got {dims!r}") from None
+    if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in (d1, d2)):
+        raise DimensionError(f"dims must be a pair of integers, got {dims!r}")
+    if d1 < 1 or d2 < 1:
+        raise DimensionError(f"dims must be positive, got {d1}x{d2}")
+    if d1 * d2 != dim:
+        raise DimensionError(f"dims {d1}x{d2} require dimension {d1 * d2}, got {dim}")
+    return int(d1), int(d2)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -539,6 +553,9 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     ``a`` must be a finite, exactly Hermitian square array of dimension
     1..``MAX_DIM``, such as ``0.5 * (m + m^dagger)`` of a finite ``m``;
     library code calls it directly only on arrays it built that way.
+    One caller passes ``MAX_DIM + 1``: ``states.schmidt`` solves the
+    ``(d1 + d2)``-dimensional embedding of a state with ``d1 * d2`` entries,
+    which is 65 for a 1 x 64 or 64 x 1 split.
     Nothing is checked.  Sweeps annihilate off-diagonal entries with
     complex plane rotations until the off-diagonal Frobenius norm falls
     below ``JACOBI_OFF_TOL`` times the scale of the input.  Convergence is
@@ -649,10 +666,6 @@ class SpectralDecomposition:
             block = self.vectors[:, start : start + m]
             yield a, _hermitian_part(block @ block.conj().T)
             start += m
-
-    def reconstruct(self) -> np.ndarray:
-        """Reassemble sum_i a_i P_i."""
-        return self.apply_function(lambda a: a)
 
     def apply_function(self, f) -> np.ndarray:
         """Evaluate f(H) = sum_i f(a_i) P_i."""

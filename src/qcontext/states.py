@@ -210,17 +210,15 @@ def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
     into a Gram matrix would drown them in rounding noise.
     """
     state = psi if isinstance(psi, PureState) else PureState(psi)
-    d1, d2 = int(dims[0]), int(dims[1])
-    if d1 < 1 or d2 < 1 or d1 * d2 != state.dim:
-        raise DimensionError(
-            f"dims {d1}x{d2} require state dimension {d1 * d2}, got {state.dim}"
-        )
+    d1, d2 = la._bipartite_dims(dims, state.dim)
     m = state.amplitudes.reshape(d1, d2)
     n = d1 + d2
     b = np.zeros((n, n), dtype=complex)
     b[:d1, d1:] = m
     b[d1:, :d1] = m.conj().T
-    eigenvalues, vectors = la.jacobi_eigh(b)
+    # Exactly Hermitian by construction, with entries bounded by a unit
+    # state, so the kernel needs no check (n may be MAX_DIM + 1).
+    eigenvalues, vectors = la._eigh(b, True)
 
     pairs = [
         (float(eigenvalues[i]), vectors[:, i])

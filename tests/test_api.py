@@ -86,7 +86,10 @@ def test_removed_keyword_raises_type_error(name):
 
 # The definition census.  A public definition in src/qcontext must be named
 # (read as a name or an attribute, or imported) somewhere in these trees
-# outside its own definition; a name only tests reach is dead code.
+# outside its own definition; a name only tests reach is dead code.  It
+# matches by name alone, so it cannot see a dead method whose name another
+# definition shares and something reads (``SpectralDecomposition.reconstruct``
+# hid behind ``SchmidtDecomposition.reconstruct`` and ``mub.reconstruct``).
 SRC = ROOT / "src" / "qcontext"
 READERS = (SRC, ROOT / "scripts", ROOT / "perfbench")
 

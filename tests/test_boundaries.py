@@ -33,13 +33,15 @@ from qcontext.correlations import (
     joint_probabilities,
     outcome_dependence,
 )
-from qcontext.mub import MeasurementStatistics, MubSet, mub_qubit, reconstruct
+from qcontext.mub import MeasurementStatistics, measure_statistics, reconstruct
 from qcontext.states import (
     PureState,
     as_density,
     entangling_evolution_demo,
+    is_product,
     make_singlet,
     product_basis_state,
+    schmidt,
     total_spin_squared,
 )
 
@@ -175,6 +177,13 @@ BOUNDARIES = {
         lambda: la.partial_trace(1e308 * np.eye(4), (2, 2), 1),
         ValueError, "partial trace leaves the float range",
     ),
+    "partial_trace_dims_not_a_sequence": (
+        lambda: la.partial_trace(np.eye(5), 5, 1), la.DimensionError, "dims must be a pair",
+    ),
+    "partial_trace_dims_float": (
+        lambda: la.partial_trace(np.eye(4), (2.0, 2), 1),
+        la.DimensionError, "dims must be a pair of integers, got (2.0, 2)",
+    ),
     "commutator_dimensions": (
         lambda: la.commutator(np.eye(2), np.eye(3)), la.DimensionError, "got 2 and 3",
     ),
@@ -215,26 +224,37 @@ BOUNDARIES = {
         ValueError, "evolution time must be finite, got nan",
     ),
     # mub
-    "mub_basis_size": (
-        lambda: MubSet(dim=2, bases=((E0,),)), la.DimensionError, "has 1 vectors, expected 2",
-    ),
-    "mub_vector_size": (
-        lambda: MubSet(dim=2, bases=((np.ones(3), np.ones(3)),)),
-        la.DimensionError, "vector has dimension 3",
-    ),
     "statistics_outside_unit_interval": (
         lambda: _qubit_statistics(tables=((1.5, -0.5),)), ValueError, "outside [0, 1]",
     ),
-    "reconstruct_dimension": (
-        lambda: reconstruct(_qubit_statistics(tables=((1.0, 0.0, 0.0),), dim=3), mub_qubit()),
-        la.DimensionError, "dimension 3 does not match bases 2",
+    "statistics_entry_not_a_number": (
+        lambda: _qubit_statistics(tables=((0.5, "a"),)),
+        ValueError, "table 0 is not a sequence of real numbers",
     ),
-    "reconstruct_incomplete_set": (
-        lambda: reconstruct(_qubit_statistics(), MubSet(dim=2, bases=mub_qubit().bases[:2])),
-        ValueError, "needs 3 mutually unbiased bases, set has 2",
+    "statistics_row_not_a_sequence": (
+        lambda: _qubit_statistics(tables=(5,)),
+        ValueError, "table 0 is not a sequence of real numbers",
+    ),
+    "statistics_tables_not_a_sequence": (
+        lambda: _qubit_statistics(tables=5), ValueError, "tables must be a sequence of rows",
+    ),
+    "measure_statistics_dimension": (
+        lambda: measure_statistics(np.eye(3) / 3), la.DimensionError, "qubit state, got dimension 3",
+    ),
+    "measure_statistics_fractional_samples": (
+        lambda: measure_statistics(E0, samples=2.5),
+        ValueError, "samples must be an integer between 1 and",
+    ),
+    "measure_statistics_bool_samples": (
+        lambda: measure_statistics(E0, samples=True),
+        ValueError, "samples must be an integer between 1 and",
+    ),
+    "reconstruct_dimension": (
+        lambda: reconstruct(_qubit_statistics(tables=((1.0, 0.0, 0.0),), dim=3)),
+        la.DimensionError, "qubit statistics, got dimension 3",
     ),
     "reconstruct_table_count": (
-        lambda: reconstruct(_qubit_statistics(tables=((1.0, 0.0),) * 2), mub_qubit()),
+        lambda: reconstruct(_qubit_statistics(tables=((1.0, 0.0),) * 2)),
         la.DimensionError, "2 tables for 3 bases",
     ),
     # states
@@ -246,6 +266,30 @@ BOUNDARIES = {
     ),
     "evolution_demo_no_steps": (
         lambda: entangling_evolution_demo(1.0, 0.5, steps=0), ValueError, "steps must be positive",
+    ),
+    "schmidt_dims_one_entry": (
+        lambda: schmidt(make_singlet(), (2,)), la.DimensionError, "dims must be a pair",
+    ),
+    "is_product_dims_one_entry": (
+        lambda: is_product(make_singlet(), (2,)), la.DimensionError, "dims must be a pair",
+    ),
+    "schmidt_dims_not_a_sequence": (
+        lambda: schmidt(make_singlet(), 4), la.DimensionError, "dims must be a pair",
+    ),
+    "schmidt_dims_fractional": (
+        lambda: schmidt(make_singlet(), (2.9, 2)),
+        la.DimensionError, "dims must be a pair of integers, got (2.9, 2)",
+    ),
+    "schmidt_dims_bool": (
+        lambda: schmidt(make_singlet(), (True, 4)),
+        la.DimensionError, "dims must be a pair of integers, got (True, 4)",
+    ),
+    "schmidt_dims_not_positive": (
+        lambda: schmidt(make_singlet(), (-2, -2)), la.DimensionError, "dims must be positive",
+    ),
+    "schmidt_dims_product": (
+        lambda: schmidt(make_singlet(), (2, 3)),
+        la.DimensionError, "dims 2x3 require dimension 6, got 4",
     ),
 }
 

@@ -85,6 +85,18 @@ def test_dimension_mismatch_exits_two_and_names_both(tmp_path, capsys):
     assert "6" in err and "5" in err
 
 
+@pytest.mark.parametrize("command", ["schmidt", "product-check"])
+@pytest.mark.parametrize("dims", ["1,64", "64,1"])
+def test_one_by_64_split_of_a_64_dimensional_state_exits_zero(tmp_path, capsys, command, dims):
+    psi = np.random.default_rng(58).normal(size=64) + 0j
+    psi /= np.linalg.norm(psi)
+    state = tmp_path / "pure64.json"
+    state.write_text(json.dumps(io.vector_to_json(psi)))
+    code, out, err = run(capsys, [command, "--state", str(state), "--dims", dims])
+    assert code == 0, err
+    assert report_of(out)["results"]["dims"] == [int(d) for d in dims.split(",")]
+
+
 def test_degenerate_observable_refusal_exits_two(tmp_path, capsys):
     obs = tmp_path / "deg.json"
     obs.write_text(json.dumps(io.observable_to_json(observable(np.diag([1.0, 1.0, 2.0])))))

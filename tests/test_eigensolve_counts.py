@@ -72,20 +72,21 @@ def test_evolution_demo_decomposes_the_generator_once(eigensolves):
     assert len(eigensolves) == 102
 
 
-def test_suite_validates_48_operators_and_48_hermiticity_defects():
+def test_suite_validates_26_operators_and_26_hermiticity_defects():
     # 5,988 and 3,344 before library-derived arrays skipped re-validation:
     # trace_distance checked both operands and then its own symmetrised
     # difference again, and every tensor, partial trace, commutator,
     # expectation and rank-one vector re-checked arrays the library built.
     # 253 operators before observable() stopped converting its matrix a
     # second time, 148 before criterion 6 stopped passing its 100 A^2
-    # probes through observable().  What is left: observable() (five named
-    # ones), the Schmidt embeddings, the observable square and two public
-    # states, each one operator and one Hermiticity check.
+    # probes through observable(), 48 before schmidt() stopped passing its
+    # 22 embeddings, Hermitian by construction, through jacobi_eigh().
+    # What is left: observable() (five named ones), the observable square
+    # and two public states, each one operator and one Hermiticity check.
     before = linalg.validation_count()
     acceptance.run_suite()
     operators, hermiticity = (b - a for a, b in zip(before, linalg.validation_count()))
-    assert (operators, hermiticity) == (48, 48)
+    assert (operators, hermiticity) == (26, 26)
 
 
 def test_validation_count_follows_every_check():

@@ -11,7 +11,7 @@ from qcontext import io
 from qcontext.contexts import observable
 from qcontext.contextuality import mermin_peres_square
 from qcontext.correlations import Direction, joint_probabilities
-from qcontext.mub import measure_statistics, mub_qubit
+from qcontext.mub import measure_statistics
 from qcontext.sampling import random_density, random_pure_state
 from qcontext.states import as_density, make_singlet
 
@@ -141,7 +141,6 @@ def test_problem_round_trip_preserves_structure():
 def test_statistics_round_trip():
     stats = measure_statistics(
         as_density(random_pure_state(2, np.random.default_rng(98))),
-        mub_qubit(),
         samples=2000,
         seed=3,
     )
@@ -199,7 +198,7 @@ def test_dumped_writer_output_is_pinned_byte_for_byte():
     }
     for seed, digest in digests.items():
         rho = random_density(2, np.random.default_rng(seed))
-        text = io.dump_json(io.statistics_to_json(measure_statistics(rho, mub_qubit())))
+        text = io.dump_json(io.statistics_to_json(measure_statistics(rho)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
 
 

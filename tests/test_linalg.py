@@ -398,7 +398,7 @@ def test_random_unitary_rejects_unsupported_dimension(dim):
 def test_spectral_reconstruct_round_trip():
     h = random_hermitian(6, seed=5)
     dec = la.spectral_decompose(h)
-    assert np.max(np.abs(dec.reconstruct() - h)) < 1e-10
+    assert np.max(np.abs(dec.apply_function(lambda a: a) - h)) < 1e-10
 
 
 def test_spectral_merges_degenerate_levels():

@@ -110,6 +110,17 @@ def test_schmidt_dimension_mismatch_names_both_numbers():
         schmidt(bad, (2, 3))
 
 
+@pytest.mark.parametrize("dims", [(1, 64), (64, 1)])
+def test_schmidt_splits_a_64_dimensional_state_one_by_64(dims):
+    # The Hermitian embedding is 65-dimensional, one above MAX_DIM.
+    psi = random_pure_state(64, np.random.default_rng(57))
+    dec = schmidt(psi, dims)
+    want = np.linalg.svd(psi.amplitudes.reshape(dims), compute_uv=False)
+    assert dec.rank == 1
+    assert np.max(np.abs(np.array(dec.coefficients) - want)) < 1e-10
+    assert is_product(psi, dims)[0]
+
+
 def test_is_product_returns_factors_that_rebuild_the_state():
     rng = np.random.default_rng(56)
     left = random_pure_state(2, rng)
