@@ -3,11 +3,12 @@
 Everything in this package runs on ordinary row-major numpy arrays of
 complex numbers.  Matrices stay small (dimension 64 at most), so the
 routines here favour determinism and transparency over asymptotic speed:
-Hermitian matrices are diagonalised by Jacobi rotations (in cyclic order
-on Python complex scalars up to dimension 7, in round-robin order, a
-round of disjoint pairs at a time on numpy arrays, above), phases of
-eigenvectors are fixed by an explicit convention, and matrix functions
-are evaluated through the spectral resolution rather than series.  A
+Hermitian matrices are diagonalised by cyclic Jacobi rotations on Python
+complex scalars up to dimension 7, and from dimension 8 by Householder
+tridiagonalisation on numpy arrays followed by implicit-shift QL on
+Python floats; phases of eigenvectors are fixed by an explicit
+convention, and matrix functions are evaluated through the spectral
+resolution rather than series.  A
 spectral resolution keeps its eigenvectors and forms a level's projector
 only when the level is read.
 
@@ -20,10 +21,11 @@ body swapped, in one place.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
-import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,20 +40,29 @@ HERMITICITY_TOL = 1e-9
 EIGENVALUE_MERGE_TOL = 1e-8
 
 # Jacobi sweeps stop once the off-diagonal Frobenius norm drops below
-# this times the scale of the input.
+# this times the scale of the input.  QL deflates a subdiagonal entry at
+# or below this times the scale over 2n (the Jacobi per-element cutoff),
+# if not sooner.
 JACOBI_OFF_TOL = 1e-12
 
 _JACOBI_MAX_SWEEPS = 100
 
-# Largest dimension diagonalised by cyclic sweeps; above it, sweeps run
-# in round-robin order.  It was set where the numpy cyclic kernel stopped
-# winning; the scalar one is faster up to n = 9 and even at n = 10
-# (CHANGES.md has both tables), but moving the cut-over moves last bits
-# at n = 8-9.
+# QL iterations allowed for one eigenvalue (``tqli`` in Numerical Recipes).
+_QL_MAX_ITERATIONS = 30
+
+_EPS = sys.float_info.epsilon
+
+# Largest dimension diagonalised by cyclic Jacobi sweeps, ``_cyclic_eigh``;
+# from the next one up, ``_ql_eigh`` tridiagonalises and runs QL.  The
+# golden reports pin the cyclic kernel's last bits at n <= 6.  On a
+# 2-vCPU Xeon the QL kernel is the faster one from n = 7 (0.5 against
+# 0.7 ms with eigenvectors, 0.16 against 0.5 ms without), so the cut-over
+# could come down by one.
 _JACOBI_CYCLIC_MAX_DIM = 7
 
-# Solves of the Jacobi kernel ``_eigh`` and the sweeps they made so far;
-# ``eigensolve_count`` and ``sweep_count`` read them.
+# Solves of ``_eigh`` and the Jacobi sweeps (n <= 7) or QL iterations
+# (n >= 8) they made so far; ``eigensolve_count`` and ``sweep_count`` read
+# them.
 _eigensolves = 0
 _sweeps = 0
 
@@ -235,7 +246,8 @@ def _partial_trace(a: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarra
     outside.
     """
     d1, d2 = _bipartite_dims(dims, a.shape[0])
-    if keep not in (1, 2):
+    # A bool or a float would pass ``in (1, 2)`` as the integer it equals.
+    if isinstance(keep, bool) or not isinstance(keep, numbers.Integral) or keep not in (1, 2):
         raise ValueError(f"keep must be 1 or 2, got {keep!r}")
     t = a.reshape(d1, d2, d1, d2)
     if keep == 1:
@@ -310,12 +322,6 @@ def _frobenius_norm(a: np.ndarray) -> float:
     re = x.real
     im = x.imag
     return math.sqrt(re.dot(re) + im.dot(im))
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a.copy()  # C order, so ravel() is a view
-    off.ravel()[:: a.shape[0] + 1] = 0.0
-    return _frobenius_norm(off)
 
 
 def _norm_of_scalars(z: list[complex]) -> float:
@@ -436,90 +442,198 @@ def _not_converged(n: int, sweeps: int, norm: float, threshold: float) -> Conver
     )
 
 
-@functools.cache
-def _round_robin_pairs(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The ``n - 1`` rounds (``n`` rounded up to even) of a round-robin sweep.
+def _tridiagonal_form(
+    a: np.ndarray, vectors: bool
+) -> tuple[list[float], list[float], np.ndarray | None]:
+    """``(d, e, q)`` with ``a = q T q^dagger``, ``T`` real symmetric tridiagonal.
 
-    Circle method: index ``m - 1`` stays put while the others turn one
-    place a round, so every pair meets exactly once a sweep and the pairs
-    of a round are disjoint.  A pair with the padding index ``n`` (odd
-    ``n``) sits its round out.  Each round is ``(p, q)``, read-only index
-    arrays with ``p < q`` elementwise.
+    ``d`` is the diagonal of ``T`` and ``e`` its subdiagonal, ``e[k]``
+    coupling ``k`` and ``k + 1``, with ``e[n - 1] = 0``, both lists of
+    Python floats; ``q`` is unitary, or None when ``vectors`` is false.
+
+    Reflection ``k`` (Golub & Van Loan, section 8.3.1) is
+    ``H = I - 2 u u^dagger`` on indices ``k + 1..n-1``, with ``u`` the unit
+    vector along ``x / |x| + phase e_1`` for the column ``x`` below the
+    diagonal and ``phase = exp(i arg x_0)``.  It maps
+    ``x`` to ``-phase |x| e_1`` and the trailing block ``B`` to
+    ``H B H = B - 2 (u w^dagger + w u^dagger)``, where ``p = B u`` and
+    ``w = p - (u^dagger p) u``.  A column whose norm is zero (or
+    underflows to zero) is left as it is.
+    The complex subdiagonal ``s`` this leaves is made real by
+    ``D = diag(phi)``, ``phi_0 = 1`` and ``phi_{k+1} = phi_k exp(i arg s_k)``:
+    ``D^dagger T' D`` has subdiagonal ``|s_k|``, and ``q`` is
+    ``H_0 H_1 ... H_{n-3} D``, the reflections accumulated backwards.  Each
+    phase is taken from an angle, not as ``z / |z|``, so it has modulus
+    one to rounding even where ``z`` is subnormal.  The caller's array is
+    never written.
     """
-    m = n + n % 2
-    rounds = []
-    for k in range(m - 1):
-        pairs = [(k, m - 1)] + [
-            ((k + i) % (m - 1), (k - i) % (m - 1)) for i in range(1, m // 2)
-        ]
-        pairs = sorted((min(a, b), max(a, b)) for a, b in pairs if max(a, b) < n)
-        p, q = np.array(pairs, dtype=np.intp).T
-        p.flags.writeable = q.flags.writeable = False
-        rounds.append((p, q))
-    return tuple(rounds)
+    n = a.shape[0]
+    t = np.array(a, dtype=complex)  # a C-order working copy
+    reflections = []
+    for k in range(n - 2):
+        x = t[k + 1 :, k]
+        norm = _frobenius_norm(x)
+        if norm == 0.0:
+            continue
+        phase = cmath.exp(1j * cmath.phase(x[0]))
+        u = x / norm
+        u[0] += phase
+        u /= _frobenius_norm(u)
+        b = t[k + 1 :, k + 1 :]
+        p = b @ u
+        uw = np.stack((u, p - np.vdot(u, p).real * u))
+        b -= (2.0 * uw.T) @ uw[::-1].conj()  # 2 (u w^dagger + w u^dagger)
+        t[k + 1, k] = -phase * norm
+        reflections.append((k, u))
+    s = t.diagonal(-1)
+    d = t.diagonal().real.tolist()
+    e = np.abs(s).tolist() + [0.0]
+    if not vectors:
+        return d, e, None
+    q = np.eye(n, dtype=complex)
+    for k, u in reversed(reflections):
+        block = q[k + 1 :, k + 1 :]
+        block -= np.outer(2.0 * u, u.conj() @ block)
+    q[:, 1:] *= np.cumprod(np.exp(1j * np.angle(s)))
+    return d, e, q
 
 
-def _round_robin_sweep(dv: np.ndarray, d: np.ndarray, cutoff: float) -> None:
-    """One sweep of ``n - 1`` rounds, each rotating its disjoint pairs at once.
+# Masks of the largest rotation chain, ``_eigh``'s ``MAX_DIM + 1`` rows:
+# entries above the diagonal, and on or above it.  A chain of ``k`` rows
+# uses their leading ``k x k`` blocks.
+_ABOVE = np.triu(np.ones((MAX_DIM + 1, MAX_DIM + 1), dtype=bool), 1)
+_UPPER = np.triu(np.ones((MAX_DIM + 1, MAX_DIM + 1), dtype=bool))
+_ABOVE.flags.writeable = _UPPER.flags.writeable = False
 
-    Every pair is rotated with the scalar formulas of ``_cyclic_eigh``,
-    evaluated elementwise over the round; disjoint pairs read nothing the
-    others write before all columns, then all rows, are rotated.
+
+def _rotate_chain(z: np.ndarray, l: int, c: list[float], s: list[float]) -> None:
+    """Apply one QL iteration's rotations to rows ``l..l + k - 1`` of ``z``, as one product.
+
+    ``c[j]``, ``s[j]`` (``j`` from 0 to ``k - 2``, relative to ``l``) rotate
+    rows ``j`` and ``j + 1``, the highest ``j`` first, each to
+    ``c z_j - s z_{j+1}`` and ``s z_j + c z_{j+1}``.  Row ``j + 1`` is final
+    after rotation ``j``, so the chain is ``z <- G z`` with
+    ``G[0] = W[0]``, ``G[j + 1] = c_j W[j + 1] + s_j e_j`` and
+    ``W[j, i] = c_i (-s_j) (-s_{j+1}) ... (-s_{i-1})`` for ``i >= j``
+    (``c_{k-1} = 1``), the products a cumulative product along each row.
     """
-    for p, q in _round_robin_pairs(d.shape[0]):
-        apq = d[p, q]
-        # np.hypot, not np.abs: numpy's vectorised complex abs can round
-        # the last bit differently from the scalar abs(apq).
-        r = np.hypot(apq.real, apq.imag)
-        rotate = r > cutoff
-        if not rotate.all():
-            if not rotate.any():
-                continue
-            p, q, apq, r = p[rotate], q[rotate], apq[rotate], r[rotate]
-        phase = apq / r
-        tau = (d[q, q].real - d[p, p].real) / (2.0 * r)
-        # 1 / (|tau| + sqrt(1 + tau^2)) negated where tau < 0: both
-        # branches of the scalar formula, with no division by zero in the
-        # branch not taken.
-        t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-        np.negative(t, out=t, where=tau < 0.0)
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        # Coefficient first in every product: numpy's complex multiply can
-        # round differently with its operands swapped.
-        conj_phase = phase.conj()
-        cp = dv[:, p]
-        cq = dv[:, q]
-        dv[:, p] = c * cp - (s * conj_phase) * cq
-        dv[:, q] = s * cp + (c * conj_phase) * cq
-        c = c[:, None]
-        s = s[:, None]
-        phase = phase[:, None]
-        rp = d[p]
-        rq = d[q]
-        d[p] = c * rp - (s * phase) * rq
-        d[q] = s * rp + (c * phase) * rq
+    k = len(c) + 1
+    cs = np.array(c + [1.0])
+    ss = np.array(s)
+    g = np.cumprod(np.where(_ABOVE[:k, :k], np.concatenate(([0.0], -ss)), 1.0), axis=1)
+    g = np.where(_UPPER[:k, :k], g * cs, 0.0)
+    g[1:] *= cs[:-1, None]
+    g.ravel()[k :: k + 1] = ss  # the subdiagonal
+    z[l : l + k] = g @ z[l : l + k]
+
+
+def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The QL kernel of ``_eigh``, for n >= 8.
+
+    ``_tridiagonal_form`` reduces ``a`` to ``q T q^dagger``; then ``tqli``
+    of Numerical Recipes (section 11.3) diagonalises ``T = Z diag(d) Z^T``
+    on Python floats: for each ``l`` in turn, the first ``m >= l`` whose
+    subdiagonal entry is negligible is found, and while ``m > l`` one
+    implicit QL iteration with the Wilkinson shift of the leading 2 x 2
+    block chases rotations from ``m - 1`` up to ``l``.  ``e[m]`` is
+    negligible at or below ``EPS (|d[m]| + |d[m + 1]|)`` or the Jacobi
+    per-element cutoff, ``JACOBI_OFF_TOL`` times the larger of 1 and the
+    Frobenius norm of ``a``, over ``2n``; without that floor a zero-diagonal
+    block (a Schmidt embedding) could iterate to the limit.  Each iteration
+    adds one to ``sweep_count()``; the ``_QL_MAX_ITERATIONS``-th on one
+    eigenvalue that leaves it unconverged raises ``ConvergenceError``.
+    The rotations of an iteration go into the rows of the real ``Z^T`` with
+    one product (``_rotate_chain``), and ``V = q Z`` is one more.
+    ``tqli`` ends an iteration early where the radius ``r`` underflows to
+    zero; that exit is left out, since ``r >= |f|`` and ``f`` starts as an
+    entry above the floor (a zero would raise ``ZeroDivisionError``, not
+    return a wrong value).
+    """
+    global _sweeps
+    n = a.shape[0]
+    floor = JACOBI_OFF_TOL * max(1.0, _frobenius_norm(a)) / (2.0 * n)
+    d, e, q = _tridiagonal_form(a, vectors)
+    z = np.eye(n) if vectors else None  # row j: the j-th eigenvector of T
+    for l in range(n):
+        iterations = 0
+        while True:
+            m = l
+            while m < n - 1:
+                em = abs(e[m])
+                if em <= floor or em <= _EPS * (abs(d[m]) + abs(d[m + 1])):
+                    break
+                m += 1
+            if m == l:
+                break
+            if iterations == _QL_MAX_ITERATIONS:
+                threshold = max(floor, _EPS * (abs(d[l]) + abs(d[l + 1])))
+                raise ConvergenceError(
+                    f"QL diagonalisation of a dimension-{n} matrix stopped after "
+                    f"{iterations} iterations on eigenvalue {l} with subdiagonal entry "
+                    f"{abs(e[l]):.3e}, above the threshold {threshold:.3e}"
+                )
+            iterations += 1
+            _sweeps += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            cs = []
+            ss = []
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                cs.append(c)
+                ss.append(s)
+            d[l] -= p
+            e[l] = g
+            e[m] = 0.0
+            if vectors:
+                _rotate_chain(z, l, cs[::-1], ss[::-1])
+
+    eigenvalues = np.array(d)
+    order = eigenvalues.argsort(kind="stable")
+    eigenvalues = eigenvalues[order]
+    if not vectors:
+        return eigenvalues, None
+    return eigenvalues, _fix_column_phases((q @ z.T)[:, order])
 
 
 def eigensolve_count() -> int:
-    """Number of Jacobi solves (``_eigh`` calls) made in this process so far."""
+    """Number of eigensolves (``_eigh`` calls) made in this process so far."""
     return _eigensolves
 
 
 def sweep_count() -> int:
-    """Number of Jacobi sweeps, over every ``_eigh`` solve, in this process so far."""
+    """Iterations of every ``_eigh`` solve in this process so far.
+
+    A solve at n <= 7 counts its Jacobi sweeps, one at n >= 8 its QL
+    iterations (about two per eigenvalue); a 1 x 1 solve counts none.
+    """
     return _sweeps
 
 
 def jacobi_eigh(h, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Diagonalise a Hermitian matrix by Jacobi rotations.
+    """Diagonalise a Hermitian matrix.
 
     The input is validated as Hermitian here, and then solved by
-    ``_eigh``.  An input that passes the check without being exactly
-    Hermitian is replaced by its Hermitian part ``(H + H^dagger)/2``: the
-    rotations keep the norm of an anti-Hermitian part, so one above the
-    threshold would stop convergence.  An exactly Hermitian input is
-    used as it is.  The caller's array is never written.
+    ``_eigh``: by cyclic Jacobi rotations up to n = 7 and by Householder
+    tridiagonalisation and implicit-shift QL from n = 8.  An input that
+    passes the check without being exactly Hermitian is replaced by its
+    Hermitian part ``(H + H^dagger)/2``: the Jacobi rotations keep the
+    norm of an anti-Hermitian part, so one above the threshold would stop
+    convergence.  An exactly Hermitian input is used as it is.  The
+    caller's array is never written.
 
     Returns
     -------
@@ -532,7 +646,8 @@ def jacobi_eigh(h, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | No
     ------
     ConvergenceError
         If the off-diagonal norm is still above the threshold after
-        ``_JACOBI_MAX_SWEEPS`` sweeps.
+        ``_JACOBI_MAX_SWEEPS`` sweeps (n <= 7), or an eigenvalue is not
+        deflated after ``_QL_MAX_ITERATIONS`` QL iterations (n >= 8).
     """
     return _eigh(_hermitian_input(h)[1], vectors)
 
@@ -548,46 +663,35 @@ def _hermitian_input(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The Jacobi kernel of ``jacobi_eigh``, on an unvalidated array.
+    """The eigensolver of ``jacobi_eigh``, on an unvalidated array.
 
     ``a`` must be a finite, exactly Hermitian square array of dimension
     1..``MAX_DIM``, such as ``0.5 * (m + m^dagger)`` of a finite ``m``;
     library code calls it directly only on arrays it built that way.
     One caller passes ``MAX_DIM + 1``: ``states.schmidt`` solves the
     ``(d1 + d2)``-dimensional embedding of a state with ``d1 * d2`` entries,
-    which is 65 for a 1 x 64 or 64 x 1 split.
-    Nothing is checked.  Sweeps annihilate off-diagonal entries with
-    complex plane rotations until the off-diagonal Frobenius norm falls
-    below ``JACOBI_OFF_TOL`` times the scale of the input.  Convergence is
-    quadratic, so a handful of sweeps suffices at these dimensions.
+    which is 65 for a 1 x 64 or 64 x 1 split.  Nothing is checked.
 
-    Two kernels share the threshold (``JACOBI_OFF_TOL`` times the larger
-    of 1 and the Frobenius norm of the input), the per-element cutoff,
-    the sweep limit, the error message, the stable sort and the phase
-    rule.  Up to
-    ``_JACOBI_CYCLIC_MAX_DIM`` (7), ``_cyclic_eigh`` sweeps in cyclic
-    order, one pair at a time in row order, on Python complex scalars:
-    at these sizes a numpy call on a row of a few entries costs more
-    than its arithmetic.  Above it, a sweep is ``n - 1`` rounds of a
-    round-robin (Brent-Luk style) ordering, each rotating ``n/2``
-    disjoint pairs in one vectorised numpy step: all their columns, then
-    all their rows, of one ``(2n, n)`` buffer that holds the working
-    matrix ``d`` in rows ``0..n-1`` and the eigenvector accumulator ``v``
-    in rows ``n..2n-1``.  At n = 64 a round holds 32 pairs and a solve is
-    three to four times faster than in cyclic order.  The two kernels
-    give different last bits, so the cut-over is fixed: every solve
-    behind the pinned reports runs at n <= 6.  Each kernel performs the
-    same float operations, in the same order, as the per-pair loop of
-    its ordering kept in ``tests/oracles.py``, so its output is identical
-    to that loop's bit for bit.
+    Up to ``_JACOBI_CYCLIC_MAX_DIM`` (7), ``_cyclic_eigh`` sweeps complex
+    plane rotations in cyclic order on Python complex scalars until the
+    off-diagonal Frobenius norm falls below ``JACOBI_OFF_TOL`` times the
+    larger of 1 and the Frobenius norm of the input; it performs the same
+    float operations, in the same order, as the loop kept in
+    ``tests/oracles.py``, bit for bit, and every solve behind the pinned
+    reports runs there (n <= 6).  From n = 8, ``_ql_eigh`` reduces the
+    input to a real tridiagonal with numpy Householder reflections and
+    diagonalises that by implicit-shift QL on Python floats.  Both kernels
+    end with the stable ascending sort and the phase rule of
+    ``_fix_column_phases``.
 
     With ``vectors=False`` no eigenvector is accumulated or phase-fixed;
-    the same rotations give the same eigenvalues, bit for bit.
+    the same arithmetic gives the same eigenvalues, bit for bit.
 
-    The norm is tested before each sweep and once after the last allowed
-    one, so a matrix that converges in sweep ``_JACOBI_MAX_SWEEPS`` is
-    solved; ``ConvergenceError`` names the norm that was too large.  Every
-    sweep is added to ``sweep_count()``.
+    The Jacobi norm is tested before each sweep and once after the last
+    allowed one, so a matrix that converges in sweep ``_JACOBI_MAX_SWEEPS``
+    is solved; QL gives up on an eigenvalue after ``_QL_MAX_ITERATIONS``
+    iterations.  Either raises ``ConvergenceError`` naming what was too
+    large.  Every sweep or QL iteration is added to ``sweep_count()``.
 
     An entry above 2^500 could overflow the squares in the norms: such a
     matrix is solved divided by a power of two (exactly) and its eigenvalues
@@ -598,7 +702,7 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), (np.eye(1, dtype=complex) if vectors else None)
-    kernel = _cyclic_eigh if n <= _JACOBI_CYCLIC_MAX_DIM else _round_robin_eigh
+    kernel = _cyclic_eigh if n <= _JACOBI_CYCLIC_MAX_DIM else _ql_eigh
     if np.abs(a).max() <= 2.0**500:
         return kernel(a, vectors)
     k = max(math.frexp(float(np.abs(x).max()))[1] for x in (a.real, a.imag))
@@ -606,36 +710,6 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     if math.frexp(float(np.abs(eigenvalues).max()))[1] + k > 1024:
         raise ValueError("an eigenvalue exceeds the float range")
     return np.ldexp(eigenvalues, k), v
-
-
-def _round_robin_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The round-robin kernel of ``_eigh``, on numpy arrays, for n >= 2."""
-    global _sweeps
-    n = a.shape[0]
-    dv = np.zeros((2 * n if vectors else n, n), dtype=complex)
-    dv[:n] = a
-    if vectors:
-        dv.ravel()[n * n :: n + 1] = 1.0  # v starts as the identity
-    d = dv[:n]
-    scale = max(1.0, _frobenius_norm(a))
-    threshold = JACOBI_OFF_TOL * scale
-    cutoff = threshold / (2.0 * n)
-
-    sweeps = 0
-    while (norm := _offdiag_norm(d)) >= threshold:
-        if sweeps == _JACOBI_MAX_SWEEPS:
-            _sweeps += sweeps
-            raise _not_converged(n, sweeps, norm, threshold)
-        _round_robin_sweep(dv, d, cutoff)
-        sweeps += 1
-    _sweeps += sweeps
-
-    eigenvalues = d.diagonal().real.copy()
-    order = eigenvalues.argsort(kind="stable")
-    eigenvalues = eigenvalues[order]
-    if not vectors:
-        return eigenvalues, None
-    return eigenvalues, _fix_column_phases(dv[n:, order])
 
 
 @dataclass(frozen=True)

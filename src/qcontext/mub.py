@@ -51,6 +51,8 @@ class MeasurementStatistics:
     seed: int | None = None
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if not isinstance(self.tables, (tuple, list)):
             raise ValueError(f"tables must be a sequence of rows, got {self.tables!r}")
         for b, row in enumerate(self.tables):
@@ -80,7 +82,8 @@ def measure_statistics(
 
     With ``samples`` unset the exact Born probabilities are returned.
     Otherwise each basis is sampled ``samples`` times with a seeded
-    multinomial draw and the tables hold relative frequencies.
+    multinomial draw and the tables hold relative frequencies; ``seed``
+    is then None (fresh entropy) or a non-negative integer.
     """
     rho = as_density(w)
     if rho.dim != 2:
@@ -102,6 +105,10 @@ def measure_statistics(
         or not 1 <= samples <= limit
     ):
         raise ValueError(f"samples must be an integer between 1 and {limit}, got {samples!r}")
+    if seed is not None and (
+        isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0
+    ):
+        raise ValueError(f"seed must be a non-negative integer or None, got {seed!r}")
     rng = np.random.default_rng(seed)
     tables_s: list[tuple[float, ...]] = []
     for row in exact:

@@ -4,17 +4,15 @@ The search and lattice check are the tuple-and-dict versions of the
 vectorised combinatorial routines; tests require the library to return
 results equal to these under ``==``, down to the last bit of
 ``max_defect``.  ``jacobi_eigh`` is the cyclic eigensolver written
-literally on Python complex scalars, one matrix entry at a time, and
-``jacobi_eigh_round_robin`` the round-robin ordering one pair at a time
-on numpy rows and columns; tests require the library's kernel for each
-ordering to match its loop bit for bit.  ``jacobi_eigh_numpy`` is the
-cyclic loop on numpy rows and columns that the scalar kernel replaced;
-numpy's complex loops round differently, so tests hold the library to it
-within 1e-12 times the scale of the input.
-``tensor``, ``offdiag_norm``, ``fix_column_phases`` and
-``spectral_decompose`` are the kernel helpers as they were written with
-numpy's Python-level functions (``np.kron``, ``np.linalg.norm``,
-``np.diag``, ``np.mean``); tests require ``tobytes()`` equality.
+literally on Python complex scalars, one matrix entry at a time; tests
+require the library's Jacobi kernel (n <= 7) to match it bit for bit.
+``jacobi_eigh_numpy`` is the cyclic loop on numpy rows and columns that
+the scalar kernel replaced; numpy's complex loops round differently, so
+tests hold the library to it within 1e-12 times the scale of the input.
+``tensor``, ``fix_column_phases`` and ``spectral_decompose`` are the
+kernel helpers as they were written with numpy's Python-level functions
+(``np.kron``, ``np.diag``, ``np.mean``); tests require ``tobytes()``
+equality.
 ``density_is_positive`` is the ``DensityOperator`` positivity rule
 before the Cholesky certificate; tests require equal decisions and
 messages.
@@ -64,7 +62,7 @@ def tensor(a, b):
     return np.kron(a, b)
 
 
-def offdiag_norm(a):
+def _offdiag_norm(a):
     """Frobenius norm of ``a`` with its diagonal subtracted out."""
     off = a - np.diag(np.diag(a))
     return float(np.linalg.norm(off))
@@ -140,8 +138,8 @@ def _rotate_rows(m, p, q, c, s, phase):
     m[q, :] = s * rp + c * phase * rq
 
 
-def _jacobi(h, off_tol, sweep):
-    """Validation, threshold, sweeps until converged, sorted and phase-fixed."""
+def jacobi_eigh_numpy(h, off_tol: float = JACOBI_OFF_TOL):
+    """Cyclic Jacobi on numpy rows and columns, every rotation product in place."""
     a = require_hermitian(h)
     n = a.shape[0]
     d = a.copy()
@@ -154,9 +152,9 @@ def _jacobi(h, off_tol, sweep):
         return np.array([d[0, 0].real]), v
 
     for _ in range(100):
-        if offdiag_norm(d) < threshold:
+        if _offdiag_norm(d) < threshold:
             break
-        sweep(d, v, cutoff)
+        _cyclic_sweep(d, v, cutoff)
     else:
         raise ConvergenceError("Jacobi oracle did not converge")
 
@@ -176,11 +174,6 @@ def _cyclic_sweep(d, v, cutoff):
             _rotate_columns(d, p, q, *rotation)
             _rotate_rows(d, p, q, *rotation)
             _rotate_columns(v, p, q, *rotation)
-
-
-def jacobi_eigh_numpy(h, off_tol: float = JACOBI_OFF_TOL):
-    """Cyclic Jacobi on numpy rows and columns, every rotation product in place."""
-    return _jacobi(h, off_tol, _cyclic_sweep)
 
 
 def _norm(entries):
@@ -252,43 +245,6 @@ def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL):
         for i in range(n):
             vectors[i, j] = column[i]
     return eigenvalues, vectors
-
-
-def round_robin_rounds(n):
-    """The circle-method rounds of one sweep, each a list of ``(p, q)``, ``p < q``.
-
-    ``n`` is rounded up to even ``m``; index ``m - 1`` stays put while the
-    others turn one place a round, and pairs with the padding index ``n``
-    are dropped.
-    """
-    m = n + n % 2
-    rounds = []
-    for k in range(m - 1):
-        pairs = [(k, m - 1)]
-        pairs += [((k + i) % (m - 1), (k - i) % (m - 1)) for i in range(1, m // 2)]
-        rounds.append(sorted((min(a, b), max(a, b)) for a, b in pairs if max(a, b) < n))
-    return rounds
-
-
-def _round_robin_sweep(d, v, cutoff):
-    for pairs in round_robin_rounds(d.shape[0]):
-        rotations = []
-        for p, q in pairs:
-            rotation = _rotation(d, p, q, cutoff)
-            if rotation is not None:
-                rotations.append((p, q, *rotation))
-        for p, q, *rotation in rotations:
-            _rotate_columns(d, p, q, *rotation)
-            _rotate_columns(v, p, q, *rotation)
-        for p, q, *rotation in rotations:
-            _rotate_rows(d, p, q, *rotation)
-
-
-def jacobi_eigh_round_robin(h, off_tol: float = JACOBI_OFF_TOL):
-    """Jacobi in round-robin order, one pair at a time: in each round every
-    pair's rotation from the round's starting ``d``, then all their column
-    rotations, then all their row rotations."""
-    return _jacobi(h, off_tol, _round_robin_sweep)
 
 
 def density_is_positive(m):

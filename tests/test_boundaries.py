@@ -173,6 +173,12 @@ BOUNDARIES = {
     "partial_trace_keep": (
         lambda: la.partial_trace(np.eye(4), (2, 2), keep=3), ValueError, "keep must be 1 or 2",
     ),
+    "partial_trace_keep_bool": (
+        lambda: la.partial_trace(np.eye(4), (2, 2), True), ValueError, "keep must be 1 or 2, got True",
+    ),
+    "partial_trace_keep_float": (
+        lambda: la.partial_trace(np.eye(4), (2, 2), 1.0), ValueError, "keep must be 1 or 2, got 1.0",
+    ),
     "partial_trace_overflow": (
         lambda: la.partial_trace(1e308 * np.eye(4), (2, 2), 1),
         ValueError, "partial trace leaves the float range",
@@ -224,6 +230,9 @@ BOUNDARIES = {
         ValueError, "evolution time must be finite, got nan",
     ),
     # mub
+    "statistics_float_dim": (
+        lambda: _qubit_statistics(dim=2.0), ValueError, "dim must be a positive integer, got 2.0",
+    ),
     "statistics_outside_unit_interval": (
         lambda: _qubit_statistics(tables=((1.5, -0.5),)), ValueError, "outside [0, 1]",
     ),
@@ -248,6 +257,18 @@ BOUNDARIES = {
     "measure_statistics_bool_samples": (
         lambda: measure_statistics(E0, samples=True),
         ValueError, "samples must be an integer between 1 and",
+    ),
+    "measure_statistics_fractional_seed": (
+        lambda: measure_statistics(E0, samples=10, seed=1.5),
+        ValueError, "seed must be a non-negative integer or None, got 1.5",
+    ),
+    "measure_statistics_bool_seed": (
+        lambda: measure_statistics(E0, samples=10, seed=True),
+        ValueError, "seed must be a non-negative integer or None, got True",
+    ),
+    "measure_statistics_negative_seed": (
+        lambda: measure_statistics(E0, samples=10, seed=-1),
+        ValueError, "seed must be a non-negative integer or None, got -1",
     ),
     "reconstruct_dimension": (
         lambda: reconstruct(_qubit_statistics(tables=((1.0, 0.0, 0.0),), dim=3)),
@@ -323,12 +344,16 @@ def test_boundary_returns(name):
         assert call() == expected
 
 
-def test_round_robin_kernel_gives_up_after_its_last_allowed_sweep(monkeypatch):
-    monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 1)
+def test_ql_kernel_gives_up_after_its_last_allowed_iteration(monkeypatch):
+    monkeypatch.setattr(la, "_QL_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(3)
     g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     before = la.sweep_count()
-    with pytest.raises(la.ConvergenceError, match="dimension-8 .* after 1 sweeps"):
+    with pytest.raises(
+        la.ConvergenceError,
+        match=r"QL diagonalisation of a dimension-8 matrix stopped after 1 iterations on "
+        r"eigenvalue 0 with subdiagonal entry \S+e\+00, above the threshold 5\.364e-13",
+    ):
         la.jacobi_eigh(0.5 * (g + g.conj().T))
     assert la.sweep_count() - before == 1
 

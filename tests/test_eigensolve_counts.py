@@ -44,6 +44,21 @@ def test_suite_makes_281_eigensolves_in_145_sweeps(eigensolves):
     assert linalg.sweep_count() - swept == 145
 
 
+def test_a_seeded_d64_solve_takes_140_ql_iterations(eigensolves):
+    # From n = 8 sweep_count() counts QL iterations: 140 here, 2.2 an
+    # eigenvalue, with or without eigenvectors (the same host gives 140
+    # under numpy's x86-64 baseline tier and OPENBLAS_CORETYPE=Prescott).
+    # Round-robin Jacobi took 7 sweeps of 63 rounds on inputs like this.
+    rng = np.random.default_rng(64)
+    g = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    h = 0.5 * (g + g.conj().T)
+    for vectors in (True, False):
+        swept = linalg.sweep_count()
+        linalg.jacobi_eigh(h, vectors=vectors)
+        assert linalg.sweep_count() - swept == 140
+    assert eigensolves == [64, 64]
+
+
 def test_suite_forms_33_commutator_defects(monkeypatch):
     # 438 while every Lüders result re-checked [W_A, A]; the 33 left are
     # ValueAssignmentProblem's context pairs, 18 for the square and 15

@@ -3,16 +3,15 @@
 ``linalg`` forms the Kronecker product by broadcasting, the Frobenius
 norm from numpy's own dot-product branch, the eigenvector phases from one
 ``argmax`` over all columns and a singleton level without ``np.mean``.
-``oracles.py`` keeps the versions written with ``np.kron``,
-``np.linalg.norm``, ``np.diag`` and ``np.mean``.  Every result here must
-match its oracle in ``tobytes()`` (or ``float.hex()``), so signed zeros
-count too.  The inputs cover n = 1-8, degenerate spectra, magnitude ties,
+``oracles.py`` keeps the versions written with ``np.kron``, ``np.diag``
+and ``np.mean``; the Frobenius norm is held to ``np.linalg.norm``.
+Every result here must match its oracle in ``tobytes()`` (or
+``float.hex()``), so signed zeros count too.  The inputs cover n = 1-8, degenerate spectra, magnitude ties,
 transposed and strided views and entries of ``-0.0``.  The Jacobi kernel
-is held to the loop oracle of the ordering it runs: the scalar cyclic
-loop up to n = 7, round robin from n = 8 (n = 8-16, 24, 32 and 64
-here); the cyclic numpy loop it replaced is held to 1e-12 x scale.  The
-eigenvalues-only mode of ``jacobi_eigh`` is held to its full path the same
-way, up to n = 64.
+(n <= 7) is held to the scalar cyclic loop, and the cyclic numpy loop it
+replaced to 1e-12 x scale.  The eigenvalues-only mode of ``jacobi_eigh``
+is held to its full path the same way, up to n = 64, where the QL kernel
+runs.
 """
 
 import numpy as np
@@ -132,11 +131,6 @@ def test_tensor_rejects_products_above_the_cap():
 # norms
 
 
-def test_offdiag_norm_matches_diag_subtraction():
-    for m in _operators(21):
-        assert la._offdiag_norm(m).hex() == oracles.offdiag_norm(m).hex()
-
-
 def test_frobenius_norm_matches_numpy_in_every_layout():
     # A transposed input is summed in memory order, as np.linalg.norm does.
     for m in _operators(22):
@@ -190,18 +184,14 @@ def _hermitian_inputs(seed):
     return out
 
 
-def _assert_matches(h, oracle):
-    values, vectors = la.jacobi_eigh(h)
-    ref_values, ref_vectors = oracle(h)
-    assert values.tobytes() == ref_values.tobytes()
-    assert vectors.tobytes() == ref_vectors.tobytes()
-
-
 def test_jacobi_matches_loop_oracle_in_every_layout():
     # The cyclic kernel solves n <= 7 only.
     for h in _hermitian_inputs(41):
         if len(h) <= la._JACOBI_CYCLIC_MAX_DIM:
-            _assert_matches(h, oracles.jacobi_eigh)
+            values, vectors = la.jacobi_eigh(h)
+            ref_values, ref_vectors = oracles.jacobi_eigh(h)
+            assert values.tobytes() == ref_values.tobytes()
+            assert vectors.tobytes() == ref_vectors.tobytes()
 
 
 def test_cyclic_kernel_agrees_with_the_numpy_loop_to_1e12_scale():
@@ -242,32 +232,10 @@ def _eigenvalue_inputs(seed):
     return out
 
 
-def test_round_robin_matches_its_loop_oracle_in_every_layout():
-    solved = 0
-    for h in _eigenvalue_inputs(44):
-        if len(h) > la._JACOBI_CYCLIC_MAX_DIM:
-            _assert_matches(h, oracles.jacobi_eigh_round_robin)
-            solved += 1
-    assert solved == 9 * 9 + 3 * 3  # n = 8-16 in every kind, 24, 32, 64 in one
-
-
 def test_pinned_dimensions_stay_on_the_cyclic_kernel():
-    # Golden stdout pins eigensolves up to n = 6; the cyclic kernel also
-    # wins at n = 7 (CHANGES.md has the crossover table).
+    # Golden stdout pins eigensolves up to n = 6 to the cyclic kernel's
+    # bits; n = 7 stays there too, so no solve moves between kernels.
     assert la._JACOBI_CYCLIC_MAX_DIM >= 7
-
-
-def test_round_robin_rounds_cover_every_pair_once():
-    for n in (8, 9, 15, 16, 17, 33, 64):
-        rounds = la._round_robin_pairs(n)
-        assert len(rounds) == n - 1 + n % 2
-        met = []
-        for (p, q), want in zip(rounds, oracles.round_robin_rounds(n)):
-            assert list(zip(p.tolist(), q.tolist())) == want
-            assert (p < q).all()
-            assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)  # disjoint
-            met.extend(want)
-        assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 def test_eigenvalues_only_mode_matches_the_full_path():

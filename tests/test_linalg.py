@@ -84,7 +84,41 @@ def _repeated_levels(n, seed):
     return _with_repeated_levels(random_hermitian(n, seed), np.random.default_rng(seed))
 
 
-_ROUND_ROBIN_INPUTS = {
+def _assert_agrees_with_lapack(h, values, vectors):
+    n = len(h)
+    scale = max(1.0, np.linalg.norm(h))
+    assert np.abs(values - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
+    assert np.abs(h @ vectors - vectors * values).max() <= 1e-12 * scale
+    assert np.abs(vectors.conj().T @ vectors - np.eye(n)).max() <= 1e-12
+
+
+def _tridiagonal(diagonal, subdiagonal):
+    n = len(diagonal)
+    t = np.diag(np.asarray(diagonal, dtype=complex))
+    t[np.arange(1, n), np.arange(n - 1)] = subdiagonal
+    t[np.arange(n - 1), np.arange(1, n)] = np.conj(subdiagonal)
+    return t
+
+
+def _block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    start = 0
+    for b in blocks:
+        out[start : start + len(b), start : start + len(b)] = b
+        start += len(b)
+    return out
+
+
+def _with_zero_leading_entry(h):
+    # The first Householder column starts with an exact zero, so its phase
+    # comes from the angle of 0; the rest of the column is dense.
+    h = h.copy()
+    h[1, 0] = h[0, 1] = 0.0
+    return h
+
+
+_LARGE_INPUTS = {
     **{f"n{n}": (lambda n=n: random_hermitian(n, seed=600 + n))
        for n in (8, 9, 12, 16, 17, 24, 32, 33, 48, 64)},
     **{f"n{n}_degenerate": (lambda n=n: _repeated_levels(n, seed=700 + n))
@@ -93,54 +127,62 @@ _ROUND_ROBIN_INPUTS = {
        for d1, d2 in ((2, 6), (4, 4), (8, 8), (4, 16), (2, 32), (32, 32))},
     "n16_scaled_1e6": lambda: 1e6 * random_hermitian(16, seed=616),
     "n16_scaled_1e-6": lambda: 1e-6 * random_hermitian(16, seed=616),
+    # Every column below the subdiagonal is zero: no reflection is made.
+    "tridiagonal_8": lambda: _tridiagonal(
+        np.random.default_rng(8).normal(size=8),
+        np.random.default_rng(9).normal(size=7) * np.exp(1j * np.arange(7)),
+    ),
+    # Column 3 is zero below the diagonal, and so is subdiagonal entry 3.
+    "block_diagonal_4_4": lambda: _block_diagonal(
+        random_hermitian(4, seed=44), random_hermitian(4, seed=45)
+    ),
+    "zero_leading_entry_8": lambda: _with_zero_leading_entry(random_hermitian(8, seed=80)),
+    # The floor deflates the zero block of a 1 x 7 Schmidt embedding.
+    "jordan_wielandt_1x7": lambda: _jordan_wielandt(1, 7, seed=17),
+    # Exact-zero entries throughout, and four doubly degenerate levels.
+    "pauli8": lambda: _pauli_sum([(1.0, "xzi"), (0.5, "zzy"), (0.3, "ixx"), (0.2, "yiz")]),
 }
 
 
-@pytest.mark.parametrize("make", _ROUND_ROBIN_INPUTS.values(), ids=_ROUND_ROBIN_INPUTS)
+@pytest.mark.parametrize("make", _LARGE_INPUTS.values(), ids=_LARGE_INPUTS)
 def test_round_robin_agrees_with_lapack(make):
+    # The n >= 8 kernel, Householder and QL.
     h = make()
-    n = len(h)
-    values, vectors = la.jacobi_eigh(h)
-    scale = max(1.0, np.linalg.norm(h))
-    assert np.abs(values - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
-    assert np.abs(h @ vectors - vectors * values).max() <= 1e-12 * scale
-    assert np.abs(vectors.conj().T @ vectors - np.eye(n)).max() <= 1e-12
+    _assert_agrees_with_lapack(h, *la.jacobi_eigh(h))
 
 
-def _sweeps(monkeypatch, h, cyclic_max_dim):
-    """Sweeps of one solve, with the cyclic kernel up to ``cyclic_max_dim``,
-    read off the library's sweep counter."""
-    monkeypatch.setattr(la, "_JACOBI_CYCLIC_MAX_DIM", cyclic_max_dim)
+def _iterations(h):
+    """QL iterations of one solve, read off the library's sweep counter."""
     before = la.sweep_count()
     la.jacobi_eigh(h, vectors=False)
     return la.sweep_count() - before
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
-def test_round_robin_takes_at_most_one_sweep_more_than_cyclic(monkeypatch, n):
+def test_ql_takes_at_most_two_and_a_half_iterations_per_eigenvalue(n):
+    # Convergence is cubic: 2.1-2.3 an eigenvalue on dense inputs at these
+    # n; a 2 x (n - 2) Schmidt embedding has four non-zero eigenvalues
+    # and the floor deflates its zero block, so it takes 7 at every n.
     for h in (
         random_hermitian(n, seed=800 + n),
         random_hermitian(n, seed=900 + n),
-        _jordan_wielandt(2, n - 2, seed=n),
         _jordan_wielandt(n // 2, n // 2, seed=n),
     ):
-        cyclic = _sweeps(monkeypatch, h, la.MAX_DIM)
-        assert _sweeps(monkeypatch, h, 1) <= cyclic + 1
+        assert _iterations(h) <= 2.5 * n
+    assert _iterations(_jordan_wielandt(2, n - 2, seed=n)) <= 8
 
 
-def test_round_robin_sweeps_on_repeated_levels(monkeypatch):
-    # Levels in -2..2, each about n/5 times.  Here both orderings pass
-    # through a linear phase of varying length; over 30 such matrices at
-    # each of n = 16, 24 and 32 the round robin took -0.07, 0.77 and 0.60
-    # sweeps more on average, at most 3 more, and more than 1 more on 15
-    # of the 90.
-    more = []
+def test_ql_iterations_on_repeated_levels():
+    # Levels in -2..2, each about n/5 times: a repeated level deflates as a
+    # block, so these take 1.0-1.7 iterations an eigenvalue.
+    counts = []
+    sizes = []
     for n in (8, 16, 32, 64):
         for seed in range(3):
-            h = _repeated_levels(n, seed=1000 * n + seed)
-            more.append(_sweeps(monkeypatch, h, 1) - _sweeps(monkeypatch, h, la.MAX_DIM))
-    assert max(more) <= 3
-    assert sum(more) <= len(more)
+            counts.append(_iterations(_repeated_levels(n, seed=1000 * n + seed)))
+            sizes.append(n)
+    assert all(c <= 2 * size for c, size in zip(counts, sizes))
+    assert sum(counts) <= 1.5 * sum(sizes)
 
 
 def test_jacobi_eigenvalues_ascending():
@@ -174,16 +216,9 @@ def test_jacobi_diagonal_input_short_circuits():
     assert np.allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]])
 
 
-def _loop_oracle(n):
-    """The loop oracle of the ordering ``jacobi_eigh`` runs at dimension n."""
-    if n <= la._JACOBI_CYCLIC_MAX_DIM:
-        return oracles.jacobi_eigh
-    return oracles.jacobi_eigh_round_robin
-
-
 def _assert_matches_loop_oracle(h):
     values, vectors = la.jacobi_eigh(h)
-    ref_values, ref_vectors = _loop_oracle(len(h))(h)
+    ref_values, ref_vectors = oracles.jacobi_eigh(h)
     assert np.array_equal(values, ref_values)
     assert np.array_equal(vectors, ref_vectors)
     # Byte equality also pins the sign of every zero.
@@ -218,13 +253,6 @@ def test_jacobi_matches_loop_oracle_bit_for_bit():
     _assert_sizes_match_loop_oracle(sizes, seed=2024)
 
 
-def test_round_robin_matches_loop_oracle_bit_for_bit():
-    # 8 matrices at each n from the kernel's smallest dimension to 16 (a
-    # solve at n = 16 costs ~150 at n = 2).
-    sizes = [n for n in range(la._JACOBI_CYCLIC_MAX_DIM + 1, 17) for _ in range(8)]
-    _assert_sizes_match_loop_oracle(sizes, seed=2025)
-
-
 def _pauli_sum(terms):
     factors = {"i": np.eye(2), "x": la.SIGMA_X, "y": la.SIGMA_Y, "z": la.SIGMA_Z}
     out = 0
@@ -239,24 +267,88 @@ def _pauli_sum(terms):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: random_hermitian(24, seed=524),
-        lambda: random_hermitian(32, seed=532),
-        lambda: random_hermitian(48, seed=548),
-        lambda: random_hermitian(64, seed=564),
-        lambda: _with_repeated_levels(
-            random_hermitian(64, seed=664), np.random.default_rng(664)
-        ),
-        # Pauli sums have exact-zero off-diagonal entries, so rotations
+        # A Pauli sum has exact-zero off-diagonal entries, so rotations
         # are skipped by the cutoff test.
         lambda: _pauli_sum([(1.0, "xz"), (0.5, "zy"), (0.25, "ix")]),
-        lambda: _pauli_sum([(1.0, "xzi"), (0.5, "zzy"), (0.3, "ixx"), (0.2, "yiz")]),
         # Already diagonal: the first convergence test stops before any sweep.
         lambda: np.diag([3.0, -1.0, 2.0, 0.5, -1.0]).astype(complex),
     ],
-    ids=["n24", "n32", "n48", "n64", "n64_degenerate", "pauli4", "pauli8", "diagonal"],
+    ids=["pauli4", "diagonal"],
 )
 def test_jacobi_matches_loop_oracle_bytes_at_large_and_sparse_inputs(make):
     _assert_matches_loop_oracle(make())
+
+
+# paths of the QL kernel (n >= 8)
+
+
+def test_ql_makes_no_iteration_on_a_diagonal_input():
+    before = la.sweep_count()
+    values, vectors = la.jacobi_eigh(np.diag([3.0, -1.0, 2.0, 0.5, 7.0, -4.0, 0.0, 1.0]))
+    assert la.sweep_count() == before
+    assert values.tolist() == [-4.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 7.0]
+    assert np.array_equal(vectors, np.eye(8)[:, [5, 1, 6, 3, 7, 2, 0, 4]])
+
+
+def test_ql_resolves_four_degenerate_levels_at_64():
+    rng = np.random.default_rng(464)
+    u, _ = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+    levels = np.repeat([-1.0, 0.0, 1.0, 2.0], 16)
+    h = (u * levels) @ u.conj().T
+    h = 0.5 * (h + h.conj().T)
+    dec = la.spectral_decompose(h)
+    assert dec.multiplicities == (16, 16, 16, 16)
+    assert np.abs(np.array(dec.eigenvalues) - [-1.0, 0.0, 1.0, 2.0]).max() <= 1e-12
+    for k, p in enumerate(dec.projectors):
+        block = u[:, 16 * k : 16 * (k + 1)]
+        assert np.abs(p - block @ block.conj().T).max() <= 1e-12
+    _assert_agrees_with_lapack(h, *la.jacobi_eigh(h))
+
+
+def test_ql_deflates_subdiagonal_entries_near_1e300_without_warning():
+    diagonal = [0.5, -1.0, 2.0, 0.0, 3.0, -2.5, 1.0, 1.5]
+    subdiagonal = 1e-300 * np.exp(1j * np.arange(1, 8))
+    dense_tiny = 1e-300 * random_hermitian(8, seed=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        before = la.sweep_count()
+        values, vectors = la.jacobi_eigh(_tridiagonal(diagonal, subdiagonal))
+        assert la.sweep_count() == before  # the floor deflates every entry
+        assert values.tolist() == sorted(diagonal)
+        assert np.abs(np.abs(vectors) - np.eye(8)[:, np.argsort(diagonal)]).max() <= 1e-15
+        # Squares of these entries underflow, so every column norm is 0.
+        tiny_values, _ = la.jacobi_eigh(dense_tiny)
+    assert np.abs(tiny_values).max() <= 1e-12
+
+
+def _hard_tridiagonals(rng):
+    """Graded, near-floor, zero-diagonal and Wilkinson tridiagonals at n = 8-33,
+    each at a random scale from 1e-300 to 1e150, with complex subdiagonals."""
+    out = []
+    for n in (8, 13, 33):
+        scale = 10.0 ** rng.uniform(-300, 150)
+        floor = 1e-12 / (2 * n)
+        kinds = (
+            (scale * 10.0 ** (-5.0 * np.arange(n)), scale * 10.0 ** (-5.0 * np.arange(n - 1) - 2)),
+            ((-1.0) ** np.arange(n) * scale, np.full(n - 1, 1.01 * floor * scale)),
+            (np.zeros(n), scale * 10.0 ** rng.uniform(-20, 0, n - 1)),
+            (np.abs(np.arange(n) - n // 2) * scale, np.full(n - 1, scale)),
+            (scale * rng.integers(-2, 3, n), scale * rng.choice([0.0, 1e-300, 1e-16, 1.0], n - 1)),
+        )
+        for diagonal, subdiagonal in kinds:
+            out.append(_tridiagonal(diagonal, subdiagonal * np.exp(1j * rng.uniform(0, 6.3, n - 1))))
+    return out
+
+
+def test_ql_solves_hard_tridiagonals_without_warning():
+    rng = np.random.default_rng(2300)
+    for t in _hard_tridiagonals(rng):
+        p = rng.permutation(len(t))
+        for h in (t, t[np.ix_(p, p)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                values, vectors = la.jacobi_eigh(h)
+            _assert_agrees_with_lapack(h, values, vectors)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 8, 64])
@@ -297,7 +389,9 @@ def test_sweep_count_follows_both_kernels(monkeypatch):
     assert swept(np.diag([3.0, -1.0, 2.0])) == 0  # converged before any sweep
     assert swept(np.array([[1.0, 2.0], [2.0, 3.0]])) == 1
     assert 3 <= swept(random_hermitian(4, seed=7)) <= 6
-    assert 3 <= swept(random_hermitian(16, seed=7)) <= 12  # round robin
+    # QL from n = 8: 36 iterations, about two an eigenvalue, against a
+    # limit of _QL_MAX_ITERATIONS (30) on each.
+    assert 16 <= swept(random_hermitian(16, seed=7)) <= 2.5 * 16
     # A solve that gives up has made every sweep it was allowed.
     monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 2)
     before = la.sweep_count()
@@ -461,7 +555,6 @@ def _traced(call):
 def test_d64_decomposition_keeps_eigenvectors_not_projectors():
     # 64 dense projectors would keep 4 MB; the eigenvector matrix is 64 KB.
     h = random_hermitian(64, seed=64)
-    la.spectral_decompose(h)  # the round-robin schedule is cached on first use
     dec, kept, _ = _traced(lambda: la.spectral_decompose(h))
     assert dec.multiplicities == (1,) * 64
     assert kept <= 0.25 * 2**20

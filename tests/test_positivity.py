@@ -10,6 +10,7 @@ decision and every message here must equal it.
 import numpy as np
 import pytest
 
+from qcontext.linalg import jacobi_eigh
 from qcontext.states import DensityOperator
 
 from oracles import density_is_positive
@@ -138,3 +139,17 @@ def test_the_stored_matrix_is_the_input_when_not_exactly_hermitian():
     m[0, 1] = 1e-10
     assert np.array_equal(DensityOperator(m).matrix, m)
 
+
+
+@pytest.mark.parametrize("lowest, accepted", [(-0.5e-9, True), (-2e-9, False)])
+def test_a_near_singular_64x64_state_is_decided_by_the_ql_solve(eigensolves, lowest, accepted):
+    # Half the spectrum is zero, so the shifted Cholesky factor fails and
+    # the n >= 8 kernel decides.  Its stopping rule is absolute, so the
+    # minimum must come out within far less than the 1e-9 margin.
+    w = _hermitian_part(_states(64, lowest, seed=0)[0])
+    assert _decide(w) == (
+        (True, None) if accepted else (False, "density operator has negative eigenvalue -2.000e-09")
+    )
+    assert eigensolves == [64]
+    low = jacobi_eigh(w, vectors=False)[0][0]
+    assert abs(low - np.linalg.eigvalsh(w)[0]) < 1e-15
