@@ -104,9 +104,7 @@ def _load_input(spec: str, what: str):
     try:
         return io.load_json(spec)
     except OSError as exc:
-        raise InputError(
-            f"{what} {spec!r} is neither a named {what} nor a readable file: {exc}"
-        ) from exc
+        raise InputError(f"{what} file {spec!r} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} file {spec!r} is not valid JSON: {exc}") from exc
 
@@ -510,8 +508,7 @@ def cmd_ks_square(args):
 def cmd_ks_search(args):
     from .contextuality import search_noncontextual_assignment
 
-    payload = io.load_json(args.problem)
-    problem = io.problem_from_json(payload)
+    problem = io.problem_from_json(_load_input(args.problem, "problem"))
     search = search_noncontextual_assignment(problem)
     results = {
         "observable_count": problem.size,
@@ -573,7 +570,7 @@ def cmd_mub_tomography(args):
     from .mub import measure_statistics, reconstruct
 
     if args.stats:
-        stats = io.statistics_from_json(io.load_json(args.stats))
+        stats = io.statistics_from_json(_load_input(args.stats, "statistics"))
         rebuilt = reconstruct(stats)
         results = {
             "reconstructed": io.matrix_to_json(rebuilt.matrix),

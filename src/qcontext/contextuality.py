@@ -21,6 +21,7 @@ import numpy as np
 
 from . import linalg as la
 from .contexts import Observable, _level_weights, observable, sequential_luders
+from .io import _integer, _list_of
 from .states import DensityOperator, as_density, make_ghz
 
 # Observables must square to I and satisfy their product constraints
@@ -40,7 +41,8 @@ class ValueAssignmentProblem:
 
     ``contexts[k]`` lists indices of mutually commuting observables whose
     ordered matrix product must equal ``signs[k]`` times the identity.
-    ``labels`` name the observables and must be distinct.
+    ``labels`` name the observables and must be distinct strings; indices
+    and signs are integers (not bools), stored like the labels as tuples.
     Construction verifies every constraint numerically; a corrupted
     problem never comes into existence.  ``identity_defect`` keeps the
     largest entry of any ``product - sign * I`` it measured on the way.
@@ -53,8 +55,21 @@ class ValueAssignmentProblem:
     identity_defect: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.observables, (list, tuple)):
+            raise ValueError(f"observables must be a list of matrices, got {self.observables!r}")
+        if not _list_of(self.labels, lambda x: isinstance(x, str)):
+            raise ValueError(f"labels must be a list of strings, got {self.labels!r}")
+        if not _list_of(self.contexts, lambda ctx: _list_of(ctx, _integer)):
+            raise ValueError(
+                f"contexts must be a list of lists of integers, got {self.contexts!r}"
+            )
+        if not _list_of(self.signs, lambda x: _integer(x) and x in (-1, 1)):
+            raise ValueError(f"signs must be a list of integers +-1, got {self.signs!r}")
         mats = tuple(la.require_hermitian(m) for m in self.observables)
         object.__setattr__(self, "observables", mats)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "contexts", tuple(tuple(ctx) for ctx in self.contexts))
+        object.__setattr__(self, "signs", tuple(self.signs))
         n = len(mats)
         if n == 0:
             raise ValueError("a value-assignment problem needs at least one observable")
@@ -79,8 +94,6 @@ class ValueAssignmentProblem:
                 )
         worst = 0.0
         for ctx, sign in zip(self.contexts, self.signs):
-            if sign not in (-1, 1):
-                raise ValueError(f"context sign must be +-1, got {sign!r}")
             if any(i < 0 or i >= n for i in ctx):
                 raise ValueError(f"context {ctx!r} references unknown observables")
             for i, j in itertools.combinations(ctx, 2):
@@ -305,7 +318,6 @@ class ValueDependenceReport:
     distribution_after_b: dict[float, float]
     distribution_after_c: dict[float, float]
     max_shift: float
-    distributions_agree: bool
     preparation_distances: dict[str, float]
 
 
@@ -358,6 +370,5 @@ def value_dependence_demo(
         distribution_after_b=after_b,
         distribution_after_c=after_c,
         max_shift=shift,
-        distributions_agree=shift < tol,
         preparation_distances=distances,
     )

@@ -118,8 +118,6 @@ class CorrelationRecord:
     table is a distribution is asserted in ``tests/test_result_records.py``.
     """
 
-    setting_1: Direction
-    setting_2: Direction
     joint: dict[tuple[int, int], float] = field(repr=False)
 
     @property
@@ -164,7 +162,7 @@ def _joint_record(rho: DensityOperator, a: Direction, b: Direction) -> Correlati
     joint = {
         (i, j): table[k][m] for k, i in enumerate(OUTCOMES) for m, j in enumerate(OUTCOMES)
     }
-    return CorrelationRecord(setting_1=a, setting_2=b, joint=joint)
+    return CorrelationRecord(joint=joint)
 
 
 def joint_probabilities(w, a: Direction, b: Direction) -> CorrelationRecord:

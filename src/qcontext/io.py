@@ -14,6 +14,7 @@ process that reads only a state does not load the other modules.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -65,17 +66,19 @@ def matrix_to_json(m) -> dict:
     }
 
 
+# The input predicates of the readers and the record constructors: a bool
+# counts as neither a number nor an integer.
 def _number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _integer(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _list_of(values, ok) -> bool:
-    """True when ``values`` is a JSON list whose every entry passes ``ok``."""
-    return isinstance(values, list) and all(ok(x) for x in values)
+    """True when ``values`` is a list or tuple whose every entry passes ``ok``."""
+    return isinstance(values, (list, tuple)) and all(ok(x) for x in values)
 
 
 def _require(ok: bool, what: str, key: str, shape: str) -> None:
@@ -212,7 +215,7 @@ def problem_to_json(problem: ValueAssignmentProblem) -> dict:
 
 
 def problem_from_json(obj) -> ValueAssignmentProblem:
-    """Shape-check an assignment problem file; ValueError for any other shape."""
+    """Read an assignment problem file; ValueError for any other shape."""
     from .contextuality import ValueAssignmentProblem
 
     what = "problem"
@@ -223,19 +226,11 @@ def problem_from_json(obj) -> ValueAssignmentProblem:
         isinstance(observables, list) and len(observables) > 0,
         what, "observables", "a non-empty list of matrices",
     )
-    _require(
-        _list_of(labels, lambda x: isinstance(x, str)), what, "labels", "a list of strings"
-    )
-    _require(
-        _list_of(contexts, lambda ctx: _list_of(ctx, _integer)),
-        what, "contexts", "a list of lists of integers",
-    )
-    _require(_list_of(signs, _integer), what, "signs", "a list of integers")
     return ValueAssignmentProblem(
         observables=tuple(matrix_from_json(m) for m in observables),
-        labels=tuple(labels),
-        contexts=tuple(tuple(ctx) for ctx in contexts),
-        signs=tuple(signs),
+        labels=labels,
+        contexts=contexts,
+        signs=signs,
     )
 
 
@@ -249,25 +244,20 @@ def statistics_to_json(stats: MeasurementStatistics) -> dict:
 
 
 def statistics_from_json(obj) -> MeasurementStatistics:
-    """Shape-check a statistics file; ValueError for any other shape."""
+    """Read a statistics file; ValueError for any other shape."""
     from .mub import MeasurementStatistics
 
     what = "statistics"
     dim, tables = _fields(obj, what, "dim", "tables")
-    _require(_integer(dim) and dim >= 1, what, "dim", f"a positive integer, got {dim!r}")
     _require(
         _list_of(tables, lambda row: _list_of(row, _number)),
         what, "tables", "a list of lists of numbers",
     )
-    samples = obj.get("samples")
-    seed = obj.get("seed")
-    _require(samples is None or _integer(samples), what, "samples", "an integer or null")
-    _require(seed is None or _integer(seed), what, "seed", "an integer or null")
     return MeasurementStatistics(
         dim=dim,
-        tables=tuple(tuple(_floats(row, what, "tables").tolist()) for row in tables),
-        samples=samples,
-        seed=seed,
+        tables=[_floats(row, what, "tables").tolist() for row in tables],
+        samples=obj.get("samples"),
+        seed=obj.get("seed"),
     )
 
 

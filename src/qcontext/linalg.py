@@ -115,11 +115,6 @@ def validation_count() -> tuple[int, int]:
     return _operator_checks, _hermiticity_checks
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """``(M + M^dagger) / 2`` of a square complex array; unchecked."""
     return 0.5 * (m + m.conj().T)

@@ -15,12 +15,12 @@ renormalising.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg as la
+from .io import _integer, _list_of, _number
 from .linalg import DimensionError
 from .states import DensityOperator, as_density
 
@@ -41,9 +41,16 @@ def _qubit_bases() -> tuple[tuple[np.ndarray, ...], ...]:
 QUBIT_BASES = _qubit_bases()
 
 
+# numpy's multinomial draw takes counts that fit an int64, and would
+# truncate a fractional one.
+_SAMPLES_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class MeasurementStatistics:
-    """Outcome tables, one row per basis, with their sampling provenance."""
+    """Outcome tables, one row of floats summing to 1 per ``QUBIT_BASES``
+    basis, with their sampling provenance: ``samples`` None or a count
+    numpy can draw, ``seed`` None or a non-negative integer."""
 
     dim: int
     tables: tuple[tuple[float, ...], ...]
@@ -51,25 +58,42 @@ class MeasurementStatistics:
     seed: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+        if not _integer(self.dim) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+        if self.dim != 2:
+            raise DimensionError(f"tomography needs qubit statistics, got dimension {self.dim}")
         if not isinstance(self.tables, (tuple, list)):
             raise ValueError(f"tables must be a sequence of rows, got {self.tables!r}")
+        tables = []
         for b, row in enumerate(self.tables):
-            if not isinstance(row, (tuple, list)) or not all(
-                isinstance(p, numbers.Real) for p in row
-            ):
+            if not _list_of(row, _number):
                 raise ValueError(f"table {b} is not a sequence of real numbers: {row!r}")
             if len(row) != self.dim:
                 raise DimensionError(
                     f"table {b} has {len(row)} entries, expected {self.dim}"
                 )
+            try:
+                row = tuple(float(p) for p in row)
+            except OverflowError:
+                raise ValueError(f"table {b} has an entry beyond the float range") from None
             if not np.isfinite(row).all():
                 raise ValueError(f"table {b} has non-finite entries")
             if any(p < 0.0 or p > 1.0 for p in row):
                 raise ValueError(f"table {b} has probabilities outside [0, 1]")
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError(f"table {b} sums to {sum(row)!r}, not 1")
+            tables.append(row)
+        if len(tables) != len(QUBIT_BASES):
+            raise DimensionError(f"{len(tables)} tables for {len(QUBIT_BASES)} bases")
+        object.__setattr__(self, "tables", tuple(tables))
+        if self.samples is not None and not (
+            _integer(self.samples) and 1 <= self.samples <= _SAMPLES_MAX
+        ):
+            raise ValueError(
+                f"samples must be an integer between 1 and {_SAMPLES_MAX}, got {self.samples!r}"
+            )
+        if self.seed is not None and not (_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer or None, got {self.seed!r}")
 
 
 def measure_statistics(
@@ -88,37 +112,22 @@ def measure_statistics(
     rho = as_density(w)
     if rho.dim != 2:
         raise DimensionError(f"tomography needs a qubit state, got dimension {rho.dim}")
-    exact: list[list[float]] = []
+    exact = []
     for basis in QUBIT_BASES:
         row = [float(np.vdot(v, rho.matrix @ v).real) for v in basis]
-        row = [min(max(p, 0.0), 1.0) for p in row]
-        exact.append(row)
+        exact.append(tuple(min(max(p, 0.0), 1.0) for p in row))
     if samples is None:
-        tables = tuple(tuple(row) for row in exact)
-        return MeasurementStatistics(dim=2, tables=tables, samples=None, seed=None)
-    # numpy's multinomial draw takes counts that fit an int64, and would
-    # truncate a fractional one.
-    limit = np.iinfo(np.int64).max
-    if (
-        isinstance(samples, bool)
-        or not isinstance(samples, numbers.Integral)
-        or not 1 <= samples <= limit
-    ):
-        raise ValueError(f"samples must be an integer between 1 and {limit}, got {samples!r}")
-    if seed is not None and (
-        isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0
-    ):
-        raise ValueError(f"seed must be a non-negative integer or None, got {seed!r}")
+        return MeasurementStatistics(dim=2, tables=tuple(exact))
+    # The record refuses a bad ``samples`` or ``seed`` before any draw.
+    checked = MeasurementStatistics(dim=2, tables=tuple(exact), samples=samples, seed=seed)
     rng = np.random.default_rng(seed)
-    tables_s: list[tuple[float, ...]] = []
-    for row in exact:
+    tables: list[tuple[float, ...]] = []
+    for row in checked.tables:
         weights = np.array(row, dtype=float)
         weights = weights / weights.sum()
         counts = rng.multinomial(samples, weights)
-        tables_s.append(tuple(float(c) / samples for c in counts))
-    return MeasurementStatistics(
-        dim=2, tables=tuple(tables_s), samples=samples, seed=seed
-    )
+        tables.append(tuple(float(c) / samples for c in counts))
+    return MeasurementStatistics(dim=2, tables=tuple(tables), samples=samples, seed=seed)
 
 
 def reconstruct(stats: MeasurementStatistics) -> DensityOperator:
@@ -128,12 +137,6 @@ def reconstruct(stats: MeasurementStatistics) -> DensityOperator:
     physical set (eigenvalue clipping plus trace renormalisation), which
     leaves exact statistics untouched and repairs sampled ones.
     """
-    if stats.dim != 2:
-        raise DimensionError(f"tomography needs qubit statistics, got dimension {stats.dim}")
-    if len(stats.tables) != len(QUBIT_BASES):
-        raise DimensionError(
-            f"{len(stats.tables)} tables for {len(QUBIT_BASES)} bases"
-        )
     raw = -np.eye(2, dtype=complex)
     for row, basis in zip(stats.tables, QUBIT_BASES):
         for p, v in zip(row, basis):
@@ -146,5 +149,5 @@ def reconstruct(stats: MeasurementStatistics) -> DensityOperator:
     # Validated tables of the complete set give the raw estimate trace
     # 3 - 2 = 1 within about 3e-9, so the clipped sum is positive.
     clipped = clipped / float(clipped.sum())
-    physical = (vectors * clipped) @ la.dagger(vectors)
+    physical = (vectors * clipped) @ vectors.conj().T
     return DensityOperator._derived(physical)

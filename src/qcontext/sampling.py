@@ -66,7 +66,7 @@ def random_nondegenerate_observable(
     """
     u = random_unitary(dim, rng)
     values = np.arange(1.0, dim + 1.0)
-    m = (u * values) @ la.dagger(u)
+    m = (u * values) @ u.conj().T
     m = la._hermitian_part(m)
     spectrum = la.SpectralDecomposition.from_eigenpairs(values, u)
     return Observable(matrix=m, spectrum=spectrum, label=label), values, u

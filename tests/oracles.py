@@ -43,7 +43,6 @@ from qcontext.linalg import (
     ConvergenceError,
     DimensionError,
     as_operator,
-    dagger,
     _rank_one_vector,
     jacobi_eigh as library_jacobi_eigh,
     require_hermitian,
@@ -95,8 +94,8 @@ def spectral_decompose(h, merge_tol: float = EIGENVALUE_MERGE_TOL):
         while j < n and eigenvalues[j] - eigenvalues[j - 1] <= merge_tol:
             j += 1
         block = vectors[:, i:j]
-        p = block @ dagger(block)
-        p = 0.5 * (p + dagger(p))
+        p = block @ block.conj().T
+        p = 0.5 * (p + p.conj().T)
         levels.append(float(np.mean(eigenvalues[i:j])))
         projectors.append(p)
         multiplicities.append(j - i)
@@ -275,8 +274,8 @@ def random_nondegenerate_observable(dim, rng, label=""):
     """The sampled observable, its spectrum solved from the matrix by ``observable``."""
     u = random_unitary(dim, rng)
     values = np.arange(1.0, dim + 1.0)
-    m = (u * values) @ dagger(u)
-    m = 0.5 * (m + dagger(m))
+    m = (u * values) @ u.conj().T
+    m = 0.5 * (m + m.conj().T)
     return observable(m, label=label), values, u
 
 
@@ -298,7 +297,7 @@ def eigenbasis(spectrum):
 def trace_distance(a, b):
     """(1/2) sum |eigenvalues| of the symmetrised difference, solved by Jacobi."""
     diff = a - b
-    diff = 0.5 * (diff + dagger(diff))
+    diff = 0.5 * (diff + diff.conj().T)
     eigenvalues, _ = library_jacobi_eigh(diff, vectors=False)
     return 0.5 * float(np.abs(eigenvalues).sum())
 

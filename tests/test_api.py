@@ -14,7 +14,7 @@ import pytest
 import qcontext.linalg as la
 from qcontext import io
 from qcontext.contexts import check_representative, context, luders_nonselective, observable
-from qcontext.correlations import CorrelationRecord, Direction
+from qcontext.correlations import CorrelationRecord
 from qcontext.states import PureState, as_density, make_singlet
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,7 +39,6 @@ def test_example_script_runs(script, tmp_path):
 
 
 H = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
-Z = Direction(0.0, 0.0, 1.0)
 
 
 def _representative_state():
@@ -67,8 +66,6 @@ REMOVED_KEYWORDS = {
     "CorrelationRecord": (
         "marginal_1",
         lambda: CorrelationRecord(
-            setting_1=Z,
-            setting_2=Z,
             joint={(1, 1): 0.5, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.5},
             marginal_1={1: 0.5, -1: 0.5},
         ),
@@ -192,4 +189,89 @@ def test_census_sees_a_definition_only_its_own_body_names(tmp_path):
     (tmp_path / "reader.py").write_text("from mod import Box\nBox().empty()\n")
     assert _unreached_definitions(readers=(tmp_path,), src=tmp_path) == [
         "mod.LIMIT", "mod.walk", "mod.size",
+    ]
+
+
+# The field census.  Every field of a dataclass in src/qcontext must be read
+# as an attribute somewhere in READERS outside its class's ``__post_init__``:
+# a field that only its constructor fills and checks, or that only tests
+# read, is dead weight on every record.
+FIELD_CENSUS_EXEMPT = {
+    # ``cmd_*`` serialises these whole with ``dataclasses.asdict``, which
+    # reads every field by name.
+    "RepresentativenessReport",
+    "BooleanLatticeReport",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        ast.unparse(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _unread_fields(readers=READERS, src=SRC) -> list[str]:
+    """``Class.field`` of each dataclass field in ``src`` that no file in
+    ``readers`` reads as an attribute outside its class's ``__post_init__``."""
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for root in readers
+        for path in sorted(root.rglob("*.py"))
+    }
+    reads: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls):
+                continue
+            if cls.name in FIELD_CENSUS_EXEMPT:
+                continue
+            checks = [
+                range(item.lineno, item.end_lineno + 1)
+                for item in cls.body
+                if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+            ]
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                    if not any(
+                        where != path or not any(line in lines for lines in checks)
+                        for where, line in reads.get(name, ())
+                    ):
+                        unread.append(f"{cls.name}.{name}")
+    return unread
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    assert _unread_fields() == []
+
+
+def test_field_census_sees_a_field_only_its_checks_read(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Record:\n"
+        "    kept: int\n"
+        "    written: int\n"
+        "    shown: int\n"
+        "    def __post_init__(self):\n"
+        "        assert self.written >= 0\n"
+        "    def show(self):\n"
+        "        return self.shown\n"
+        "@dataclass\n"
+        "class Other:\n"
+        "    unread: int\n"
+        "class Plain:\n"
+        "    note: int\n"
+    )
+    (tmp_path / "reader.py").write_text(
+        "from mod import Record\nr = Record(1, 2, 3)\nprint(r.kept, r.show())\n"
+    )
+    assert _unread_fields(readers=(tmp_path,), src=tmp_path) == [
+        "Record.written", "Other.unread",
     ]

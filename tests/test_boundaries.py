@@ -59,8 +59,8 @@ def _problem(observables=(la.SIGMA_Z,), labels=("Z",), contexts=(), signs=()):
     )
 
 
-def _qubit_statistics(tables=((1.0, 0.0), (0.5, 0.5), (0.5, 0.5)), dim=2):
-    return MeasurementStatistics(dim=dim, tables=tables)
+def _qubit_statistics(tables=((1.0, 0.0), (0.5, 0.5), (0.5, 0.5)), dim=2, **provenance):
+    return MeasurementStatistics(dim=dim, tables=tables, **provenance)
 
 
 BOUNDARIES = {
@@ -99,7 +99,30 @@ BOUNDARIES = {
         lambda: _problem(contexts=((0,),)), ValueError, "1 contexts but 0 signs",
     ),
     "problem_sign_value": (
-        lambda: _problem(contexts=((0,),), signs=(2,)), ValueError, "sign must be +-1, got 2",
+        lambda: _problem(contexts=((0,),), signs=(2,)),
+        ValueError, "signs must be a list of integers +-1, got (2,)",
+    ),
+    "problem_sign_bool": (
+        lambda: _problem(contexts=((0,),), signs=(True,)),
+        ValueError, "signs must be a list of integers +-1, got (True,)",
+    ),
+    "problem_index_fractional": (
+        lambda: _problem(contexts=((0.5,),), signs=(1,)),
+        ValueError, "contexts must be a list of lists of integers, got ((0.5,),)",
+    ),
+    "problem_index_bool": (
+        lambda: _problem(contexts=((True,),), signs=(1,)),
+        ValueError, "contexts must be a list of lists of integers, got ((True,),)",
+    ),
+    "problem_contexts_flat": (
+        lambda: _problem(contexts=(5,), signs=(1,)),
+        ValueError, "contexts must be a list of lists of integers, got (5,)",
+    ),
+    "problem_observables_not_a_sequence": (
+        lambda: _problem(observables=5), ValueError, "observables must be a list of matrices",
+    ),
+    "problem_label_not_a_string": (
+        lambda: _problem(labels=(1,)), ValueError, "labels must be a list of strings, got (1,)",
     ),
     "problem_unknown_observable": (
         lambda: _problem(contexts=((0, 5),), signs=(1,)),
@@ -243,6 +266,22 @@ BOUNDARIES = {
     "statistics_row_not_a_sequence": (
         lambda: _qubit_statistics(tables=(5,)),
         ValueError, "table 0 is not a sequence of real numbers",
+    ),
+    "statistics_bool_entry": (
+        lambda: _qubit_statistics(tables=((True, False),) * 3),
+        ValueError, "table 0 is not a sequence of real numbers",
+    ),
+    "statistics_entry_beyond_float_range": (
+        lambda: _qubit_statistics(tables=((10**400, 0),) * 3),
+        ValueError, "table 0 has an entry beyond the float range",
+    ),
+    "statistics_fractional_samples": (
+        lambda: _qubit_statistics(samples=2.5, seed="x"),
+        ValueError, "samples must be an integer between 1 and",
+    ),
+    "statistics_string_seed": (
+        lambda: _qubit_statistics(samples=10, seed="x"),
+        ValueError, "seed must be a non-negative integer or None, got 'x'",
     ),
     "statistics_tables_not_a_sequence": (
         lambda: _qubit_statistics(tables=5), ValueError, "tables must be a sequence of rows",

@@ -364,14 +364,15 @@ _ONE_OBSERVABLE = '[{"dim": 1, "re": [1], "im": [0]}]'
             "--problem",
             '{"observables": %s, "labels": ["A"], "contexts": [[null]], "signs": [1]}'
             % _ONE_OBSERVABLE,
-            'problem needs "contexts"',
+            "contexts must be a list of lists of integers",
         ),
         (
             "--problem",
             '{"observables": %s, "labels": ["A"], "contexts": [0], "signs": [1]}'
             % _ONE_OBSERVABLE,
-            'problem needs "contexts"',
+            "contexts must be a list of lists of integers",
         ),
+        ("--problem", "{", "problem file "),
         ("--stats", "[1, 2]", "statistics must be a JSON object"),
         ("--stats", '{"dim": 2}', 'statistics is missing "tables"'),
         (
@@ -380,11 +381,12 @@ _ONE_OBSERVABLE = '[{"dim": 1, "re": [1], "im": [0]}]'
             'statistics needs "tables"',
         ),
         ("--stats", '{"dim": 2, "tables": [0.5, 0.5]}', 'statistics needs "tables"'),
+        ("--stats", "dim: 2", "statistics file "),
     ],
     ids=[
         "problem_top_level_list", "problem_signs_missing", "problem_context_null",
-        "problem_contexts_flat", "stats_top_level_list", "stats_tables_missing",
-        "stats_entry_string", "stats_tables_flat",
+        "problem_contexts_flat", "problem_not_json", "stats_top_level_list",
+        "stats_tables_missing", "stats_entry_string", "stats_tables_flat", "stats_not_json",
     ],
 )
 def test_malformed_problem_and_statistics_files_exit_two(
@@ -616,7 +618,7 @@ def test_correlation_fault_is_a_failed_check(monkeypatch, capsys):
 
     def out_of_range(rho, a, b):
         joint = {(1, 1): 1.2, (1, -1): -0.1, (-1, 1): -0.1, (-1, -1): 0.0}
-        return correlations.CorrelationRecord(a, b, joint)
+        return correlations.CorrelationRecord(joint)
 
     monkeypatch.setattr(correlations, "joint_probabilities", out_of_range)
     code, out, _ = run(capsys, ["correlate", "--state", "singlet", "--a", "z", "--b", "z"])

@@ -142,7 +142,7 @@ def _degenerate_observable(dim, rng):
     """Levels of multiplicity 3 (the last one shorter) on a random basis."""
     u = random_unitary(dim, rng)
     values = np.arange(dim) // 3 + 1.0
-    m = la._hermitian_part((u * values) @ la.dagger(u))
+    m = la._hermitian_part((u * values) @ u.conj().T)
     return Observable(matrix=m, spectrum=la.SpectralDecomposition.from_eigenpairs(values, u))
 
 
