@@ -598,23 +598,18 @@ def cmd_mub_tomography(args):
 def cmd_suite(args):
     from . import acceptance
 
-    solved = la.eigensolve_count()
-    swept = la.sweep_count()
-    checked = la.validation_count()
+    last = la.counts()
 
     def progress(result, seconds):
-        nonlocal solved, swept, checked
-        now = la.eigensolve_count()
-        now_swept = la.sweep_count()
-        now_checked = la.validation_count()
-        operators, hermiticity = (b - a for a, b in zip(checked, now_checked))
+        now = la.counts()
+        done = {key: now[key] - last[key] for key in now}
+        last.update(now)
         print(
-            f"{result.summary_line()} in {seconds * 1000.0:.1f} ms, {now - solved} eigensolves "
-            f"({now_swept - swept} sweeps), {operators} operator and {hermiticity} "
-            "Hermiticity checks",
+            f"{result.summary_line()} in {seconds * 1000.0:.1f} ms, {done['eigensolves']} "
+            f"eigensolves ({done['sweeps']} sweeps), {done['operator_checks']} operator and "
+            f"{done['hermiticity_checks']} Hermiticity checks",
             file=sys.stderr,
         )
-        solved, swept, checked = now, now_swept, now_checked
 
     criteria = acceptance.run_suite(progress)
     results = {

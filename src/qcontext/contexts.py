@@ -40,7 +40,7 @@ REPRESENTATIVE_TOL = 1e-9
 _LATTICE_MAX_LEVELS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian operator with its spectral resolution and a label."""
 
@@ -80,7 +80,7 @@ def observable(matrix, label: str = "") -> Observable:
     return Observable(matrix=a, spectrum=spectrum, label=label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementContext:
     """A state together with the observable measured on it."""
 
@@ -99,7 +99,7 @@ def context(state, obs: Observable) -> MeasurementContext:
     return MeasurementContext(initial_state=as_density(state), observable=obs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContextualState:
     """State conditioned on a measurement context, with outcome weights.
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg as la
 from .contexts import Observable, _level_weights, observable, sequential_luders
-from .io import _integer, _list_of
+from .linalg import _integer, _list_of
 from .states import DensityOperator, as_density, make_ghz
 
 # Observables must square to I and satisfy their product constraints
@@ -35,7 +35,7 @@ _SEARCH_MAX_OBSERVABLES = 20
 _SEARCH_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueAssignmentProblem:
     """+-1 observables with signed product constraints over contexts.
 

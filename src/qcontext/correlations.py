@@ -44,10 +44,13 @@ class Direction:
     z: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
-        if not all(map(math.isfinite, (self.x, self.y, self.z))):
+        try:
+            for name in ("x", "y", "z"):
+                object.__setattr__(self, name, float(getattr(self, name)))
+            finite = all(map(math.isfinite, (self.x, self.y, self.z)))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(
                 f"direction components must be finite, got "
                 f"({self.x!r}, {self.y!r}, {self.z!r})"

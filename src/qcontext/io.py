@@ -14,10 +14,11 @@ process that reads only a state does not load the other modules.
 from __future__ import annotations
 
 import json
-import numbers
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
+
+from .linalg import _integer, _list_of, _number
 
 if TYPE_CHECKING:
     from .contexts import Observable
@@ -64,21 +65,6 @@ def matrix_to_json(m) -> dict:
         "re": a.real.reshape(-1).tolist(),
         "im": a.imag.reshape(-1).tolist(),
     }
-
-
-# The input predicates of the readers and the record constructors: a bool
-# counts as neither a number nor an integer.
-def _number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _list_of(values, ok) -> bool:
-    """True when ``values`` is a list or tuple whose every entry passes ``ok``."""
-    return isinstance(values, (list, tuple)) and all(ok(x) for x in values)
 
 
 def _require(ok: bool, what: str, key: str, shape: str) -> None:

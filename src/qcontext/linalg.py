@@ -60,16 +60,8 @@ _EPS = sys.float_info.epsilon
 # could come down by one.
 _JACOBI_CYCLIC_MAX_DIM = 7
 
-# Solves of ``_eigh`` and the Jacobi sweeps (n <= 7) or QL iterations
-# (n >= 8) they made so far; ``eigensolve_count`` and ``sweep_count`` read
-# them.
-_eigensolves = 0
-_sweeps = 0
-
-# Calls of ``as_operator`` and of ``hermiticity_defect`` so far;
-# ``validation_count`` reads them.
-_operator_checks = 0
-_hermiticity_checks = 0
+# The running totals of this process, one record; ``counts()`` copies it.
+_counts = dict.fromkeys(("eigensolves", "sweeps", "operator_checks", "hermiticity_checks"), 0)
 
 
 class DimensionError(ValueError):
@@ -96,9 +88,11 @@ def as_operator(m) -> np.ndarray:
     ValueError
         If any entry is not finite.
     """
-    global _operator_checks
-    _operator_checks += 1
-    a = np.asarray(m, dtype=complex)
+    _counts["operator_checks"] += 1
+    try:
+        a = np.asarray(m, dtype=complex)
+    except OverflowError:  # an integer entry beyond the float range
+        raise ValueError("matrix entries must be finite") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[0] > MAX_DIM:
@@ -110,9 +104,31 @@ def as_operator(m) -> np.ndarray:
     return a
 
 
-def validation_count() -> tuple[int, int]:
-    """``(as_operator calls, hermiticity_defect calls)`` in this process so far."""
-    return _operator_checks, _hermiticity_checks
+def counts() -> dict[str, int]:
+    """A copy of this process's running totals.
+
+    ``eigensolves`` counts the ``_eigh`` solves, whichever way they came
+    in; ``sweeps`` the Jacobi sweeps of those at n <= 7 and the QL
+    iterations (about two per eigenvalue) of those at n >= 8, none at
+    n = 1; ``operator_checks`` and ``hermiticity_checks`` the calls of
+    ``as_operator`` and of ``hermiticity_defect``.
+    """
+    return dict(_counts)
+
+
+# The input predicates of the readers and the record constructors: a bool
+# counts as neither a number nor an integer.
+def _number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _list_of(values, ok) -> bool:
+    """True when ``values`` is a list or tuple whose every entry passes ``ok``."""
+    return isinstance(values, (list, tuple)) and all(ok(x) for x in values)
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -147,8 +163,7 @@ def _from_basis(v: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max-entry magnitude of ``m - m^dagger``; inf where that overflows."""
-    global _hermiticity_checks
-    _hermiticity_checks += 1
+    _counts["hermiticity_checks"] += 1
     a = np.asarray(m, dtype=complex)
     with np.errstate(over="ignore"):
         return float(np.abs(a - a.conj().T).max())
@@ -242,7 +257,7 @@ def _partial_trace(a: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarra
     """
     d1, d2 = _bipartite_dims(dims, a.shape[0])
     # A bool or a float would pass ``in (1, 2)`` as the integer it equals.
-    if isinstance(keep, bool) or not isinstance(keep, numbers.Integral) or keep not in (1, 2):
+    if not _integer(keep) or keep not in (1, 2):
         raise ValueError(f"keep must be 1 or 2, got {keep!r}")
     t = a.reshape(d1, d2, d1, d2)
     if keep == 1:
@@ -260,7 +275,7 @@ def _bipartite_dims(dims, dim: int) -> tuple[int, int]:
         d1, d2 = dims
     except (TypeError, ValueError):
         raise DimensionError(f"dims must be a pair (d1, d2), got {dims!r}") from None
-    if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in (d1, d2)):
+    if not (_integer(d1) and _integer(d2)):
         raise DimensionError(f"dims must be a pair of integers, got {dims!r}")
     if d1 < 1 or d2 < 1:
         raise DimensionError(f"dims must be positive, got {d1}x{d2}")
@@ -356,7 +371,6 @@ def _cyclic_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray |
     All of it is CPython float and complex arithmetic, one operation at a
     time, so no bit depends on the SIMD loops numpy dispatches to.
     """
-    global _sweeps
     n = a.shape[0]
     d = a.tolist()
     scale = max(1.0, _norm_of_scalars([z for row in d for z in row]))
@@ -374,7 +388,7 @@ def _cyclic_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray |
         if norm < threshold:
             break
         if sweeps == _JACOBI_MAX_SWEEPS:
-            _sweeps += sweeps
+            _counts["sweeps"] += sweeps
             raise _not_converged(n, sweeps, norm, threshold)
         for p, q in pairs:
             rp = d[p]
@@ -407,7 +421,7 @@ def _cyclic_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray |
                 rp[j] = c * x - s_phase * y
                 rq[j] = s * x + c_phase * y
         sweeps += 1
-    _sweeps += sweeps
+    _counts["sweeps"] += sweeps
 
     diagonal = [d[i][i].real for i in range(n)]
     order = sorted(range(n), key=diagonal.__getitem__)  # stable
@@ -535,7 +549,7 @@ def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | Non
     per-element cutoff, ``JACOBI_OFF_TOL`` times the larger of 1 and the
     Frobenius norm of ``a``, over ``2n``; without that floor a zero-diagonal
     block (a Schmidt embedding) could iterate to the limit.  Each iteration
-    adds one to ``sweep_count()``; the ``_QL_MAX_ITERATIONS``-th on one
+    adds one to ``counts()["sweeps"]``; the ``_QL_MAX_ITERATIONS``-th on one
     eigenvalue that leaves it unconverged raises ``ConvergenceError``.
     The rotations of an iteration go into the rows of the real ``Z^T`` with
     one product (``_rotate_chain``), and ``V = q Z`` is one more.
@@ -544,7 +558,6 @@ def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | Non
     entry above the floor (a zero would raise ``ZeroDivisionError``, not
     return a wrong value).
     """
-    global _sweeps
     n = a.shape[0]
     floor = JACOBI_OFF_TOL * max(1.0, _frobenius_norm(a)) / (2.0 * n)
     d, e, q = _tridiagonal_form(a, vectors)
@@ -568,7 +581,7 @@ def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | Non
                     f"{abs(e[l]):.3e}, above the threshold {threshold:.3e}"
                 )
             iterations += 1
-            _sweeps += 1
+            _counts["sweeps"] += 1
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             r = math.hypot(g, 1.0)
             g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
@@ -602,20 +615,6 @@ def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | Non
     if not vectors:
         return eigenvalues, None
     return eigenvalues, _fix_column_phases((q @ z.T)[:, order])
-
-
-def eigensolve_count() -> int:
-    """Number of eigensolves (``_eigh`` calls) made in this process so far."""
-    return _eigensolves
-
-
-def sweep_count() -> int:
-    """Iterations of every ``_eigh`` solve in this process so far.
-
-    A solve at n <= 7 counts its Jacobi sweeps, one at n >= 8 its QL
-    iterations (about two per eigenvalue); a 1 x 1 solve counts none.
-    """
-    return _sweeps
 
 
 def jacobi_eigh(h, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -686,14 +685,13 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     allowed one, so a matrix that converges in sweep ``_JACOBI_MAX_SWEEPS``
     is solved; QL gives up on an eigenvalue after ``_QL_MAX_ITERATIONS``
     iterations.  Either raises ``ConvergenceError`` naming what was too
-    large.  Every sweep or QL iteration is added to ``sweep_count()``.
+    large.  Every sweep or QL iteration is added to ``counts()["sweeps"]``.
 
     An entry above 2^500 could overflow the squares in the norms: such a
     matrix is solved divided by a power of two (exactly) and its eigenvalues
     scaled back; one beyond the float range raises ``ValueError``.
     """
-    global _eigensolves
-    _eigensolves += 1
+    _counts["eigensolves"] += 1
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), (np.eye(1, dtype=complex) if vectors else None)
@@ -707,7 +705,7 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     return np.ldexp(eigenvalues, k), v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Spectral resolution H = sum_i a_i P_i with distinct eigenvalues.
 
@@ -819,7 +817,11 @@ def _rank_one_vector(a: np.ndarray) -> np.ndarray:
 
 def evolution_operator(h, t: float) -> np.ndarray:
     """Unitary exp(-i H t) built from the spectral resolution of H."""
-    if not math.isfinite(t):
+    try:
+        finite = math.isfinite(t)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"evolution time must be finite, got {t!r}")
     dec = spectral_decompose(h)
     with _float_range("exp(-i H t)"):

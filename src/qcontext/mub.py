@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .io import _integer, _list_of, _number
-from .linalg import DimensionError
+from .linalg import DimensionError, _integer, _list_of, _number
 from .states import DensityOperator, as_density
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .linalg import DimensionError
+from .linalg import DimensionError, _integer
 
 # Norm / trace of a state must sit within this of 1.
 NORMALIZATION_TOL = 1e-10
@@ -28,7 +28,7 @@ PURITY_TOL = 1e-9
 SCHMIDT_RANK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector on a finite-dimensional Hilbert space.
 
@@ -81,7 +81,7 @@ class PureState:
         return DensityOperator._derived(self.projector())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite operator.
 
@@ -170,7 +170,7 @@ def as_density(state) -> DensityOperator:
     return DensityOperator(a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Biorthogonal expansion psi = sum_i c_i u_i (x) v_i.
 
@@ -272,6 +272,8 @@ def reduced_state(w, dims: tuple[int, int], keep: int) -> DensityOperator:
 
 
 def basis_state(dim: int, index: int) -> PureState:
+    if not (_integer(dim) and _integer(index)):
+        raise ValueError(f"basis state needs integer dim and index, got {dim!r} and {index!r}")
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} outside 0..{dim - 1}")
     a = np.zeros(dim, dtype=complex)
@@ -354,8 +356,8 @@ def entangling_evolution_demo(
     is decomposed once; each point applies exp(-i a t) to its levels,
     the same floats as ``evolution_operator(H, t)`` applied to |00>.
     """
-    if steps < 1:
-        raise ValueError("steps must be positive")
+    if not _integer(steps) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
     spectrum = la.spectral_decompose(coupled_spins_hamiltonian(coupling))
     psi0 = product_basis_state(0, 0)
     out: list[SchmidtTracePoint] = []

@@ -15,7 +15,8 @@ import qcontext.linalg as la
 from qcontext import io
 from qcontext.contexts import check_representative, context, luders_nonselective, observable
 from qcontext.correlations import CorrelationRecord
-from qcontext.states import PureState, as_density, make_singlet
+from qcontext.contextuality import mermin_peres_square
+from qcontext.states import PureState, as_density, make_singlet, schmidt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -275,3 +276,53 @@ def test_field_census_sees_a_field_only_its_checks_read(tmp_path):
     assert _unread_fields(readers=(tmp_path,), src=tmp_path) == [
         "Record.written", "Other.unread",
     ]
+
+
+# The library keeps its running totals in one record, ``linalg.counts()``;
+# a new counter is a new key of it, not a module global.
+COUNT_KEYS = {"eigensolves", "sweeps", "operator_checks", "hermiticity_checks"}
+
+
+def test_no_module_keeps_state_in_a_global_statement():
+    declared = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert declared == []
+
+
+def test_counts_is_one_record_of_four_keys():
+    assert set(la.counts()) == COUNT_KEYS
+
+
+def test_writing_to_a_reading_of_counts_changes_no_later_one():
+    reading = la.counts()
+    expected = dict(reading)
+    for key in COUNT_KEYS:
+        reading[key] += 1000
+    reading["extra"] = 1
+    assert la.counts() == expected
+
+
+# Records whose fields hold numpy arrays compare, and hash, by identity: a
+# generated ``__eq__`` would compare the arrays and raise.
+ARRAY_RECORDS = {
+    "PureState": make_singlet,
+    "DensityOperator": lambda: as_density(make_singlet()),
+    "SchmidtDecomposition": lambda: schmidt(make_singlet(), (2, 2)),
+    "SpectralDecomposition": lambda: la.spectral_decompose(la.SIGMA_Z),
+    "Observable": lambda: observable(la.SIGMA_Z),
+    "MeasurementContext": lambda: context(PureState(np.array([1.0, 0.0])), observable(la.SIGMA_Z)),
+    "ContextualState": _representative_state,
+    "ValueAssignmentProblem": mermin_peres_square,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
+def test_a_record_holding_arrays_compares_by_identity(name):
+    a, b = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -148,6 +148,9 @@ BOUNDARIES = {
     "direction_zero": (
         lambda: Direction.normalized(0.0, 0.0, 0.0), ValueError, "zero vector",
     ),
+    "direction_huge_integer": (
+        lambda: Direction(10**400, 0, 0), ValueError, "direction components must be finite",
+    ),
     "remote_state_outcome": (
         lambda: conditional_remote_state(make_singlet(), Z, 0),
         ValueError, "outcome must be +1 or -1, got 0",
@@ -252,6 +255,13 @@ BOUNDARIES = {
         lambda: la.evolution_operator(la.SIGMA_Z, float("nan")),
         ValueError, "evolution time must be finite, got nan",
     ),
+    "evolution_operator_time_huge_integer": (
+        lambda: la.evolution_operator(la.SIGMA_Z, 10**400),
+        ValueError, "evolution time must be finite, got 1000",
+    ),
+    "require_hermitian_huge_integer_entry": (
+        lambda: la.require_hermitian([[10**400]]), ValueError, "matrix entries must be finite",
+    ),
     # mub
     "statistics_float_dim": (
         lambda: _qubit_statistics(dim=2.0), ValueError, "dim must be a positive integer, got 2.0",
@@ -325,7 +335,20 @@ BOUNDARIES = {
         lambda: total_spin_squared(np.eye(2) / 2), la.DimensionError, "dimension 4, got 2",
     ),
     "evolution_demo_no_steps": (
-        lambda: entangling_evolution_demo(1.0, 0.5, steps=0), ValueError, "steps must be positive",
+        lambda: entangling_evolution_demo(1.0, 0.5, steps=0),
+        ValueError, "steps must be a positive integer, got 0",
+    ),
+    "evolution_demo_fractional_steps": (
+        lambda: entangling_evolution_demo(1.0, 0.5, steps=2.5),
+        ValueError, "steps must be a positive integer, got 2.5",
+    ),
+    "product_basis_state_fractional_index": (
+        lambda: product_basis_state(0.5, 0),
+        ValueError, "basis state needs integer dim and index, got 2 and 0.5",
+    ),
+    "product_basis_state_bool_index": (
+        lambda: product_basis_state(True, 0),
+        ValueError, "basis state needs integer dim and index, got 2 and True",
     ),
     "schmidt_dims_one_entry": (
         lambda: schmidt(make_singlet(), (2,)), la.DimensionError, "dims must be a pair",
@@ -387,14 +410,14 @@ def test_ql_kernel_gives_up_after_its_last_allowed_iteration(monkeypatch):
     monkeypatch.setattr(la, "_QL_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(3)
     g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    before = la.sweep_count()
+    before = la.counts()["sweeps"]
     with pytest.raises(
         la.ConvergenceError,
         match=r"QL diagonalisation of a dimension-8 matrix stopped after 1 iterations on "
         r"eigenvalue 0 with subdiagonal entry \S+e\+00, above the threshold 5\.364e-13",
     ):
         la.jacobi_eigh(0.5 * (g + g.conj().T))
-    assert la.sweep_count() - before == 1
+    assert la.counts()["sweeps"] - before == 1
 
 
 def test_as_density_takes_a_bare_vector():

@@ -635,11 +635,10 @@ def test_unwritable_out_path_exits_two(tmp_path, capsys):
 
 
 def test_suite_writes_one_timed_line_per_criterion_to_stderr(capsys, eigensolves):
-    checked = linalg.validation_count()
-    swept = linalg.sweep_count()
+    before = linalg.counts()
     code, _, err = run(capsys, ["suite"])
     assert code == 0
-    operators, hermiticity = (b - a for a, b in zip(checked, linalg.validation_count()))
+    after = linalg.counts()
     lines = err.splitlines()
     assert len(lines) == 13 and lines[-1].startswith("elapsed_ms=")
     pattern = re.compile(
@@ -652,9 +651,9 @@ def test_suite_writes_one_timed_line_per_criterion_to_stderr(capsys, eigensolves
     assert [int(m.group(1)) for m in matches] == list(range(1, 13))
     assert all(float(m.group(2)) >= 0.0 for m in matches)
     assert sum(int(m.group(3)) for m in matches) == len(eigensolves)
-    assert sum(int(m.group(4)) for m in matches) == linalg.sweep_count() - swept
-    assert sum(int(m.group(5)) for m in matches) == operators
-    assert sum(int(m.group(6)) for m in matches) == hermiticity
+    keys = ("eigensolves", "sweeps", "operator_checks", "hermiticity_checks")
+    for group, key in enumerate(keys, 3):
+        assert sum(int(m.group(group)) for m in matches) == after[key] - before[key], key
 
 
 def test_suite_command_all_green(capsys):

@@ -1,9 +1,10 @@
 """Eigensolve and validation counts, gated exactly where they are deterministic.
 
 The ``eigensolves`` fixture (``conftest.py``) records every call of the
-Jacobi kernel ``qcontext.linalg._eigh``; ``linalg.validation_count()``
-reads the calls of ``as_operator`` and ``hermiticity_defect``.  Counts
-depend only on the code path, never on timing.
+eigensolver kernel ``qcontext.linalg._eigh``; ``linalg.counts()`` reads
+the library's running totals of solves, sweeps and calls of
+``as_operator`` and ``hermiticity_defect``.  Counts depend only on the
+code path, never on timing.
 """
 
 import dataclasses
@@ -36,16 +37,17 @@ def test_suite_makes_281_eigensolves_in_145_sweeps(eigensolves):
     # eigenpairs (100 solves at n = 2-4); 481 (193 at n <= 2, 697 sweeps)
     # before random_unitary drew its basis by Gram-Schmidt instead of
     # solving a random generator (200 solves at n = 2-4, criteria 5-6)
-    swept = linalg.sweep_count()
+    before = linalg.counts()
     results = acceptance.run_suite()
+    after = linalg.counts()
     assert all(r.passed for r in results)
-    assert len(eigensolves) == 281
+    assert len(eigensolves) == after["eigensolves"] - before["eigensolves"] == 281
     assert sum(n <= 2 for n in eigensolves) == 125
-    assert linalg.sweep_count() - swept == 145
+    assert after["sweeps"] - before["sweeps"] == 145
 
 
 def test_a_seeded_d64_solve_takes_140_ql_iterations(eigensolves):
-    # From n = 8 sweep_count() counts QL iterations: 140 here, 2.2 an
+    # From n = 8 the sweeps count QL iterations: 140 here, 2.2 an
     # eigenvalue, with or without eigenvectors (the same host gives 140
     # under numpy's x86-64 baseline tier and OPENBLAS_CORETYPE=Prescott).
     # Round-robin Jacobi took 7 sweeps of 63 rounds on inputs like this.
@@ -53,9 +55,9 @@ def test_a_seeded_d64_solve_takes_140_ql_iterations(eigensolves):
     g = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     h = 0.5 * (g + g.conj().T)
     for vectors in (True, False):
-        swept = linalg.sweep_count()
+        swept = linalg.counts()["sweeps"]
         linalg.jacobi_eigh(h, vectors=vectors)
-        assert linalg.sweep_count() - swept == 140
+        assert linalg.counts()["sweeps"] - swept == 140
     assert eigensolves == [64, 64]
 
 
@@ -98,20 +100,23 @@ def test_suite_validates_26_operators_and_26_hermiticity_defects():
     # 22 embeddings, Hermitian by construction, through jacobi_eigh().
     # What is left: observable() (five named ones), the observable square
     # and two public states, each one operator and one Hermiticity check.
-    before = linalg.validation_count()
+    before = linalg.counts()
     acceptance.run_suite()
-    operators, hermiticity = (b - a for a, b in zip(before, linalg.validation_count()))
-    assert (operators, hermiticity) == (26, 26)
+    after = linalg.counts()
+    assert after["operator_checks"] - before["operator_checks"] == 26
+    assert after["hermiticity_checks"] - before["hermiticity_checks"] == 26
 
 
 def test_validation_count_follows_every_check():
-    before = linalg.validation_count()
+    before = linalg.counts()
     linalg.trace_distance(linalg.SIGMA_X, linalg.SIGMA_Z)
     linalg.tensor(linalg.SIGMA_X, linalg.SIGMA_Z)
-    after = linalg.validation_count()
+    after = linalg.counts()
     # trace_distance checks both operands and not its symmetrised
     # difference; tensor converts both operands
-    assert (after[0] - before[0], after[1] - before[1]) == (4, 2)
+    assert {key: after[key] - before[key] for key in after} == {
+        "eigensolves": 0, "sweeps": 0, "operator_checks": 4, "hermiticity_checks": 2,
+    }
 
 
 @pytest.fixture
@@ -218,9 +223,9 @@ def test_the_cache_is_not_a_field():
 
 
 def test_eigensolve_count_follows_every_call(eigensolves):
-    before = linalg.eigensolve_count()
+    before = linalg.counts()["eigensolves"]
     acceptance.criterion_dynamics()
-    assert linalg.eigensolve_count() - before == len(eigensolves) == 24
+    assert linalg.counts()["eigensolves"] - before == len(eigensolves) == 24
 
 
 def test_luders_on_a_prebuilt_observable_solves_nothing(eigensolves):

@@ -153,9 +153,9 @@ def test_round_robin_agrees_with_lapack(make):
 
 def _iterations(h):
     """QL iterations of one solve, read off the library's sweep counter."""
-    before = la.sweep_count()
+    before = la.counts()["sweeps"]
     la.jacobi_eigh(h, vectors=False)
-    return la.sweep_count() - before
+    return la.counts()["sweeps"] - before
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -283,9 +283,9 @@ def test_jacobi_matches_loop_oracle_bytes_at_large_and_sparse_inputs(make):
 
 
 def test_ql_makes_no_iteration_on_a_diagonal_input():
-    before = la.sweep_count()
+    before = la.counts()["sweeps"]
     values, vectors = la.jacobi_eigh(np.diag([3.0, -1.0, 2.0, 0.5, 7.0, -4.0, 0.0, 1.0]))
-    assert la.sweep_count() == before
+    assert la.counts()["sweeps"] == before
     assert values.tolist() == [-4.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 7.0]
     assert np.array_equal(vectors, np.eye(8)[:, [5, 1, 6, 3, 7, 2, 0, 4]])
 
@@ -311,9 +311,9 @@ def test_ql_deflates_subdiagonal_entries_near_1e300_without_warning():
     dense_tiny = 1e-300 * random_hermitian(8, seed=300)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        before = la.sweep_count()
+        before = la.counts()["sweeps"]
         values, vectors = la.jacobi_eigh(_tridiagonal(diagonal, subdiagonal))
-        assert la.sweep_count() == before  # the floor deflates every entry
+        assert la.counts()["sweeps"] == before  # the floor deflates every entry
         assert values.tolist() == sorted(diagonal)
         assert np.abs(np.abs(vectors) - np.eye(8)[:, np.argsort(diagonal)]).max() <= 1e-15
         # Squares of these entries underflow, so every column norm is 0.
@@ -381,9 +381,9 @@ def test_jacobi_tests_the_norm_after_its_last_allowed_sweep(monkeypatch):
 
 def test_sweep_count_follows_both_kernels(monkeypatch):
     def swept(h):
-        before = la.sweep_count()
+        before = la.counts()["sweeps"]
         la.jacobi_eigh(h)
-        return la.sweep_count() - before
+        return la.counts()["sweeps"] - before
 
     assert swept(np.eye(1)) == 0
     assert swept(np.diag([3.0, -1.0, 2.0])) == 0  # converged before any sweep
@@ -394,10 +394,10 @@ def test_sweep_count_follows_both_kernels(monkeypatch):
     assert 16 <= swept(random_hermitian(16, seed=7)) <= 2.5 * 16
     # A solve that gives up has made every sweep it was allowed.
     monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 2)
-    before = la.sweep_count()
+    before = la.counts()["sweeps"]
     with pytest.raises(la.ConvergenceError, match="after 2 sweeps"):
         la.jacobi_eigh(random_hermitian(6, seed=7))
-    assert la.sweep_count() - before == 2
+    assert la.counts()["sweeps"] - before == 2
 
 
 _PUBLIC_CHECKS = {
@@ -443,9 +443,9 @@ def test_jacobi_solves_entries_whose_squares_overflow(n):
     # of two and multiplies the eigenvalues back.
     base = np.array([[1.0, 1.0], [1.0, -1.0]]) if n == 2 else random_hermitian(8, seed=52)
     h = 1e160 * base
-    count = la.eigensolve_count()
+    count = la.counts()["eigensolves"]
     values, vectors = la.jacobi_eigh(h)
-    assert la.eigensolve_count() == count + 1
+    assert la.counts()["eigensolves"] == count + 1
     assert np.all(np.isfinite(values))
     top = float(np.abs(values).max())
     assert np.allclose(values, np.linalg.eigvalsh(h), rtol=0.0, atol=1e-12 * top)
