@@ -44,17 +44,15 @@ class Direction:
     z: float
 
     def __post_init__(self):
-        try:
-            for name in ("x", "y", "z"):
-                object.__setattr__(self, name, float(getattr(self, name)))
-            finite = all(map(math.isfinite, (self.x, self.y, self.z)))
+        values = (self.x, self.y, self.z)
+        try:  # a string or a bool is refused before ``float`` could take it
+            finite = all(map(la._number, values)) and all(map(math.isfinite, values))
         except OverflowError:  # an integer beyond the float range
             finite = False
         if not finite:
-            raise ValueError(
-                f"direction components must be finite, got "
-                f"({self.x!r}, {self.y!r}, {self.z!r})"
-            )
+            raise ValueError(f"direction components must be finite numbers, got {values!r}")
+        for name, value in zip("xyz", values):
+            object.__setattr__(self, name, float(value))
         # hypot scales its arguments, so components near 1e308 do not overflow.
         norm = math.hypot(self.x, self.y, self.z)
         if abs(norm - 1.0) > DIRECTION_TOL:

@@ -3,14 +3,13 @@
 Everything in this package runs on ordinary row-major numpy arrays of
 complex numbers.  Matrices stay small (dimension 64 at most), so the
 routines here favour determinism and transparency over asymptotic speed:
-Hermitian matrices are diagonalised by cyclic Jacobi rotations on Python
-complex scalars up to dimension 7, and from dimension 8 by Householder
-tridiagonalisation on numpy arrays followed by implicit-shift QL on
-Python floats; phases of eigenvectors are fixed by an explicit
-convention, and matrix functions are evaluated through the spectral
-resolution rather than series.  A
-spectral resolution keeps its eigenvectors and forms a level's projector
-only when the level is read.
+Hermitian matrices are reduced to a real tridiagonal by Householder
+reflections (on Python complex scalars up to dimension 7, on numpy
+arrays from 8) and diagonalised by implicit-shift QL on Python floats;
+phases of eigenvectors are fixed by an explicit convention, and matrix
+functions are evaluated through the spectral resolution rather than
+series.  A spectral resolution keeps its eigenvectors and forms a
+level's projector only when the level is read.
 
 Six products the other modules share are written out once, here, as
 private unchecked kernels (``_hermitian_part``, ``_trace_product``,
@@ -39,26 +38,21 @@ HERMITICITY_TOL = 1e-9
 # Eigenvalues closer than this are reported as one degenerate level.
 EIGENVALUE_MERGE_TOL = 1e-8
 
-# Jacobi sweeps stop once the off-diagonal Frobenius norm drops below
-# this times the scale of the input.  QL deflates a subdiagonal entry at
-# or below this times the scale over 2n (the Jacobi per-element cutoff),
-# if not sooner.
+# QL deflates a subdiagonal entry at or below this times the larger of 1
+# and the Frobenius norm of the input, over 2n, if not sooner.  (The name
+# is that of the cyclic Jacobi threshold this floor was first taken from.)
 JACOBI_OFF_TOL = 1e-12
-
-_JACOBI_MAX_SWEEPS = 100
 
 # QL iterations allowed for one eigenvalue (``tqli`` in Numerical Recipes).
 _QL_MAX_ITERATIONS = 30
 
 _EPS = sys.float_info.epsilon
 
-# Largest dimension diagonalised by cyclic Jacobi sweeps, ``_cyclic_eigh``;
-# from the next one up, ``_ql_eigh`` tridiagonalises and runs QL.  The
-# golden reports pin the cyclic kernel's last bits at n <= 6.  On a
-# 2-vCPU Xeon the QL kernel is the faster one from n = 7 (0.5 against
-# 0.7 ms with eigenvectors, 0.16 against 0.5 ms without), so the cut-over
-# could come down by one.
-_JACOBI_CYCLIC_MAX_DIM = 7
+# Largest dimension reduced and rotated on Python scalars, where no bit
+# depends on BLAS or on numpy's SIMD loops; every solve behind the pinned
+# reports is at most 6.  From the next one up the same steps run on numpy
+# arrays, which a 64 x 64 reduction needs.
+_SCALAR_MAX_DIM = 7
 
 # The running totals of this process, one record; ``counts()`` copies it.
 _counts = dict.fromkeys(("eigensolves", "sweeps", "operator_checks", "hermiticity_checks"), 0)
@@ -108,10 +102,9 @@ def counts() -> dict[str, int]:
     """A copy of this process's running totals.
 
     ``eigensolves`` counts the ``_eigh`` solves, whichever way they came
-    in; ``sweeps`` the Jacobi sweeps of those at n <= 7 and the QL
-    iterations (about two per eigenvalue) of those at n >= 8, none at
-    n = 1; ``operator_checks`` and ``hermiticity_checks`` the calls of
-    ``as_operator`` and of ``hermiticity_defect``.
+    in; ``sweeps`` the QL iterations of those (about two per eigenvalue,
+    none at n = 1); ``operator_checks`` and ``hermiticity_checks`` the
+    calls of ``as_operator`` and of ``hermiticity_defect``.
     """
     return dict(_counts)
 
@@ -119,7 +112,7 @@ def counts() -> dict[str, int]:
 # The input predicates of the readers and the record constructors: a bool
 # counts as neither a number nor an integer.
 def _number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _integer(x) -> bool:
@@ -340,115 +333,20 @@ def _norm_of_scalars(z: list[complex]) -> float:
     return math.sqrt(math.fsum([x * x for x in map(abs, z)]))
 
 
-def _cyclic_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The cyclic kernel of ``_eigh`` on Python complex scalars, for n >= 2.
-
-    ``a`` is converted to a list of rows ``d`` once, and the eigenvector
-    accumulator ``v`` starts as the rows of the identity.  Sweeps rotate
-    the pairs in row order, (0, 1), (0, 2), ..., (n-2, n-1).  Rotation
-    ``(p, q)`` annihilates ``d[p][q]``::
-
-        r = |d[p][q]|, phase = d[p][q] / r   (skipped when r <= cutoff)
-        tau = (d[q][q].real - d[p][p].real) / (2 r)
-        t = 1 / (tau + sqrt(1 + tau^2)) for tau >= 0,
-            -1 / (-tau + sqrt(1 + tau^2)) otherwise
-        c = 1 / sqrt(1 + t^2), s = t c
-
-    The unitary ``U`` differs from the identity only in rows and columns
-    ``p``, ``q``: ``U[p,p] = c``, ``U[p,q] = s``, ``U[q,p] = -s e^-if`` and
-    ``U[q,q] = c e^-if``, with ``e^if`` the phase.  ``d <- U^dagger d U``
-    rotates columns ``p``, ``q`` of ``d`` and then its rows ``p``, ``q``;
-    ``v <- v U`` rotates the columns of ``v``, in the same loop over rows
-    as those of ``d``::
-
-        x_p, x_q <- c x_p - (s conj(phase)) x_q, s x_p + (c conj(phase)) x_q
-        y_p, y_q <- c y_p - (s phase) y_q,       s y_p + (c phase) y_q
-
-    for the entries ``x`` of a row and ``y`` of a column, every product
-    with its coefficient first.  The scale of the input and each sweep's
-    off-diagonal norm are ``_norm_of_scalars``; the norm is tested before
-    each sweep and once after the last allowed one.
-    All of it is CPython float and complex arithmetic, one operation at a
-    time, so no bit depends on the SIMD loops numpy dispatches to.
-    """
-    n = a.shape[0]
-    d = a.tolist()
-    scale = max(1.0, _norm_of_scalars([z for row in d for z in row]))
-    threshold = JACOBI_OFF_TOL * scale
-    # Rotating every entry above this per-element cutoff guarantees the
-    # whole off-diagonal norm ends below threshold.
-    cutoff = threshold / (2.0 * n)
-    v = [[complex(i == j) for j in range(n)] for i in range(n)] if vectors else []
-    dv = d + v  # the same row lists: one column rotation updates both
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-
-    sweeps = 0
-    while True:
-        norm = _norm_of_scalars([z for i, row in enumerate(d) for z in row[:i] + row[i + 1 :]])
-        if norm < threshold:
-            break
-        if sweeps == _JACOBI_MAX_SWEEPS:
-            _counts["sweeps"] += sweeps
-            raise _not_converged(n, sweeps, norm, threshold)
-        for p, q in pairs:
-            rp = d[p]
-            rq = d[q]
-            apq = rp[q]
-            r = abs(apq)
-            if r <= cutoff:
-                continue
-            phase = apq / r
-            tau = (rq[q].real - rp[p].real) / (2.0 * r)
-            if tau >= 0.0:
-                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            conj_phase = phase.conjugate()
-            s_conj = s * conj_phase
-            c_conj = c * conj_phase
-            for row in dv:
-                x = row[p]
-                y = row[q]
-                row[p] = c * x - s_conj * y
-                row[q] = s * x + c_conj * y
-            s_phase = s * phase
-            c_phase = c * phase
-            for j in range(n):
-                x = rp[j]
-                y = rq[j]
-                rp[j] = c * x - s_phase * y
-                rq[j] = s * x + c_phase * y
-        sweeps += 1
-    _counts["sweeps"] += sweeps
-
-    diagonal = [d[i][i].real for i in range(n)]
-    order = sorted(range(n), key=diagonal.__getitem__)  # stable
-    eigenvalues = np.array([diagonal[i] for i in order])
-    if not vectors:
-        return eigenvalues, None
-    columns = list(zip(*v))
-    fixed = []
-    for j in order:
-        column = columns[j]
-        magnitudes = [abs(z) for z in column]
-        largest = max(magnitudes)
-        if largest > 0.0:
-            # The phase rule of ``_fix_column_phases``: the first entry of
-            # largest magnitude becomes real positive.
-            w = column[magnitudes.index(largest)].conjugate() / largest
-            column = [z * w for z in column]
-        fixed.append(column)
-    return eigenvalues, np.array(fixed, dtype=complex).T.copy()
+def _dot(x, y) -> complex:
+    """``sum_k x_k y_k`` of Python numbers, added left to right."""
+    out = 0j
+    for a, b in zip(x, y):
+        out += a * b
+    return out
 
 
-def _not_converged(n: int, sweeps: int, norm: float, threshold: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"Jacobi diagonalisation of a dimension-{n} matrix stopped after "
-        f"{sweeps} sweeps with off-diagonal norm "
-        f"{norm:.3e}, above the threshold {threshold:.3e}"
-    )
+def _unit(z: complex) -> complex:
+    """``z / |z|``, real for a real ``z`` and 1 for zero; a subnormal ``z`` is
+    first scaled by 2^600 (exactly), so the quotient has modulus one."""
+    if 0.0 < abs(z) < sys.float_info.min:
+        z *= 2.0**600
+    return z / abs(z) if z else 1 + 0j
 
 
 def _tridiagonal_form(
@@ -474,7 +372,8 @@ def _tridiagonal_form(
     ``H_0 H_1 ... H_{n-3} D``, the reflections accumulated backwards.  Each
     phase is taken from an angle, not as ``z / |z|``, so it has modulus
     one to rounding even where ``z`` is subnormal.  The caller's array is
-    never written.
+    never written.  ``_tridiagonal_scalars`` takes the same steps on
+    Python scalars.
     """
     n = a.shape[0]
     t = np.array(a, dtype=complex)  # a C-order working copy
@@ -507,6 +406,56 @@ def _tridiagonal_form(
     return d, e, q
 
 
+def _tridiagonal_scalars(t: list[list[complex]], vectors: bool) -> tuple[list, list, list | None]:
+    """``_tridiagonal_form`` of the rows ``t`` (which it writes), with ``q^T``.
+
+    The same reflections on Python scalars, one entry at a time: norms by
+    ``_norm_of_scalars``, sums by ``_dot``, phases by ``_unit``.  No bit
+    depends on BLAS or numpy's SIMD loops, and a real input gives a real
+    ``q``.  ``q^T`` comes as its list of rows (``q``'s columns), or None;
+    it starts as ``D``, which the reflections leave alone where they do
+    not act.
+    """
+    n = len(t)
+    reflections = []
+    s = []
+    for k in range(n - 1):
+        rows = t[k + 1 :]
+        x = [row[k] for row in rows]
+        norm = _norm_of_scalars(x) if k < n - 2 else 0.0  # the last x is one entry
+        if norm == 0.0:
+            s.append(x[0])
+            continue
+        phase = _unit(x[0])
+        u = [z / norm for z in x]
+        u[0] += phase
+        norm_u = _norm_of_scalars(u)
+        u = [z / norm_u for z in u]
+        u_bar = [z.conjugate() for z in u]
+        p = [_dot(row[k + 1 :], u) for row in rows]
+        kappa = _dot(u_bar, p).real
+        w = [y - kappa * z for z, y in zip(u, p)]
+        w_bar = [z.conjugate() for z in w]
+        for row, ui, wi in zip(rows, [2.0 * z for z in u], [2.0 * z for z in w]):
+            row[k + 1 :] = [b - (ui * y + wi * x) for b, x, y in zip(row[k + 1 :], u_bar, w_bar)]
+        s.append(-norm * phase)
+        reflections.append((k, u, u_bar))
+    d = [t[i][i].real for i in range(n)]
+    e = [abs(z) for z in s] + [0.0]
+    if not vectors:
+        return d, e, None
+    phi = [1 + 0j]
+    for z in s:
+        phi.append(phi[-1] * _unit(z))
+    qt = [[phi[i] if i == j else 0j for j in range(n)] for i in range(n)]
+    for k, u, u_bar in reversed(reflections):
+        u = [2.0 * z for z in u]
+        for row in qt[k + 1 :]:  # H q, by rows of q^T
+            c = _dot(u_bar, row[k + 1 :])
+            row[k + 1 :] = [b - c * y for b, y in zip(row[k + 1 :], u)]
+    return d, e, qt
+
+
 # Masks of the largest rotation chain, ``_eigh``'s ``MAX_DIM + 1`` rows:
 # entries above the diagonal, and on or above it.  A chain of ``k`` rows
 # uses their leading ``k x k`` blocks.
@@ -536,8 +485,17 @@ def _rotate_chain(z: np.ndarray, l: int, c: list[float], s: list[float]) -> None
     z[l : l + k] = g @ z[l : l + k]
 
 
+def _rotate_rows(z: list[list[complex]], l: int, c: list[float], s: list[float]) -> None:
+    """``_rotate_chain`` on a list of rows, one rotation after another."""
+    for j in range(len(c) - 1, -1, -1):
+        x = z[l + j]
+        y = z[l + j + 1]
+        z[l + j] = [c[j] * p - s[j] * q for p, q in zip(x, y)]
+        z[l + j + 1] = [s[j] * p + c[j] * q for p, q in zip(x, y)]
+
+
 def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The QL kernel of ``_eigh``, for n >= 8.
+    """The kernel of ``_eigh``, for n >= 2.
 
     ``_tridiagonal_form`` reduces ``a`` to ``q T q^dagger``; then ``tqli``
     of Numerical Recipes (section 11.3) diagonalises ``T = Z diag(d) Z^T``
@@ -545,23 +503,33 @@ def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | Non
     subdiagonal entry is negligible is found, and while ``m > l`` one
     implicit QL iteration with the Wilkinson shift of the leading 2 x 2
     block chases rotations from ``m - 1`` up to ``l``.  ``e[m]`` is
-    negligible at or below ``EPS (|d[m]| + |d[m + 1]|)`` or the Jacobi
-    per-element cutoff, ``JACOBI_OFF_TOL`` times the larger of 1 and the
-    Frobenius norm of ``a``, over ``2n``; without that floor a zero-diagonal
-    block (a Schmidt embedding) could iterate to the limit.  Each iteration
-    adds one to ``counts()["sweeps"]``; the ``_QL_MAX_ITERATIONS``-th on one
-    eigenvalue that leaves it unconverged raises ``ConvergenceError``.
-    The rotations of an iteration go into the rows of the real ``Z^T`` with
-    one product (``_rotate_chain``), and ``V = q Z`` is one more.
+    negligible at or below ``EPS (|d[m]| + |d[m + 1]|)`` or the floor,
+    ``JACOBI_OFF_TOL`` times the larger of 1 and the Frobenius norm of
+    ``a``, over ``2n``; without that floor a zero-diagonal block (a Schmidt
+    embedding) could iterate to the limit.  Each iteration adds one to
+    ``counts()["sweeps"]``; the ``_QL_MAX_ITERATIONS``-th on one eigenvalue
+    that leaves it unconverged raises ``ConvergenceError``.
+    From n = 8 the rotations of an iteration go into the rows of the real
+    ``Z^T`` as one product (``_rotate_chain``), and ``V = q Z`` is one
+    more.  Up to ``_SCALAR_MAX_DIM`` they go one at a time into the rows of
+    ``q^T`` (``_rotate_rows``), which leaves ``V^T = Z^T q^T``, and the
+    phase rule of ``_fix_column_phases`` runs on Python scalars too.
     ``tqli`` ends an iteration early where the radius ``r`` underflows to
     zero; that exit is left out, since ``r >= |f|`` and ``f`` starts as an
     entry above the floor (a zero would raise ``ZeroDivisionError``, not
     return a wrong value).
     """
     n = a.shape[0]
-    floor = JACOBI_OFF_TOL * max(1.0, _frobenius_norm(a)) / (2.0 * n)
-    d, e, q = _tridiagonal_form(a, vectors)
-    z = np.eye(n) if vectors else None  # row j: the j-th eigenvector of T
+    scalars = n <= _SCALAR_MAX_DIM
+    if scalars:
+        t = a.tolist()
+        norm = _norm_of_scalars([x for row in t for x in row])
+        d, e, z = _tridiagonal_scalars(t, vectors)  # z: q^T
+    else:
+        norm = _frobenius_norm(a)
+        d, e, q = _tridiagonal_form(a, vectors)
+        z = np.eye(n) if vectors else None  # row j: the j-th eigenvector of T
+    floor = JACOBI_OFF_TOL * max(1.0, norm) / (2.0 * n)
     for l in range(n):
         iterations = 0
         while True:
@@ -607,27 +575,31 @@ def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | Non
             e[l] = g
             e[m] = 0.0
             if vectors:
-                _rotate_chain(z, l, cs[::-1], ss[::-1])
+                (_rotate_rows if scalars else _rotate_chain)(z, l, cs[::-1], ss[::-1])
 
-    eigenvalues = np.array(d)
-    order = eigenvalues.argsort(kind="stable")
-    eigenvalues = eigenvalues[order]
+    order = sorted(range(n), key=d.__getitem__)  # stable, as argsort(kind="stable")
+    eigenvalues = np.array([d[i] for i in order])
     if not vectors:
         return eigenvalues, None
-    return eigenvalues, _fix_column_phases((q @ z.T)[:, order])
+    if not scalars:
+        return eigenvalues, _fix_column_phases((q @ z.T)[:, order])
+    columns = []
+    for j in order:
+        magnitudes = [abs(x) for x in z[j]]
+        # The first entry of largest magnitude becomes real positive.
+        w = _unit(z[j][magnitudes.index(max(magnitudes))]).conjugate()
+        columns.append([x * w for x in z[j]])
+    return eigenvalues, np.array(columns).T.copy()
 
 
 def jacobi_eigh(h, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Diagonalise a Hermitian matrix.
 
-    The input is validated as Hermitian here, and then solved by
-    ``_eigh``: by cyclic Jacobi rotations up to n = 7 and by Householder
-    tridiagonalisation and implicit-shift QL from n = 8.  An input that
-    passes the check without being exactly Hermitian is replaced by its
-    Hermitian part ``(H + H^dagger)/2``: the Jacobi rotations keep the
-    norm of an anti-Hermitian part, so one above the threshold would stop
-    convergence.  An exactly Hermitian input is used as it is.  The
-    caller's array is never written.
+    The input is validated as Hermitian here and solved by ``_eigh``.  An
+    input that passes the check without being exactly Hermitian is
+    replaced by its Hermitian part ``(H + H^dagger)/2``, since the kernel
+    takes its input as exactly Hermitian; an exactly Hermitian one is kept.
+    The caller's array is never written.
 
     Returns
     -------
@@ -639,9 +611,8 @@ def jacobi_eigh(h, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | No
     Raises
     ------
     ConvergenceError
-        If the off-diagonal norm is still above the threshold after
-        ``_JACOBI_MAX_SWEEPS`` sweeps (n <= 7), or an eigenvalue is not
-        deflated after ``_QL_MAX_ITERATIONS`` QL iterations (n >= 8).
+        If an eigenvalue is not deflated after ``_QL_MAX_ITERATIONS`` QL
+        iterations.
     """
     return _eigh(_hermitian_input(h)[1], vectors)
 
@@ -666,26 +637,14 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     ``(d1 + d2)``-dimensional embedding of a state with ``d1 * d2`` entries,
     which is 65 for a 1 x 64 or 64 x 1 split.  Nothing is checked.
 
-    Up to ``_JACOBI_CYCLIC_MAX_DIM`` (7), ``_cyclic_eigh`` sweeps complex
-    plane rotations in cyclic order on Python complex scalars until the
-    off-diagonal Frobenius norm falls below ``JACOBI_OFF_TOL`` times the
-    larger of 1 and the Frobenius norm of the input; it performs the same
-    float operations, in the same order, as the loop kept in
-    ``tests/oracles.py``, bit for bit, and every solve behind the pinned
-    reports runs there (n <= 6).  From n = 8, ``_ql_eigh`` reduces the
-    input to a real tridiagonal with numpy Householder reflections and
-    diagonalises that by implicit-shift QL on Python floats.  Both kernels
-    end with the stable ascending sort and the phase rule of
-    ``_fix_column_phases``.
-
+    Every n >= 2 goes to ``_ql_eigh``: Householder tridiagonalisation (on
+    Python scalars up to ``_SCALAR_MAX_DIM``, where every solve behind the
+    pinned reports runs) and implicit-shift QL, ending with the stable
+    ascending sort and the phase rule of ``_fix_column_phases``.  QL gives
+    up on an eigenvalue after ``_QL_MAX_ITERATIONS`` iterations with a
+    ``ConvergenceError``; every iteration is added to ``counts()["sweeps"]``.
     With ``vectors=False`` no eigenvector is accumulated or phase-fixed;
     the same arithmetic gives the same eigenvalues, bit for bit.
-
-    The Jacobi norm is tested before each sweep and once after the last
-    allowed one, so a matrix that converges in sweep ``_JACOBI_MAX_SWEEPS``
-    is solved; QL gives up on an eigenvalue after ``_QL_MAX_ITERATIONS``
-    iterations.  Either raises ``ConvergenceError`` naming what was too
-    large.  Every sweep or QL iteration is added to ``counts()["sweeps"]``.
 
     An entry above 2^500 could overflow the squares in the norms: such a
     matrix is solved divided by a power of two (exactly) and its eigenvalues
@@ -695,11 +654,10 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), (np.eye(1, dtype=complex) if vectors else None)
-    kernel = _cyclic_eigh if n <= _JACOBI_CYCLIC_MAX_DIM else _ql_eigh
     if np.abs(a).max() <= 2.0**500:
-        return kernel(a, vectors)
+        return _ql_eigh(a, vectors)
     k = max(math.frexp(float(np.abs(x).max()))[1] for x in (a.real, a.imag))
-    eigenvalues, v = kernel(a * 2.0**-k, vectors)
+    eigenvalues, v = _ql_eigh(a * 2.0**-k, vectors)
     if math.frexp(float(np.abs(eigenvalues).max()))[1] + k > 1024:
         raise ValueError("an eigenvalue exceeds the float range")
     return np.ldexp(eigenvalues, k), v
@@ -817,6 +775,8 @@ def _rank_one_vector(a: np.ndarray) -> np.ndarray:
 
 def evolution_operator(h, t: float) -> np.ndarray:
     """Unitary exp(-i H t) built from the spectral resolution of H."""
+    if not _number(t):  # a bool is not read as 0 or 1
+        raise ValueError(f"evolution time must be a real number, got {t!r}")
     try:
         finite = math.isfinite(t)
     except OverflowError:  # an integer beyond the float range

@@ -88,7 +88,7 @@ class DensityOperator:
     Every state built from outside the library is validated at
     construction: Hermiticity within 1e-9 per entry, trace within 1e-10
     of one, eigenvalues above -1e-9 (a Cholesky certificate, and one
-    Jacobi eigensolve only when it fails; see ``_require_positive``).
+    eigensolve only when it fails; see ``_require_positive``).
     A positive state that passes the Hermiticity check is accepted even
     when it is not exactly Hermitian; ``matrix`` is the input.  States the
     library derives from validated ones and that are positive by
@@ -136,10 +136,10 @@ def _require_positive(m: np.ndarray) -> None:
     part ``h = (m + m^H) / 2`` is shifted by half the tolerance and
     Cholesky-factored: a factor with every entry finite certifies
     ``lambda_min(h) >= -tol/2 - O(n eps |h|)``, and at trace one that
-    error term is about 1e-14, so the Jacobi rule below would accept too.
+    error term is about 1e-14, so the eigenvalue rule below would accept too.
     The certificate is only ever a yes; when it fails (no factor, or one
     with inf or nan in it, as for entries whose sum overflows), the
-    Jacobi minimum of ``h`` decides and words the rejection.  For an
+    smallest eigenvalue of ``h`` decides and words the rejection.  For an
     exactly Hermitian ``m`` with a real diagonal, ``h`` equals ``m``.
     """
     # Entries near 1e308 overflow in the sum; jacobi_eigh rejects the
@@ -205,7 +205,7 @@ def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
 
     The amplitude matrix M (shape d1 x d2) is diagonalised through the
     Hermitian embedding [[0, M], [M^dagger, 0]], whose positive eigenvalues
-    are the Schmidt coefficients.  This reuses the Jacobi kernel and keeps
+    are the Schmidt coefficients.  This reuses the eigensolver and keeps
     absolute accuracy ~1e-12 on coefficients near zero, where squaring
     into a Gram matrix would drown them in rounding noise.
     """

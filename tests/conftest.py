@@ -7,7 +7,7 @@ from qcontext import linalg
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Dimensions of every Jacobi solve made while the test runs.
+    """Dimensions of every eigensolve made while the test runs.
 
     Every eigensolve goes through the kernel ``qcontext.linalg._eigh``,
     whether it came in through the validating ``jacobi_eigh`` or from

@@ -3,12 +3,7 @@
 The search and lattice check are the tuple-and-dict versions of the
 vectorised combinatorial routines; tests require the library to return
 results equal to these under ``==``, down to the last bit of
-``max_defect``.  ``jacobi_eigh`` is the cyclic eigensolver written
-literally on Python complex scalars, one matrix entry at a time; tests
-require the library's Jacobi kernel (n <= 7) to match it bit for bit.
-``jacobi_eigh_numpy`` is the cyclic loop on numpy rows and columns that
-the scalar kernel replaced; numpy's complex loops round differently, so
-tests hold the library to it within 1e-12 times the scale of the input.
+``max_defect``.
 ``tensor``, ``fix_column_phases`` and ``spectral_decompose`` are the
 kernel helpers as they were written with numpy's Python-level functions
 (``np.kron``, ``np.diag``, ``np.mean``); tests require ``tobytes()``
@@ -18,7 +13,7 @@ before the Cholesky certificate; tests require equal decisions and
 messages.
 ``spin_projectors``, ``joint_table``, ``random_nondegenerate_observable``
 and ``trace_distance`` are the solved and product-forming routes that the
-closed forms replaced: a Jacobi solve of ``d . sigma``,
+closed forms replaced: an eigensolve of ``d . sigma``,
 ``Tr[W (P_i x Q_j)]`` from explicit Kronecker products, ``observable(m)``
 on the sampled matrix, and the eigenvalues of a 2x2 difference.
 ``luders_nonselective`` and ``eigenbasis`` are the per-level routes that
@@ -30,7 +25,6 @@ so tests hold the two to stated bounds, not to equal bytes.
 
 import collections
 import itertools
-import math
 
 import numpy as np
 
@@ -38,14 +32,11 @@ from qcontext.contexts import BooleanLatticeReport, observable
 from qcontext.contextuality import AssignmentSearchResult
 from qcontext.linalg import (
     EIGENVALUE_MERGE_TOL,
-    JACOBI_OFF_TOL,
     MAX_DIM,
-    ConvergenceError,
     DimensionError,
     as_operator,
     _rank_one_vector,
     jacobi_eigh as library_jacobi_eigh,
-    require_hermitian,
 )
 from qcontext.sampling import random_unitary
 from qcontext.states import POSITIVITY_TOL, DensityOperator
@@ -59,12 +50,6 @@ def tensor(a, b):
     if d > MAX_DIM:
         raise DimensionError(f"tensor product dimension {d} exceeds {MAX_DIM}")
     return np.kron(a, b)
-
-
-def _offdiag_norm(a):
-    """Frobenius norm of ``a`` with its diagonal subtracted out."""
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
 
 
 def fix_column_phases(v):
@@ -103,151 +88,8 @@ def spectral_decompose(h, merge_tol: float = EIGENVALUE_MERGE_TOL):
     return Spectrum(tuple(levels), tuple(projectors), tuple(multiplicities))
 
 
-def _rotation(d, p, q, cutoff):
-    """``(c, s, phase)`` of the rotation that annihilates ``d[p, q]``, or
-    None when ``|d[p, q]|`` is at or below ``cutoff``."""
-    apq = d[p, q]
-    r = abs(apq)
-    if r <= cutoff:
-        return None
-    phase = apq / r
-    app = d[p, p].real
-    aqq = d[q, q].real
-    tau = (aqq - app) / (2.0 * r)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    return c, s, phase
-
-
-def _rotate_columns(m, p, q, c, s, phase):
-    mp = m[:, p].copy()
-    mq = m[:, q].copy()
-    m[:, p] = c * mp - s * phase.conjugate() * mq
-    m[:, q] = s * mp + c * phase.conjugate() * mq
-
-
-def _rotate_rows(m, p, q, c, s, phase):
-    rp = m[p, :].copy()
-    rq = m[q, :].copy()
-    m[p, :] = c * rp - s * phase * rq
-    m[q, :] = s * rp + c * phase * rq
-
-
-def jacobi_eigh_numpy(h, off_tol: float = JACOBI_OFF_TOL):
-    """Cyclic Jacobi on numpy rows and columns, every rotation product in place."""
-    a = require_hermitian(h)
-    n = a.shape[0]
-    d = a.copy()
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    threshold = off_tol * scale
-    cutoff = threshold / (2.0 * n)
-
-    if n == 1:
-        return np.array([d[0, 0].real]), v
-
-    for _ in range(100):
-        if _offdiag_norm(d) < threshold:
-            break
-        _cyclic_sweep(d, v, cutoff)
-    else:
-        raise ConvergenceError("Jacobi oracle did not converge")
-
-    eigenvalues = np.diag(d).real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    return eigenvalues, fix_column_phases(v[:, order])
-
-
-def _cyclic_sweep(d, v, cutoff):
-    n = d.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            rotation = _rotation(d, p, q, cutoff)
-            if rotation is None:
-                continue
-            _rotate_columns(d, p, q, *rotation)
-            _rotate_rows(d, p, q, *rotation)
-            _rotate_columns(v, p, q, *rotation)
-
-
-def _norm(entries):
-    """Frobenius norm of Python complex numbers: the exactly rounded sum of
-    ``|z| * |z|`` over the entries, then one square root."""
-    return math.sqrt(math.fsum([abs(z) * abs(z) for z in entries]))
-
-
-def jacobi_eigh(h, off_tol: float = JACOBI_OFF_TOL):
-    """Cyclic Jacobi on Python complex scalars, one entry at a time.
-
-    ``d`` and ``v`` are lists of rows.  Each rotation rotates the columns
-    of ``d``, then its rows, then the columns of ``v``, with the formulas
-    of ``_rotation`` and every product's coefficient first.
-    """
-    a = require_hermitian(h)
-    n = a.shape[0]
-    d = [[complex(a[i, j]) for j in range(n)] for i in range(n)]
-    v = [[complex(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
-    threshold = off_tol * max(1.0, _norm([d[i][j] for i in range(n) for j in range(n)]))
-    cutoff = threshold / (2.0 * n)
-    if n == 1:
-        return np.array([d[0][0].real]), np.eye(1, dtype=complex)
-
-    sweeps = 0
-    while _norm([d[i][j] for i in range(n) for j in range(n) if i != j]) >= threshold:
-        if sweeps == 100:
-            raise ConvergenceError("Jacobi oracle did not converge")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = d[p][q]
-                r = abs(apq)
-                if r <= cutoff:
-                    continue
-                phase = apq / r
-                tau = (d[q][q].real - d[p][p].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for i in range(n):
-                    x, y = d[i][p], d[i][q]
-                    d[i][p] = c * x - s * phase.conjugate() * y
-                    d[i][q] = s * x + c * phase.conjugate() * y
-                for j in range(n):
-                    x, y = d[p][j], d[q][j]
-                    d[p][j] = c * x - s * phase * y
-                    d[q][j] = s * x + c * phase * y
-                for i in range(n):
-                    x, y = v[i][p], v[i][q]
-                    v[i][p] = c * x - s * phase.conjugate() * y
-                    v[i][q] = s * x + c * phase.conjugate() * y
-        sweeps += 1
-
-    order = sorted(range(n), key=lambda i: d[i][i].real)
-    eigenvalues = np.array([d[i][i].real for i in order])
-    vectors = np.zeros((n, n), dtype=complex)
-    for j, k in enumerate(order):
-        column = [v[i][k] for i in range(n)]
-        m = 0
-        for i in range(n):
-            if abs(column[i]) > abs(column[m]):
-                m = i
-        z = column[m]
-        if abs(z) > 0.0:
-            column = [x * (z.conjugate() / abs(z)) for x in column]
-        for i in range(n):
-            vectors[i, j] = column[i]
-    return eigenvalues, vectors
-
-
 def density_is_positive(m):
-    """``(accepted, message)``: the Jacobi minimum of ``m`` against -1e-9."""
+    """``(accepted, message)``: the smallest eigenvalue of ``m`` against -1e-9."""
     eigenvalues, _ = library_jacobi_eigh(m, vectors=False)
     low = float(eigenvalues.min())
     if low < -POSITIVITY_TOL:
@@ -256,7 +98,7 @@ def density_is_positive(m):
 
 
 def spin_projectors(d):
-    """``{+1: P, -1: Q}`` of ``d . sigma`` from its Jacobi spectral resolution."""
+    """``{+1: P, -1: Q}`` of ``d . sigma`` from its solved spectral resolution."""
     obs = observable(d.spin_matrix())
     return {int(round(a)): p for a, p in zip(obs.spectrum.eigenvalues, obs.spectrum.projectors)}
 
@@ -295,7 +137,7 @@ def eigenbasis(spectrum):
 
 
 def trace_distance(a, b):
-    """(1/2) sum |eigenvalues| of the symmetrised difference, solved by Jacobi."""
+    """(1/2) sum |eigenvalues| of the symmetrised difference, solved."""
     diff = a - b
     diff = 0.5 * (diff + diff.conj().T)
     eigenvalues, _ = library_jacobi_eigh(diff, vectors=False)

@@ -403,21 +403,21 @@ def test_malformed_problem_and_statistics_files_exit_two(
 
 
 def test_eigensolve_that_does_not_converge_exits_two(tmp_path, capsys, monkeypatch):
-    # One sweep cannot diagonalise this dense 3x3 observable.
-    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+    # One QL iteration cannot diagonalise this dense 3x3 observable.
+    monkeypatch.setattr(linalg, "_QL_MAX_ITERATIONS", 1)
     path = tmp_path / "observable.json"
     path.write_text('{"dim": 3, "re": [1, 2, 3, 2, 4, 5, 3, 5, 6], "im": [0, 0, 0, 0, 0, 0, 0, 0, 0]}')
     code, out, err = run(capsys, ["boolean-lattice", "--observable", str(path)])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: Jacobi diagonalisation of a dimension-3 matrix")
-    assert "after 1 sweeps" in err
+    assert err.startswith("error: QL diagonalisation of a dimension-3 matrix")
+    assert "after 1 iterations" in err
     assert err.count("\n") == 1
 
 
 def test_nearly_hermitian_observable_is_decomposed(tmp_path, capsys):
     # Hermitian to within 1e-9; its 1e-10 anti-Hermitian part is above
-    # the Jacobi threshold, so the eigensolver solves its Hermitian part.
+    # the 1e-12 solver floor, so the eigensolver solves its Hermitian part.
     path = tmp_path / "observable.json"
     path.write_text('{"dim": 2, "re": [1, 1e-10, 0, 2], "im": [0, 0, 0, 0]}')
     code, out, err = run(capsys, ["luders", "--state", "plus", "--observable", str(path)])

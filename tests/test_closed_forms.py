@@ -8,7 +8,7 @@ builds its ``A^2`` probe from them too, the 2x2 trace distance is
 the larger of ``|x + y|/2`` and ``hypot((x - y)/2, |z|)``,
 ``luders_nonselective`` keeps the level blocks of ``V^dagger W V`` and
 ``Observable.eigenbasis`` reads the spectrum's columns.  ``oracles.py``
-keeps the Jacobi solve, the Kronecker-product trace, ``observable(m)``,
+keeps the eigensolve, the Kronecker-product trace, ``observable(m)``,
 the solved trace distance, the per-level Lüders sum and the
 projector-extracted eigenbasis.
 The arithmetic differs, so each comparison has a bound stated in units of
@@ -77,11 +77,11 @@ def test_joint_table_matches_the_tensor_and_trace_oracle(seed):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_sampled_observable_matches_the_solved_one(dim):
-    # The oracle's Jacobi solve stops once the off-diagonal norm is below
-    # JACOBI_OFF_TOL times |A|_F (about 5 at dim 4), so its projectors are
-    # only that good: |A P - a P| reaches 8,000 EPS for them over 300
-    # seeds, against 6 EPS for the construction's (idempotent to 2 EPS,
-    # eigenvalues 36 EPS from the oracle's at most).
+    # The oracle solves the sampled matrix, so its projectors carry the
+    # solver's rounding: |A P - a P| reached 8,000 EPS for them over 300
+    # seeds while the solver was cyclic Jacobi, against 6 EPS for the
+    # construction's (idempotent to 2 EPS, eigenvalues 36 EPS from the
+    # oracle's at most).
     for seed in range(100):
         obs, values, u = random_nondegenerate_observable(dim, np.random.default_rng(seed))
         ref, ref_values, ref_u = oracles.random_nondegenerate_observable(

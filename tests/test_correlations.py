@@ -39,6 +39,27 @@ def test_direction_requires_unit_norm():
 
 
 @pytest.mark.parametrize(
+    "components", [("1", "0", "0"), (True, 0, 0), (0, False, 1), (0.0, 0.0, "1"), (None, 0, 1)]
+)
+def test_direction_refuses_strings_and_bools(components):
+    # float() would take each of these, and True as 1.
+    with pytest.raises(ValueError, match="direction components must be finite numbers"):
+        Direction(*components)
+
+
+def test_direction_accepts_integers_and_numpy_scalars():
+    d = Direction(np.float64(0.6), np.int64(0), np.float64(0.8))
+    assert Direction(1, 0, 0) == Direction(1.0, 0.0, 0.0)
+    assert Direction(np.int64(0), np.float32(-1.0), 0) == Direction(0.0, -1.0, 0.0)
+    assert all(type(v) is float for v in (d.x, d.y, d.z))
+
+
+def test_direction_normalized_divides_every_component_by_the_norm():
+    assert Direction.normalized(1, 2, 2) == Direction(1 / 3, 2 / 3, 2 / 3)
+    assert Direction.normalized(0.0, -3.0, 4.0) == Direction(0.0, -0.6, 0.8)
+
+
+@pytest.mark.parametrize(
     "components",
     [(np.nan, 0.0, 0.0), (0.0, np.nan, 1.0), (np.inf, 0.0, 0.0), (0.0, 0.0, -np.inf)],
 )

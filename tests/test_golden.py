@@ -15,7 +15,8 @@ a report, rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff.
 
 The pinned last bits depend on the Python build, whose float and complex
-arithmetic runs the Jacobi kernel up to n = 7 and the closed-form 2x2
+arithmetic runs the eigensolver up to n = 7 (Householder reduction, QL
+rotations and the phase rule, on Python scalars) and the closed-form 2x2
 trace distance, on the numpy version, on the SIMD loops numpy dispatches
 to and on the OpenBLAS kernel set.  Recording writes all four to
 ``RECORDED_WITH.txt``, and a failing comparison prints them next to this

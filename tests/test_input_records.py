@@ -194,6 +194,17 @@ def test_problem_reader_returns_or_raises_value_error(fields, observables):
         _problem_round_trip(problem)
 
 
+def test_statistics_accept_the_edges_of_each_domain():
+    # The contract tests above pass any ValueError, so a record refusing too
+    # much would pass them: seed 0, one sample and probabilities of exactly
+    # 0 and 1 must each build a record.
+    for tables in ([(0.0, 1.0), (1.0, 0.0), (0.5, 0.5)], [[0, 1], [1, 0], [1, 0]]):
+        stats = MeasurementStatistics(dim=2, tables=tables, samples=1, seed=0)
+        assert (stats.samples, stats.seed) == (1, 0)
+        assert stats.tables == tuple(tuple(float(p) for p in row) for row in tables)
+        _statistics_round_trip(stats)
+
+
 def test_the_draws_reach_accepted_records():
     # One accepted record of each kind, so the round trips are not vacuous.
     stats = MeasurementStatistics(

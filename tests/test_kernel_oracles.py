@@ -6,12 +6,11 @@ norm from numpy's own dot-product branch, the eigenvector phases from one
 ``oracles.py`` keeps the versions written with ``np.kron``, ``np.diag``
 and ``np.mean``; the Frobenius norm is held to ``np.linalg.norm``.
 Every result here must match its oracle in ``tobytes()`` (or
-``float.hex()``), so signed zeros count too.  The inputs cover n = 1-8, degenerate spectra, magnitude ties,
-transposed and strided views and entries of ``-0.0``.  The Jacobi kernel
-(n <= 7) is held to the scalar cyclic loop, and the cyclic numpy loop it
-replaced to 1e-12 x scale.  The eigenvalues-only mode of ``jacobi_eigh``
-is held to its full path the same way, up to n = 64, where the QL kernel
-runs.
+``float.hex()``), so signed zeros count too.  The inputs cover n = 1-8,
+degenerate spectra, magnitude ties, transposed and strided views and
+entries of ``-0.0``.  The eigenvalues-only mode of ``jacobi_eigh`` is held
+to its full path the same way, up to n = 64.  The eigensolver itself is
+held to LAPACK in ``test_linalg.py``.
 """
 
 import numpy as np
@@ -184,36 +183,6 @@ def _hermitian_inputs(seed):
     return out
 
 
-def test_jacobi_matches_loop_oracle_in_every_layout():
-    # The cyclic kernel solves n <= 7 only.
-    for h in _hermitian_inputs(41):
-        if len(h) <= la._JACOBI_CYCLIC_MAX_DIM:
-            values, vectors = la.jacobi_eigh(h)
-            ref_values, ref_vectors = oracles.jacobi_eigh(h)
-            assert values.tobytes() == ref_values.tobytes()
-            assert vectors.tobytes() == ref_vectors.tobytes()
-
-
-def test_cyclic_kernel_agrees_with_the_numpy_loop_to_1e12_scale():
-    # The same rotations on numpy rows and columns round differently
-    # (numpy's SIMD complex loops); 6.6 EPS x scale was the largest
-    # eigenvalue gap over 20 seeds of these inputs.  Eigenvectors are
-    # compared where no two levels are closer than 0.01, since a gap
-    # amplifies rounding in them by 1/gap.
-    for h in _hermitian_inputs(45):
-        if len(h) > la._JACOBI_CYCLIC_MAX_DIM:
-            continue
-        values, vectors = la.jacobi_eigh(h)
-        ref_values, ref_vectors = oracles.jacobi_eigh_numpy(h)
-        bound = 1e-12 * max(1.0, np.linalg.norm(h))
-        assert np.abs(values - ref_values).max() <= bound
-        rebuilt = (vectors * values) @ vectors.conj().T
-        assert np.abs(rebuilt - (ref_vectors * ref_values) @ ref_vectors.conj().T).max() <= bound
-        gap = np.diff(values).min() if len(h) > 1 else 1.0
-        if gap >= 0.01:
-            assert np.abs(vectors - ref_vectors).max() <= bound / gap
-
-
 def _eigenvalue_inputs(seed):
     """Hermitian inputs at n = 1-16 in every kind, and at 24, 32 and 64 in one each."""
     rng = np.random.default_rng(seed)
@@ -230,12 +199,6 @@ def _eigenvalue_inputs(seed):
         out.extend(_variants(kind(n)))
     out.extend(np.diag(d).astype(complex) for d in ([-0.0], [-0.0, -0.0], [0.0, -0.0, 2.0]))
     return out
-
-
-def test_pinned_dimensions_stay_on_the_cyclic_kernel():
-    # Golden stdout pins eigensolves up to n = 6 to the cyclic kernel's
-    # bits; n = 7 stays there too, so no solve moves between kernels.
-    assert la._JACOBI_CYCLIC_MAX_DIM >= 7
 
 
 def test_eigenvalues_only_mode_matches_the_full_path():

@@ -5,6 +5,7 @@ independent oracle; everything downstream relies on it, so it gets the
 densest coverage.
 """
 
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import oracles
 import qcontext.linalg as la
 from qcontext.contexts import context, luders_nonselective, observable
 from qcontext.sampling import random_density, random_nondegenerate_observable, random_unitary
@@ -146,9 +146,53 @@ _LARGE_INPUTS = {
 
 @pytest.mark.parametrize("make", _LARGE_INPUTS.values(), ids=_LARGE_INPUTS)
 def test_round_robin_agrees_with_lapack(make):
-    # The n >= 8 kernel, Householder and QL.
+    # From n = 8: Householder on numpy arrays, then QL.
     h = make()
     _assert_agrees_with_lapack(h, *la.jacobi_eigh(h))
+
+
+_SMALL_INPUTS = {
+    **{f"n{n}": (lambda n=n: random_hermitian(n, seed=600 + n)) for n in range(2, 8)},
+    **{f"n{n}_degenerate": (lambda n=n: _repeated_levels(n, seed=700 + n)) for n in range(2, 8)},
+    **{f"jordan_wielandt_{d1}x{d2}": (lambda d1=d1, d2=d2: _jordan_wielandt(d1, d2, d1 * d2))
+       for d1, d2 in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (1, 6))},
+    "n5_scaled_1e6": lambda: 1e6 * random_hermitian(5, seed=605),
+    "n5_scaled_1e-6": lambda: 1e-6 * random_hermitian(5, seed=605),
+    "tridiagonal_6": lambda: _tridiagonal(
+        np.random.default_rng(6).normal(size=6),
+        np.random.default_rng(7).normal(size=5) * np.exp(1j * np.arange(5)),
+    ),
+    "block_diagonal_3_4": lambda: _block_diagonal(
+        random_hermitian(3, seed=34), random_hermitian(4, seed=43)
+    ),
+    "zero_leading_entry_5": lambda: _with_zero_leading_entry(random_hermitian(5, seed=50)),
+    "pauli4": lambda: _pauli_sum([(1.0, "xz"), (0.5, "zy"), (0.25, "ix")]),
+}
+
+
+@pytest.mark.parametrize("make", _SMALL_INPUTS.values(), ids=_SMALL_INPUTS)
+def test_scalar_path_agrees_with_lapack(make):
+    # Up to n = 7: Householder, the QL rotations and the phase rule on
+    # Python scalars.
+    h = make()
+    _assert_agrees_with_lapack(h, *la.jacobi_eigh(h))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_a_real_symmetric_input_gives_exactly_real_eigenvectors(n):
+    # Every phase on the scalar path is z / |z|, exactly +-1 for a real z;
+    # exp(i arg z) would turn -1 into -1 + 1.2e-16j.
+    rng = np.random.default_rng(1100 + n)
+    inputs = [(lambda g: g + g.T)(rng.normal(size=(n, n))) for _ in range(20)]
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    inputs.append((u * rng.integers(-2, 3, n)) @ u.T)  # repeated levels
+    inputs.append(_with_zero_leading_entry(inputs[0]) if n > 2 else np.diag([-0.0, 1.0]))
+    inputs.append(_jordan_wielandt(1, n - 1, seed=n).real)
+    for h in inputs:
+        h = 0.5 * (h + h.T)
+        values, vectors = la.jacobi_eigh(h.astype(complex))
+        assert np.all(vectors.imag == 0.0)
+        _assert_agrees_with_lapack(h, values, vectors)
 
 
 def _iterations(h):
@@ -158,18 +202,20 @@ def _iterations(h):
     return la.counts()["sweeps"] - before
 
 
-@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16, 32, 64])
 def test_ql_takes_at_most_two_and_a_half_iterations_per_eigenvalue(n):
-    # Convergence is cubic: 2.1-2.3 an eigenvalue on dense inputs at these
-    # n; a 2 x (n - 2) Schmidt embedding has four non-zero eigenvalues
-    # and the floor deflates its zero block, so it takes 7 at every n.
+    # Convergence is cubic: 2.1-2.3 an eigenvalue on dense inputs from
+    # n = 8; a 2 x (n - 2) Schmidt embedding has at most four non-zero
+    # eigenvalues and the floor deflates its zero block, so it takes 7 at
+    # every n from 8.
     for h in (
         random_hermitian(n, seed=800 + n),
         random_hermitian(n, seed=900 + n),
         _jordan_wielandt(n // 2, n // 2, seed=n),
     ):
         assert _iterations(h) <= 2.5 * n
-    assert _iterations(_jordan_wielandt(2, n - 2, seed=n)) <= 8
+    if n > 2:
+        assert _iterations(_jordan_wielandt(2, n - 2, seed=n)) <= 8
 
 
 def test_ql_iterations_on_repeated_levels():
@@ -216,41 +262,12 @@ def test_jacobi_diagonal_input_short_circuits():
     assert np.allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]])
 
 
-def _assert_matches_loop_oracle(h):
-    values, vectors = la.jacobi_eigh(h)
-    ref_values, ref_vectors = oracles.jacobi_eigh(h)
-    assert np.array_equal(values, ref_values)
-    assert np.array_equal(vectors, ref_vectors)
-    # Byte equality also pins the sign of every zero.
-    assert values.tobytes() == ref_values.tobytes()
-    assert vectors.tobytes() == ref_vectors.tobytes()
-
-
 def _with_repeated_levels(h, rng):
     n = h.shape[0]
     u, _ = np.linalg.qr(h + 1j * np.eye(n))
     levels = rng.integers(-2, 3, n).astype(float)
     h = (u * levels) @ u.conj().T
     return 0.5 * (h + h.conj().T)
-
-
-def _assert_sizes_match_loop_oracle(sizes, seed):
-    # Every third matrix has a spectrum with repeated levels, built from a
-    # random unitary, so the degenerate paths run too.
-    rng = np.random.default_rng(seed)
-    for i, n in enumerate(sizes):
-        h = random_hermitian(n, seed=int(rng.integers(2**31)))
-        if i % 3 == 0:
-            h = _with_repeated_levels(h, rng)
-        _assert_matches_loop_oracle(h)
-
-
-def test_jacobi_matches_loop_oracle_bit_for_bit():
-    # The cyclic kernel: 72 matrices at each n = 1..6 and 8 at each n from
-    # 7 to its largest dimension.
-    sizes = [n for n in range(1, 7) for _ in range(72)]
-    sizes += [n for n in range(7, la._JACOBI_CYCLIC_MAX_DIM + 1) for _ in range(8)]
-    _assert_sizes_match_loop_oracle(sizes, seed=2024)
 
 
 def _pauli_sum(terms):
@@ -264,30 +281,18 @@ def _pauli_sum(terms):
     return out
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        # A Pauli sum has exact-zero off-diagonal entries, so rotations
-        # are skipped by the cutoff test.
-        lambda: _pauli_sum([(1.0, "xz"), (0.5, "zy"), (0.25, "ix")]),
-        # Already diagonal: the first convergence test stops before any sweep.
-        lambda: np.diag([3.0, -1.0, 2.0, 0.5, -1.0]).astype(complex),
-    ],
-    ids=["pauli4", "diagonal"],
-)
-def test_jacobi_matches_loop_oracle_bytes_at_large_and_sparse_inputs(make):
-    _assert_matches_loop_oracle(make())
-
-
-# paths of the QL kernel (n >= 8)
+# paths of the QL kernel, on numpy arrays from n = 8 and on Python scalars below
 
 
 def test_ql_makes_no_iteration_on_a_diagonal_input():
-    before = la.counts()["sweeps"]
-    values, vectors = la.jacobi_eigh(np.diag([3.0, -1.0, 2.0, 0.5, 7.0, -4.0, 0.0, 1.0]))
-    assert la.counts()["sweeps"] == before
-    assert values.tolist() == [-4.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 7.0]
-    assert np.array_equal(vectors, np.eye(8)[:, [5, 1, 6, 3, 7, 2, 0, 4]])
+    diagonal = [3.0, -1.0, 2.0, 0.5, 7.0, -4.0, 0.0, 1.0]
+    for n in (8, 2, 3, 4, 5, 6, 7):
+        before = la.counts()["sweeps"]
+        values, vectors = la.jacobi_eigh(np.diag(diagonal[:n]))
+        assert la.counts()["sweeps"] == before
+        order = np.argsort(diagonal[:n], kind="stable")
+        assert values.tolist() == sorted(diagonal[:n])
+        assert np.array_equal(vectors, np.eye(n)[:, order])
 
 
 def test_ql_resolves_four_degenerate_levels_at_64():
@@ -306,26 +311,46 @@ def test_ql_resolves_four_degenerate_levels_at_64():
 
 
 def test_ql_deflates_subdiagonal_entries_near_1e300_without_warning():
-    diagonal = [0.5, -1.0, 2.0, 0.0, 3.0, -2.5, 1.0, 1.5]
-    subdiagonal = 1e-300 * np.exp(1j * np.arange(1, 8))
-    dense_tiny = 1e-300 * random_hermitian(8, seed=300)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        before = la.counts()["sweeps"]
-        values, vectors = la.jacobi_eigh(_tridiagonal(diagonal, subdiagonal))
-        assert la.counts()["sweeps"] == before  # the floor deflates every entry
-        assert values.tolist() == sorted(diagonal)
-        assert np.abs(np.abs(vectors) - np.eye(8)[:, np.argsort(diagonal)]).max() <= 1e-15
-        # Squares of these entries underflow, so every column norm is 0.
-        tiny_values, _ = la.jacobi_eigh(dense_tiny)
-    assert np.abs(tiny_values).max() <= 1e-12
+    for n in (8, 2, 3, 4, 5, 6, 7):
+        diagonal = [0.5, -1.0, 2.0, 0.0, 3.0, -2.5, 1.0, 1.5][:n]
+        subdiagonal = 1e-300 * np.exp(1j * np.arange(1, n))
+        dense_tiny = 1e-300 * random_hermitian(n, seed=300 + n % 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            before = la.counts()["sweeps"]
+            values, vectors = la.jacobi_eigh(_tridiagonal(diagonal, subdiagonal))
+            assert la.counts()["sweeps"] == before  # the floor deflates every entry
+            assert values.tolist() == sorted(diagonal)
+            assert np.abs(np.abs(vectors) - np.eye(n)[:, np.argsort(diagonal)]).max() <= 1e-15
+            # Squares of these entries underflow, so every column norm is 0.
+            tiny_values, _ = la.jacobi_eigh(dense_tiny)
+        assert np.abs(tiny_values).max() <= 1e-12
 
 
-def _hard_tridiagonals(rng):
-    """Graded, near-floor, zero-diagonal and Wilkinson tridiagonals at n = 8-33,
-    each at a random scale from 1e-300 to 1e150, with complex subdiagonals."""
+def test_subnormal_entries_get_phases_of_modulus_one():
+    # |z| below the smallest normal float: _unit scales z by 2^600 before
+    # it divides, where z / |z| would keep only the subnormal's few digits.
+    tiny = 1e-310
+    z = tiny * cmath.exp(0.3j)  # its parts keep about 13 digits
+    unit = la._unit(z)
+    assert abs(abs(unit) - 1.0) <= 2.3e-16 and abs(cmath.phase(unit) - cmath.phase(z)) <= 1e-15
+    assert la._unit(complex(-tiny, 0.0)) == -1.0 and la._unit(-0.0j) == 1.0
+    complex_input = _tridiagonal([1.0, 2.0, 3.0], [tiny * np.exp(0.3j), 1.0])
+    real_input = _tridiagonal([1.0, 2.0, 3.0], [1.0, -tiny]).real
+    for h in (complex_input, real_input, real_input[::-1, ::-1]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values, vectors = la.jacobi_eigh(h)
+        _assert_agrees_with_lapack(h, values, vectors)
+    assert np.all(vectors.imag == 0.0)
+
+
+def _hard_tridiagonals(rng, sizes):
+    """Graded, near-floor, zero-diagonal and Wilkinson tridiagonals at each of
+    ``sizes``, each at a random scale from 1e-300 to 1e150, with complex
+    subdiagonals."""
     out = []
-    for n in (8, 13, 33):
+    for n in sizes:
         scale = 10.0 ** rng.uniform(-300, 150)
         floor = 1e-12 / (2 * n)
         kinds = (
@@ -341,14 +366,15 @@ def _hard_tridiagonals(rng):
 
 
 def test_ql_solves_hard_tridiagonals_without_warning():
-    rng = np.random.default_rng(2300)
-    for t in _hard_tridiagonals(rng):
-        p = rng.permutation(len(t))
-        for h in (t, t[np.ix_(p, p)]):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                values, vectors = la.jacobi_eigh(h)
-            _assert_agrees_with_lapack(h, values, vectors)
+    for seed, sizes in ((2300, (8, 13, 33)), (2307, (2, 3, 4, 5, 6, 7))):
+        rng = np.random.default_rng(seed)
+        for t in _hard_tridiagonals(rng, sizes):
+            p = rng.permutation(len(t))
+            for h in (t, t[np.ix_(p, p)]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    values, vectors = la.jacobi_eigh(h)
+                _assert_agrees_with_lapack(h, values, vectors)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 8, 64])
@@ -360,42 +386,35 @@ def test_jacobi_leaves_the_input_unchanged(n):
 
 
 def test_jacobi_convergence_error_names_dimension_sweeps_and_norm(monkeypatch):
-    # One cyclic sweep leaves this dense 3x3 far from diagonal.
-    monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 1)
+    # One QL iteration leaves this dense 3x3's first subdiagonal entry far
+    # above the floor, 1e-12 |h|_F / 6.
+    monkeypatch.setattr(la, "_QL_MAX_ITERATIONS", 1)
     h = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]], dtype=complex)
     with pytest.raises(
         la.ConvergenceError,
-        match=r"dimension-3 .* after 1 sweeps .* norm \S+e-01, above the threshold 1\.136e-11",
+        match=r"QL diagonalisation of a dimension-3 matrix stopped after 1 iterations on "
+        r"eigenvalue 0 with subdiagonal entry \S+e-01, above the threshold 1\.893e-12",
     ):
         la.jacobi_eigh(h)
 
 
-def test_jacobi_tests_the_norm_after_its_last_allowed_sweep(monkeypatch):
-    # One sweep diagonalises a 2x2; the norm after it is tested before the
-    # solver gives up, so a limit of one sweep is enough.
-    monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 1)
-    h = np.array([[1.0, 2.0], [2.0, 3.0]], dtype=complex)
-    values, _ = la.jacobi_eigh(h)
-    assert np.abs(values - np.linalg.eigvalsh(h)).max() <= 1e-12 * np.linalg.norm(h)
-
-
-def test_sweep_count_follows_both_kernels(monkeypatch):
+def test_sweep_count_follows_the_ql_iterations(monkeypatch):
     def swept(h):
         before = la.counts()["sweeps"]
         la.jacobi_eigh(h)
         return la.counts()["sweeps"] - before
 
     assert swept(np.eye(1)) == 0
-    assert swept(np.diag([3.0, -1.0, 2.0])) == 0  # converged before any sweep
+    assert swept(np.diag([3.0, -1.0, 2.0])) == 0  # every entry deflated at once
     assert swept(np.array([[1.0, 2.0], [2.0, 3.0]])) == 1
-    assert 3 <= swept(random_hermitian(4, seed=7)) <= 6
-    # QL from n = 8: 36 iterations, about two an eigenvalue, against a
-    # limit of _QL_MAX_ITERATIONS (30) on each.
+    # About two an eigenvalue at every n, against a limit of
+    # _QL_MAX_ITERATIONS (30) on each: 7 at n = 4 and 36 at n = 16 here.
+    assert 4 <= swept(random_hermitian(4, seed=7)) <= 2.5 * 4
     assert 16 <= swept(random_hermitian(16, seed=7)) <= 2.5 * 16
-    # A solve that gives up has made every sweep it was allowed.
-    monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 2)
+    # A solve that gives up has made every iteration it was allowed.
+    monkeypatch.setattr(la, "_QL_MAX_ITERATIONS", 2)
     before = la.counts()["sweeps"]
-    with pytest.raises(la.ConvergenceError, match="after 2 sweeps"):
+    with pytest.raises(la.ConvergenceError, match="dimension-6 .* after 2 iterations"):
         la.jacobi_eigh(random_hermitian(6, seed=7))
     assert la.counts()["sweeps"] - before == 2
 
@@ -652,6 +671,19 @@ def test_evolution_operator_is_unitary():
 def test_evolution_operator_zero_time_is_identity():
     h = random_hermitian(3, seed=42)
     assert np.max(np.abs(la.evolution_operator(h, 0.0) - np.eye(3))) < 1e-12
+
+
+@pytest.mark.parametrize("t", [True, False, "1", None, 1j])
+def test_evolution_time_must_be_a_real_number(t):
+    # A bool is not read as time 1 or 0, nor a string as the number it spells.
+    with pytest.raises(ValueError, match="evolution time must be a real number, got "):
+        la.evolution_operator(la.SIGMA_Z, t)
+
+
+@pytest.mark.parametrize("t", [0, 2, 0.25, np.float64(0.5), np.int64(3)])
+def test_evolution_time_accepts_ints_floats_and_numpy_scalars(t):
+    u = la.evolution_operator(la.SIGMA_Z, t)
+    assert np.abs(u - np.diag([np.exp(-1j * t), np.exp(1j * t)])).max() <= 1e-15
 
 
 def test_spectral_decompose_rejects_non_hermitian_input():

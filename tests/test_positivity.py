@@ -1,8 +1,8 @@
-"""The Cholesky positivity certificate decides as the Jacobi rule did.
+"""The Cholesky positivity certificate decides as the eigenvalue rule did.
 
 ``DensityOperator`` accepts a state when a Cholesky factor of its
 Hermitian part, shifted by half the tolerance, exists and is finite, and
-runs the Jacobi rule only when it does not.  The oracle
+runs the eigenvalue rule only when it does not.  The oracle
 ``density_is_positive`` is the rule before the certificate; every
 decision and every message here must equal it.
 """
@@ -81,7 +81,7 @@ def test_decisions_and_messages_equal_the_jacobi_rule(n, lowest):
         if n == 64:
             continue  # two more 64x64 solves; n <= 32 covers the same rounding
         # Hermitian to within rounding: the rule solves the Hermitian
-        # part, whose Jacobi minimum differs from that of ``m`` in the
+        # part, whose smallest eigenvalue differs from that of ``m`` in the
         # last bits; that decides only a state whose lowest eigenvalue is
         # -1e-9 to within rounding.
         assert _decide(m) == want
