@@ -341,22 +341,36 @@ def boolean_lattice_check(
 
     # Orthogonality is read off the meet table's atom rows and columns,
     # P_i P_j; completeness off row 0 of the complement table, I - sum P_i.
+    # The scan writes into three buffers allocated once a call; every
+    # operation and operand order is that of the plain expressions in the
+    # comments, so every bit is too.
+    meets = np.empty_like(elements)
+    work = np.empty_like(elements)
+    gaps = np.empty(elements.shape)
     orthogonal = meet_ok = join_ok = True
     for s in range(full + 1):
-        meets = elements[s] @ elements
-        gaps = np.abs(meets - elements[s & index])
+        np.matmul(elements[s], elements, out=meets)  # elements[s] @ elements
+        np.take(elements, s & index, axis=0, out=work, mode="clip")
+        np.subtract(meets, work, out=work)
+        np.abs(work, out=gaps)  # |meets - elements[s & index]|
         err = float(gaps.max())
         defect = max(defect, err)
         if err >= tol:
             meet_ok = False
         if s in atoms and gaps[atoms].max() >= tol:
             orthogonal = False
-        joins = elements[s] + elements - meets
-        err = float(np.abs(joins - elements[s | index]).max())
+        np.add(elements[s], elements, out=work)
+        work -= meets  # the joins, elements[s] + elements - meets
+        np.take(elements, s | index, axis=0, out=meets, mode="clip")
+        work -= meets
+        err = float(np.abs(work, out=gaps).max())  # |joins - elements[s | index]|
         defect = max(defect, err)
         if err >= tol:
             join_ok = False
-    gaps = np.abs((np.eye(dim) - elements) - elements[full ^ index]).max(axis=(1, 2))
+    np.subtract(np.eye(dim), elements, out=work)
+    np.take(elements, full ^ index, axis=0, out=meets, mode="clip")
+    work -= meets
+    gaps = np.abs(work, out=gaps).max(axis=(1, 2))  # |(I - e) - elements[full ^ index]|
     err = float(gaps.max())
     defect = max(defect, err)
     complement_ok = err < tol
@@ -374,7 +388,8 @@ def boolean_lattice_check(
     for rho in states:
         # One stacked product a state: each element's matmul and diagonal
         # sum are those of np.trace(rho @ e), bit for bit.
-        values = (rho.matrix @ elements).trace(axis1=1, axis2=2).real
+        np.matmul(rho.matrix, elements, out=meets)
+        values = meets.trace(axis1=1, axis2=2).real
         if (values < -tol).any() or (values > 1.0 + tol).any():
             probs_ok = False
         defect = max(defect, float((-values).max()), float((values - 1.0).max()))

@@ -31,7 +31,7 @@ CONSTRAINT_TOL = 1e-9
 # Exhaustive search is capped at this many +-1 observables (2^n cases).
 _SEARCH_MAX_OBSERVABLES = 20
 
-# Cases evaluated per numpy step of the search.
+# Cases per block of the search: each constraint's table spans one block.
 _SEARCH_BLOCK = 1 << 16
 
 
@@ -177,17 +177,6 @@ class AssignmentSearchResult:
     example: dict[str, int] | None
 
 
-def _parity(x: np.ndarray, scratch: np.ndarray) -> None:
-    """Replace each uint32 entry of ``x`` by the parity of its set bits, 0 or 1.
-
-    ``scratch`` is a uint32 buffer of the same size; nothing is allocated.
-    """
-    for shift in (16, 8, 4, 2, 1):
-        np.right_shift(x, np.uint32(shift), out=scratch)
-        np.bitwise_xor(x, scratch, out=x)
-    np.bitwise_and(x, np.uint32(1), out=x)
-
-
 def search_noncontextual_assignment(
     problem: ValueAssignmentProblem,
 ) -> AssignmentSearchResult:
@@ -199,52 +188,55 @@ def search_noncontextual_assignment(
     is then -1 exactly when its index mask has odd overlap with ``c``;
     the mask is an XOR, so an index repeated in a context squares away.
     The arithmetic is exact integer parity, so the verdict carries no
-    numerical tolerance.  Cases run in fixed-size blocks, every block
-    evaluated into the same buffers, allocated once a call, so memory
-    stays flat and the time does not depend on how the allocator serves
-    a block's temporaries.  Problems above 2^20 cases are refused.
+    numerical tolerance.
+
+    The cases form blocks of ``size`` (a power of two): case
+    ``(h << low) | offset`` is ``offset`` in block ``h``, and its parity
+    against a mask is the offset's parity XOR the parity of ``h`` against
+    the mask's high bits.  So each constraint is tabled once over the
+    offsets, and every block of one verdict array of 2^n bools takes that
+    table or its complement.  All 2^n cases are judged; memory does not
+    grow with the number of contexts.  Problems above 2^20 cases are
+    refused.
     """
     n = problem.size
     if n > _SEARCH_MAX_OBSERVABLES:
         raise ValueError(
             f"search space 2^{n} exceeds the 2^{_SEARCH_MAX_OBSERVABLES} cap"
         )
-    constraints = []
+    # Both powers of two, so every block is full.
+    size = min(_SEARCH_BLOCK, 1 << n)
+    low = size.bit_length() - 1
+    table = np.empty(size, dtype=bool)
+    verdict = np.ones(1 << n, dtype=bool)
+    blocks = verdict.reshape(-1, size)
     for ctx, sign in zip(problem.contexts, problem.signs):
         mask = 0
         for i in ctx:
             mask ^= 1 << (n - 1 - i)
-        constraints.append((np.uint32(mask), 1 if sign == -1 else 0))
-    # Both powers of two, so every block is full.
-    size = min(_SEARCH_BLOCK, 1 << n)
-    offsets = np.arange(size, dtype=np.uint32)
-    block = np.empty(size, dtype=np.uint32)
-    bits = np.empty(size, dtype=np.uint32)
-    scratch = np.empty(size, dtype=np.uint32)
-    agrees = np.empty(size, dtype=bool)
-    ok = np.empty(size, dtype=bool)
-    count = 0
-    first: int | None = None
-    cases = 0
-    for start in range(0, 1 << n, size):
-        np.add(offsets, np.uint32(start), out=block)
-        ok.fill(True)
-        for mask, odd in constraints:
-            np.bitwise_and(block, mask, out=bits)
-            _parity(bits, scratch)
-            np.equal(bits, odd, out=agrees)
-            ok &= agrees
-        cases += size
-        hits = int(np.count_nonzero(ok))
-        if first is None and hits:
-            first = start + int(np.argmax(ok))
-        count += hits
+        # table[offset]: the offset's own parity gives the context's sign.
+        # Setting bit b of an offset flips its parity when the mask has b.
+        table[0] = sign != -1
+        for b in range(low):
+            lower, upper = table[: 1 << b], table[1 << b : 2 << b]
+            if mask >> b & 1:
+                np.logical_not(lower, out=upper)
+            else:
+                upper[...] = lower
+        high = mask >> low
+        for h, block in enumerate(blocks):
+            if (h & high).bit_count() & 1:
+                np.greater(block, table, out=block)  # block and not table
+            else:
+                block &= table
+    count = int(np.count_nonzero(verdict))
     example = None
-    if first is not None:
+    if count:
+        first = int(np.argmax(verdict))
         values = (-1 if first >> (n - 1 - i) & 1 else 1 for i in range(n))
         example = dict(zip(problem.labels, values))
     return AssignmentSearchResult(
-        cases_checked=cases, satisfying_count=count, example=example
+        cases_checked=verdict.size, satisfying_count=count, example=example
     )
 
 

@@ -20,7 +20,6 @@ body swapped, in one place.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import math
 import numbers
@@ -349,6 +348,15 @@ def _unit(z: complex) -> complex:
     return z / abs(z) if z else 1 + 0j
 
 
+def _phase_chain(s: list[complex]) -> list[complex]:
+    """``phi`` with ``phi_0 = 1`` and ``phi_{k+1} = phi_k _unit(s_k)``: the
+    diagonal of the ``D`` that makes the subdiagonal ``s`` real."""
+    phi = [1 + 0j]
+    for z in s:
+        phi.append(phi[-1] * _unit(z))
+    return phi
+
+
 def _tridiagonal_form(
     a: np.ndarray, vectors: bool
 ) -> tuple[list[float], list[float], np.ndarray | None]:
@@ -361,19 +369,19 @@ def _tridiagonal_form(
     Reflection ``k`` (Golub & Van Loan, section 8.3.1) is
     ``H = I - 2 u u^dagger`` on indices ``k + 1..n-1``, with ``u`` the unit
     vector along ``x / |x| + phase e_1`` for the column ``x`` below the
-    diagonal and ``phase = exp(i arg x_0)``.  It maps
+    diagonal and ``phase = x_0 / |x_0|``.  It maps
     ``x`` to ``-phase |x| e_1`` and the trailing block ``B`` to
     ``H B H = B - 2 (u w^dagger + w u^dagger)``, where ``p = B u`` and
     ``w = p - (u^dagger p) u``.  A column whose norm is zero (or
     underflows to zero) is left as it is.
     The complex subdiagonal ``s`` this leaves is made real by
-    ``D = diag(phi)``, ``phi_0 = 1`` and ``phi_{k+1} = phi_k exp(i arg s_k)``:
+    ``D = diag(phi)``, ``phi_0 = 1`` and ``phi_{k+1} = phi_k s_k / |s_k|``:
     ``D^dagger T' D`` has subdiagonal ``|s_k|``, and ``q`` is
     ``H_0 H_1 ... H_{n-3} D``, the reflections accumulated backwards.  Each
-    phase is taken from an angle, not as ``z / |z|``, so it has modulus
-    one to rounding even where ``z`` is subnormal.  The caller's array is
-    never written.  ``_tridiagonal_scalars`` takes the same steps on
-    Python scalars.
+    phase is ``_unit(z)``, as on the scalar path: modulus one to rounding
+    even where ``z`` is subnormal, and exactly +-1 for a real ``z``, so a
+    real input gives a real ``q``.  The caller's array is never written.
+    ``_tridiagonal_scalars`` takes the same steps on Python scalars.
     """
     n = a.shape[0]
     t = np.array(a, dtype=complex)  # a C-order working copy
@@ -383,7 +391,7 @@ def _tridiagonal_form(
         norm = _frobenius_norm(x)
         if norm == 0.0:
             continue
-        phase = cmath.exp(1j * cmath.phase(x[0]))
+        phase = _unit(complex(x[0]))
         u = x / norm
         u[0] += phase
         u /= _frobenius_norm(u)
@@ -402,7 +410,7 @@ def _tridiagonal_form(
     for k, u in reversed(reflections):
         block = q[k + 1 :, k + 1 :]
         block -= np.outer(2.0 * u, u.conj() @ block)
-    q[:, 1:] *= np.cumprod(np.exp(1j * np.angle(s)))
+    q[:, 1:] *= _phase_chain(s.tolist())[1:]
     return d, e, q
 
 
@@ -444,9 +452,7 @@ def _tridiagonal_scalars(t: list[list[complex]], vectors: bool) -> tuple[list, l
     e = [abs(z) for z in s] + [0.0]
     if not vectors:
         return d, e, None
-    phi = [1 + 0j]
-    for z in s:
-        phi.append(phi[-1] * _unit(z))
+    phi = _phase_chain(s)
     qt = [[phi[i] if i == j else 0j for j in range(n)] for i in range(n)]
     for k, u, u_bar in reversed(reflections):
         u = [2.0 * z for z in u]

@@ -14,6 +14,13 @@ Recording is deliberate and rare: after a change that is meant to alter
 a report, rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff.
 
+``work.json`` pins the work each invocation does: its ``linalg.counts()``
+deltas (eigensolves, QL iterations, operator and Hermiticity checks),
+which depend only on the code path.  A count that rises fails.  A count
+that falls fails too, until the file is lowered with
+``PYTHONPATH=src python tests/test_golden.py --lower-work``, which
+refuses to raise any pinned count: the file may only go down.
+
 The pinned last bits depend on the Python build, whose float and complex
 arithmetic runs the eigensolver up to n = 7 (Householder reduction, QL
 rotations and the phase rule, on Python scalars) and the closed-form 2x2
@@ -26,6 +33,7 @@ process's own.
 import contextlib
 import ctypes
 import io
+import json
 import os
 import platform
 import shutil
@@ -35,6 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qcontext import linalg
 from qcontext.acceptance import run_suite
 from qcontext.cli import main
 
@@ -42,6 +51,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 INPUTS = GOLDEN_DIR / "inputs"
 SUITE_MEASURED = GOLDEN_DIR / "suite_measured.txt"
 RECORDED_WITH = GOLDEN_DIR / "RECORDED_WITH.txt"
+WORK = GOLDEN_DIR / "work.json"
 
 # (name, argv, exit code).  The README commands come first, then at least
 # one invocation per subcommand.
@@ -95,8 +105,9 @@ GOLDEN = (
 WRITTEN = {"correlate_csv": ("sweep.csv", "csv")}
 
 
-def _run(argv, workdir: Path) -> tuple[int, bytes]:
-    """Exit code and stdout bytes of one in-process CLI call in workdir."""
+def _run(argv, workdir: Path) -> tuple[int, bytes, dict[str, int]]:
+    """Exit code, stdout bytes and ``linalg.counts()`` deltas of one
+    in-process CLI call in workdir."""
     for f in INPUTS.iterdir():
         shutil.copy(f, workdir)
     here = os.getcwd()
@@ -104,10 +115,18 @@ def _run(argv, workdir: Path) -> tuple[int, bytes]:
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            before = linalg.counts()
             code = main(list(argv))
+            after = linalg.counts()
     finally:
         os.chdir(here)
-    return code, out.getvalue().encode("utf-8")
+    work = {key: after[key] - before[key] for key in after}
+    return code, out.getvalue().encode("utf-8"), work
+
+
+def _rises(pinned: dict[str, int], work: dict[str, int]) -> dict[str, str]:
+    """The pinned counts that ``work`` exceeds, as ``"pinned -> now"``."""
+    return {k: f"{pinned[k]} -> {v}" for k, v in work.items() if k in pinned and v > pinned[k]}
 
 
 def _openblas_core() -> str:
@@ -151,15 +170,30 @@ def test_every_subcommand_is_recorded():
     assert set(sub.choices) == {argv[0] for _, argv, _ in GOLDEN}
 
 
+def _pinned_work() -> dict[str, dict[str, int]]:
+    return json.loads(WORK.read_text())
+
+
+def test_every_invocation_has_pinned_work():
+    assert list(_pinned_work()) == [name for name, _, _ in GOLDEN]
+
+
 @pytest.mark.parametrize("name, argv, code", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_stdout_matches_golden(name, argv, code, tmp_path):
-    got_code, stdout = _run(argv, tmp_path)
+    got_code, stdout, work = _run(argv, tmp_path)
     assert got_code == code
     assert stdout == (GOLDEN_DIR / f"{name}.out").read_bytes(), _environment_note()
     if name in WRITTEN:
         written, suffix = WRITTEN[name]
         want = (GOLDEN_DIR / f"{name}.{suffix}").read_bytes()
         assert (tmp_path / written).read_bytes() == want, _environment_note()
+    pinned = _pinned_work()[name]
+    rose = _rises(pinned, work)
+    assert not rose, f"{name} does more work than {WORK.name} pins: {rose}"
+    assert work == pinned, (
+        f"{name} does less work than {WORK.name} pins ({pinned} -> {work}); lower the "
+        "file in this change: PYTHONPATH=src python tests/test_golden.py --lower-work"
+    )
 
 
 def _suite_measured() -> str:
@@ -180,7 +214,7 @@ def _record() -> None:
 
     for name, argv, code in GOLDEN:
         with tempfile.TemporaryDirectory() as tmp:
-            got_code, stdout = _run(argv, Path(tmp))
+            got_code, stdout, _ = _run(argv, Path(tmp))
             if got_code != code:
                 raise SystemExit(f"{name}: exit {got_code}, expected {code}")
             (GOLDEN_DIR / f"{name}.out").write_bytes(stdout)
@@ -194,5 +228,23 @@ def _record() -> None:
     print(f"recorded {RECORDED_WITH.name}", file=sys.stderr)
 
 
+def _lower_work() -> None:
+    """Rewrite ``work.json`` from this tree; refuse if a pinned count rose."""
+    import tempfile
+
+    pinned = _pinned_work() if WORK.exists() else {}
+    lowered = {}
+    for name, argv, _ in GOLDEN:
+        with tempfile.TemporaryDirectory() as tmp:
+            work = _run(argv, Path(tmp))[2]
+        rose = _rises(pinned.get(name, {}), work)
+        if rose:
+            raise SystemExit(f"{name}: work rose {rose}; {WORK.name} may only go down")
+        lowered[name] = work
+    rows = ",\n".join(f"  {json.dumps(name)}: {json.dumps(w)}" for name, w in lowered.items())
+    WORK.write_text("{\n" + rows + "\n}\n")
+    print(f"recorded {WORK.name}", file=sys.stderr)
+
+
 if __name__ == "__main__":
-    _record()
+    _lower_work() if sys.argv[1:] == ["--lower-work"] else _record()

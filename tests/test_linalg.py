@@ -111,8 +111,8 @@ def _block_diagonal(*blocks):
 
 
 def _with_zero_leading_entry(h):
-    # The first Householder column starts with an exact zero, so its phase
-    # comes from the angle of 0; the rest of the column is dense.
+    # The first Householder column starts with an exact zero, whose phase
+    # is taken as 1; the rest of the column is dense.
     h = h.copy()
     h[1, 0] = h[0, 1] = 0.0
     return h
@@ -178,10 +178,11 @@ def test_scalar_path_agrees_with_lapack(make):
     _assert_agrees_with_lapack(h, *la.jacobi_eigh(h))
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", [*range(2, 8), 8, 16, 64])
 def test_a_real_symmetric_input_gives_exactly_real_eigenvectors(n):
-    # Every phase on the scalar path is z / |z|, exactly +-1 for a real z;
-    # exp(i arg z) would turn -1 into -1 + 1.2e-16j.
+    # Every phase, on the scalar path up to n = 7 and the numpy path from
+    # n = 8, is z / |z|, exactly +-1 for a real z; exp(i arg z) would turn
+    # -1 into -1 + 1.2e-16j.
     rng = np.random.default_rng(1100 + n)
     inputs = [(lambda g: g + g.T)(rng.normal(size=(n, n))) for _ in range(20)]
     u, _ = np.linalg.qr(rng.normal(size=(n, n)))

@@ -5,6 +5,7 @@ here must be equal under ``==``: counts, the first satisfying example,
 every verdict and ``max_defect`` to the last bit.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from qcontext import contextuality
 from qcontext.contexts import boolean_lattice_check, observable
 from qcontext.contextuality import (
     ValueAssignmentProblem,
@@ -45,6 +47,64 @@ def test_search_matches_oracle_on_random_constraints(problem):
     assert search_noncontextual_assignment(problem) == (
         oracles.search_noncontextual_assignment(problem)
     )
+
+
+@given(constraint_sets())
+@settings(max_examples=200, deadline=None)
+def test_search_matches_oracle_in_blocks_of_four(problem):
+    # Every n > 2 problem spans several blocks, and a block whose high
+    # bits have odd overlap with a context takes the complement of its
+    # constraint table.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contextuality, "_SEARCH_BLOCK", 4)
+        assert search_noncontextual_assignment(problem) == (
+            oracles.search_noncontextual_assignment(problem)
+        )
+
+
+def test_search_finds_a_first_case_beyond_the_first_block():
+    # o0 = -1 sets the top bit and o1 o2 = -1 one of the next two, so the
+    # first satisfying case is 2^16 + 2^14, past the first block.  The repeated
+    # o16 squares away, leaving o15 = +1.
+    problem = SimpleNamespace(
+        size=17,
+        labels=tuple(f"o{i}" for i in range(17)),
+        contexts=((0,), (1, 2), (16, 15, 16)),
+        signs=(-1, -1, 1),
+    )
+    result = search_noncontextual_assignment(problem)
+    assert result.cases_checked == 2**17
+    assert result.satisfying_count == 2**17 // 8
+    first = sum(1 << (16 - i) for i, v in enumerate(result.example.values()) if v == -1)
+    assert first == 2**16 + 2**14 >= contextuality._SEARCH_BLOCK
+    assert result == oracles.search_noncontextual_assignment(problem)
+
+
+def _peak_bytes(call) -> int:
+    """Peak traced memory of ``call()``, numpy's buffers included."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_search_memory_does_not_grow_with_the_number_of_contexts():
+    relaxed = _padded_square(np.arange(20), 11, (0, 1, 2, 3, 4))
+    repeated = SimpleNamespace(
+        size=relaxed.size, labels=relaxed.labels,
+        contexts=relaxed.contexts * 40, signs=relaxed.signs * 40,
+    )
+    few = _peak_bytes(lambda: search_noncontextual_assignment(relaxed))
+    many = _peak_bytes(lambda: search_noncontextual_assignment(repeated))
+    assert few > 2**20  # the verdict array: one bool a case
+    assert many <= 1.05 * few
 
 
 def _padded_square(order, padding: int, keep: tuple[int, ...]) -> ValueAssignmentProblem:
