@@ -60,7 +60,7 @@ class Direction:
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "Direction":
-        norm = float(np.sqrt(x * x + y * y + z * z))
+        norm = math.hypot(x, y, z)
         if norm == 0.0:
             raise ValueError("cannot normalise the zero vector")
         return cls(x / norm, y / norm, z / norm)
@@ -230,6 +230,20 @@ def chsh_optimal_settings() -> tuple[Direction, Direction, Direction, Direction]
     )
 
 
+def _distant_after(w4: np.ndarray, pa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Distant spin's reduced state after the nearby spin is measured
+    non-selectively with the stack ``pa``, and its outcome distribution
+    under the stack ``qb``.
+
+    ``Tr_1 sum_p (P_p x I) W (P_p x I)`` is ``sum W[c, b, d, e] M[d, c]``
+    with ``M = sum_p P_p P_p`` and ``W`` the pair state as a
+    ``(2, 2, 2, 2)`` array: no product operator is formed.
+    """
+    m = np.einsum("pdk,pkc->dc", pa, pa)
+    r2 = np.einsum("dc,cbde->be", m, w4)
+    return r2, np.einsum("bc,jcb->j", r2, qb).real.tolist()
+
+
 def no_signalling_check(w, settings: list[Direction], b: Direction) -> float:
     """Largest influence of the nearby setting choice on the distant spin.
 
@@ -239,29 +253,13 @@ def no_signalling_check(w, settings: list[Direction], b: Direction) -> float:
     variation (distributions) across any two settings.  It vanishes for
     every state: the setting choice alone sends no signal.
     """
-    rho = _pair_state(w)
-    qb = b.spin_projectors
-    reduced: list[np.ndarray] = []
-    margins: list[dict[int, float]] = []
-    eye = np.eye(2, dtype=complex)
-    for a in settings:
-        pa = a.spin_projectors
-        conditioned = np.zeros((4, 4), dtype=complex)
-        for p in pa.values():
-            big = la._tensor(p, eye)
-            conditioned += la._sandwich(big, rho.matrix)
-        r2 = la._partial_trace(conditioned, (2, 2), keep=2)
-        reduced.append(r2)
-        margins.append(
-            {j: la._trace_product(r2, qb[j]) for j in OUTCOMES}
-        )
+    w4 = _pair_state(w).matrix.reshape(2, 2, 2, 2)
+    seen = [_distant_after(w4, a.outcome_projectors, b.outcome_projectors) for a in settings]
     worst = 0.0
-    for i in range(len(settings)):
-        for j in range(i + 1, len(settings)):
-            worst = max(worst, la._trace_distance(reduced[i], reduced[j]))
-            tv = 0.5 * sum(
-                abs(margins[i][o] - margins[j][o]) for o in OUTCOMES
-            )
+    for i, (reduced_i, margins_i) in enumerate(seen):
+        for reduced_j, margins_j in seen[i + 1 :]:
+            worst = max(worst, la._trace_distance(reduced_i, reduced_j))
+            tv = 0.5 * sum(abs(p - q) for p, q in zip(margins_i, margins_j))
             worst = max(worst, tv)
     return worst
 

@@ -11,9 +11,9 @@ functions are evaluated through the spectral resolution rather than
 series.  A spectral resolution keeps its eigenvectors and forms a
 level's projector only when the level is read.
 
-Six products the other modules share are written out once, here, as
+Five products the other modules share are written out once, here, as
 private unchecked kernels (``_hermitian_part``, ``_trace_product``,
-``_sandwich``, ``_commutator_defect``, ``_to_basis``, ``_from_basis``), so
+``_commutator_defect``, ``_to_basis``, ``_from_basis``), so
 the BLAS and SIMD bits each puts into a report can be attributed, or its
 body swapped, in one place.
 """
@@ -131,11 +131,6 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
     """``Re Tr(A B)`` of two square arrays of one dimension; unchecked."""
     return float(np.trace(a @ b).real)
-
-
-def _sandwich(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``P W P``, the product taken left to right; unchecked."""
-    return p @ w @ p
 
 
 def _commutator_defect(a: np.ndarray, b: np.ndarray) -> float:
@@ -520,6 +515,10 @@ def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | Non
     more.  Up to ``_SCALAR_MAX_DIM`` they go one at a time into the rows of
     ``q^T`` (``_rotate_rows``), which leaves ``V^T = Z^T q^T``, and the
     phase rule of ``_fix_column_phases`` runs on Python scalars too.
+    Up to ``_SCALAR_MAX_DIM`` an input whose entries below the diagonal
+    are all at or below the floor is already diagonal to that tolerance:
+    its stably sorted real diagonal and the identity's columns in that
+    order are returned with no reduction and no iteration.
     ``tqli`` ends an iteration early where the radius ``r`` underflows to
     zero; that exit is left out, since ``r >= |f|`` and ``f`` starts as an
     entry above the floor (a zero would raise ``ZeroDivisionError``, not
@@ -530,12 +529,21 @@ def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | Non
     if scalars:
         t = a.tolist()
         norm = _norm_of_scalars([x for row in t for x in row])
-        d, e, z = _tridiagonal_scalars(t, vectors)  # z: q^T
     else:
         norm = _frobenius_norm(a)
+    floor = JACOBI_OFF_TOL * max(1.0, norm) / (2.0 * n)
+    if scalars:
+        if all(abs(x) <= floor for i in range(1, n) for x in t[i][:i]):
+            d = [t[i][i].real for i in range(n)]
+            order = sorted(range(n), key=d.__getitem__)
+            eigenvalues = np.array([d[i] for i in order])
+            if not vectors:
+                return eigenvalues, None
+            return eigenvalues, np.eye(n, dtype=complex)[order].T.copy()
+        d, e, z = _tridiagonal_scalars(t, vectors)  # z: q^T
+    else:
         d, e, q = _tridiagonal_form(a, vectors)
         z = np.eye(n) if vectors else None  # row j: the j-th eigenvector of T
-    floor = JACOBI_OFF_TOL * max(1.0, norm) / (2.0 * n)
     for l in range(n):
         iterations = 0
         while True:

@@ -40,6 +40,17 @@ def _qubit_bases() -> tuple[tuple[np.ndarray, ...], ...]:
 QUBIT_BASES = _qubit_bases()
 
 
+def _basis_projectors() -> tuple[np.ndarray, ...]:
+    projectors = tuple(np.outer(v, v.conj()) for basis in QUBIT_BASES for v in basis)
+    for p in projectors:
+        p.flags.writeable = False
+    return projectors
+
+
+# |e_bk><e_bk| of each ``QUBIT_BASES`` vector, in basis-major order, read-only.
+_PROJECTORS = _basis_projectors()
+
+
 # numpy's multinomial draw takes counts that fit an int64, and would
 # truncate a fractional one.
 _SAMPLES_MAX = int(np.iinfo(np.int64).max)
@@ -55,6 +66,24 @@ class MeasurementStatistics:
     tables: tuple[tuple[float, ...], ...]
     samples: int | None = None
     seed: int | None = None
+
+    @classmethod
+    def _derived(
+        cls,
+        tables: tuple[tuple[float, ...], ...],
+        samples: int | None = None,
+        seed: int | None = None,
+    ) -> "MeasurementStatistics":
+        """Wrap tables the library computed, unvalidated.
+
+        Only for rows of floats in [0, 1] summing to 1, one per basis,
+        with a ``samples`` and ``seed`` already checked; input from outside
+        goes through ``MeasurementStatistics(...)``.
+        """
+        stats = object.__new__(cls)
+        for name, value in (("dim", 2), ("tables", tables), ("samples", samples), ("seed", seed)):
+            object.__setattr__(stats, name, value)
+        return stats
 
     def __post_init__(self):
         if not _integer(self.dim) or self.dim < 1:
@@ -116,7 +145,7 @@ def measure_statistics(
         row = [float(np.vdot(v, rho.matrix @ v).real) for v in basis]
         exact.append(tuple(min(max(p, 0.0), 1.0) for p in row))
     if samples is None:
-        return MeasurementStatistics(dim=2, tables=tuple(exact))
+        return MeasurementStatistics._derived(tuple(exact))
     # The record refuses a bad ``samples`` or ``seed`` before any draw.
     checked = MeasurementStatistics(dim=2, tables=tuple(exact), samples=samples, seed=seed)
     rng = np.random.default_rng(seed)
@@ -126,7 +155,7 @@ def measure_statistics(
         weights = weights / weights.sum()
         counts = rng.multinomial(samples, weights)
         tables.append(tuple(float(c) / samples for c in counts))
-    return MeasurementStatistics(dim=2, tables=tuple(tables), samples=samples, seed=seed)
+    return MeasurementStatistics._derived(tuple(tables), samples, seed)
 
 
 def reconstruct(stats: MeasurementStatistics) -> DensityOperator:
@@ -137,9 +166,8 @@ def reconstruct(stats: MeasurementStatistics) -> DensityOperator:
     leaves exact statistics untouched and repairs sampled ones.
     """
     raw = -np.eye(2, dtype=complex)
-    for row, basis in zip(stats.tables, QUBIT_BASES):
-        for p, v in zip(row, basis):
-            raw += p * np.outer(v, v.conj())
+    for p, projector in zip((p for row in stats.tables for p in row), _PROJECTORS):
+        raw += p * projector
     # Exactly Hermitian, and finite from validated tables: the kernel
     # needs no check.
     raw = la._hermitian_part(raw)

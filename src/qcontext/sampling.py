@@ -48,7 +48,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     for j in range(dim):
         v = g[:, j]
         done = u[:, :j]
-        for _ in range(2):
+        for _ in range(2 if j else 0):  # the first column has nothing to project out
             v = v - done @ (done.conj().T @ v)
         u[:, j] = v / la._frobenius_norm(v)
     return u

@@ -16,6 +16,9 @@ and ``trace_distance`` are the solved and product-forming routes that the
 closed forms replaced: an eigensolve of ``d . sigma``,
 ``Tr[W (P_i x Q_j)]`` from explicit Kronecker products, ``observable(m)``
 on the sampled matrix, and the eigenvalues of a 2x2 difference.
+``distant_after`` is the product-forming route of the no-signalling
+check: ``Tr_1 sum_p (P_p x I) W (P_p x I)`` from explicit Kronecker
+products and a looped partial trace, and ``Re Tr(r Q_j)`` of the result.
 ``luders_nonselective`` and ``eigenbasis`` are the per-level routes that
 the eigenbasis forms replaced: ``sum_i P_i W P_i`` with weights
 ``Tr(W P_i)`` from each level's projector, and each eigenvector extracted
@@ -110,6 +113,21 @@ def joint_table(rho, pa, pb):
         for i in (1, -1)
         for j in (1, -1)
     }
+
+
+def distant_after(w, stack, qb):
+    """``(r, [Re Tr(r Q_j)])`` with ``r = Tr_1 sum_p (P_p x I) W (P_p x I)``, each product formed."""
+    eye = np.eye(2)
+    conditioned = np.zeros((4, 4), dtype=complex)
+    for p in stack:
+        big = np.kron(p, eye)
+        conditioned += big @ w @ big
+    r = np.zeros((2, 2), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            for e in range(2):
+                r[b, e] += conditioned[2 * a + b, 2 * a + e]
+    return r, [float(np.trace(r @ q).real) for q in qb]
 
 
 def random_nondegenerate_observable(dim, rng, label=""):

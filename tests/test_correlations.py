@@ -60,6 +60,22 @@ def test_direction_normalized_divides_every_component_by_the_norm():
 
 
 @pytest.mark.parametrize(
+    "components, want",
+    [((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)), ((3e-200, 4e-200, 0.0), (0.6, 0.8, 0.0))],
+    ids=["huge", "tiny"],
+)
+def test_direction_normalized_neither_overflows_nor_underflows(components, want):
+    # The squares of these components overflow to inf or underflow to 0.
+    d = Direction.normalized(*components)
+    assert (d.x, d.y, d.z) == pytest.approx(want, abs=1e-15)
+
+
+def test_direction_normalized_refuses_the_zero_vector():
+    with pytest.raises(ValueError, match="zero vector"):
+        Direction.normalized(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
     "components",
     [(np.nan, 0.0, 0.0), (0.0, np.nan, 1.0), (np.inf, 0.0, 0.0), (0.0, 0.0, -np.inf)],
 )

@@ -16,8 +16,12 @@ and review the diff.
 
 ``work.json`` pins the work each invocation does: its ``linalg.counts()``
 deltas (eigensolves, QL iterations, operator and Hermiticity checks),
-which depend only on the code path.  A count that rises fails.  A count
-that falls fails too, until the file is lowered with
+which depend only on the code path.  It pins the same for each task of
+the benchmark's ``scale`` workload (``perfbench/workloads.py``) on the
+inputs of its seed 0, as the rows ``scale:<task>``: solves at d = 16-64
+and the 2^20-case search, which no golden invocation reaches.  A count
+that rises fails.  A count that falls fails too, until the file is
+lowered with
 ``PYTHONPATH=src python tests/test_golden.py --lower-work``, which
 refuses to raise any pinned count: the file may only go down.
 
@@ -32,6 +36,7 @@ process's own.
 
 import contextlib
 import ctypes
+import importlib.util
 import io
 import json
 import os
@@ -105,6 +110,26 @@ GOLDEN = (
 WRITTEN = {"correlate_csv": ("sweep.csv", "csv")}
 
 
+def _load_workloads():
+    """``perfbench/workloads.py``, loaded from its file: the benchmark's
+    directory is not a package on the test path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+PERFBENCH_WORKLOADS = _load_workloads()
+
+# (row name, input key, call, check) of each scale task.
+SCALE = tuple(
+    (f"scale:{task}", key, call, check) for task, key, call, check in PERFBENCH_WORKLOADS.SCALE_TASKS
+)
+
+
 def _run(argv, workdir: Path) -> tuple[int, bytes, dict[str, int]]:
     """Exit code, stdout bytes and ``linalg.counts()`` deltas of one
     in-process CLI call in workdir."""
@@ -122,6 +147,18 @@ def _run(argv, workdir: Path) -> tuple[int, bytes, dict[str, int]]:
         os.chdir(here)
     work = {key: after[key] - before[key] for key in after}
     return code, out.getvalue().encode("utf-8"), work
+
+
+def _scale_work(key, call, check) -> dict[str, int]:
+    """``linalg.counts()`` deltas of one scale task on the seed-0 inputs,
+    whose output must pass the workload's own check."""
+    inputs = PERFBENCH_WORKLOADS.scale_inputs(np.random.default_rng(0))
+    before = linalg.counts()
+    out = call(inputs[key])
+    after = linalg.counts()
+    problem = check(inputs, key, out)
+    assert problem is None, problem
+    return {k: after[k] - before[k] for k in after}
 
 
 def _rises(pinned: dict[str, int], work: dict[str, int]) -> dict[str, str]:
@@ -175,7 +212,17 @@ def _pinned_work() -> dict[str, dict[str, int]]:
 
 
 def test_every_invocation_has_pinned_work():
-    assert list(_pinned_work()) == [name for name, _, _ in GOLDEN]
+    assert list(_pinned_work()) == [name for name, _, _ in GOLDEN] + [name for name, *_ in SCALE]
+
+
+def _assert_pinned(name, work):
+    pinned = _pinned_work()[name]
+    rose = _rises(pinned, work)
+    assert not rose, f"{name} does more work than {WORK.name} pins: {rose}"
+    assert work == pinned, (
+        f"{name} does less work than {WORK.name} pins ({pinned} -> {work}); lower the "
+        "file in this change: PYTHONPATH=src python tests/test_golden.py --lower-work"
+    )
 
 
 @pytest.mark.parametrize("name, argv, code", GOLDEN, ids=[g[0] for g in GOLDEN])
@@ -187,13 +234,12 @@ def test_stdout_matches_golden(name, argv, code, tmp_path):
         written, suffix = WRITTEN[name]
         want = (GOLDEN_DIR / f"{name}.{suffix}").read_bytes()
         assert (tmp_path / written).read_bytes() == want, _environment_note()
-    pinned = _pinned_work()[name]
-    rose = _rises(pinned, work)
-    assert not rose, f"{name} does more work than {WORK.name} pins: {rose}"
-    assert work == pinned, (
-        f"{name} does less work than {WORK.name} pins ({pinned} -> {work}); lower the "
-        "file in this change: PYTHONPATH=src python tests/test_golden.py --lower-work"
-    )
+    _assert_pinned(name, work)
+
+
+@pytest.mark.parametrize("name, key, call, check", SCALE, ids=[t[0] for t in SCALE])
+def test_scale_task_work_matches_pinned(name, key, call, check):
+    _assert_pinned(name, _scale_work(key, call, check))
 
 
 def _suite_measured() -> str:
@@ -236,11 +282,13 @@ def _lower_work() -> None:
     lowered = {}
     for name, argv, _ in GOLDEN:
         with tempfile.TemporaryDirectory() as tmp:
-            work = _run(argv, Path(tmp))[2]
+            lowered[name] = _run(argv, Path(tmp))[2]
+    for name, key, call, check in SCALE:
+        lowered[name] = _scale_work(key, call, check)
+    for name, work in lowered.items():
         rose = _rises(pinned.get(name, {}), work)
         if rose:
             raise SystemExit(f"{name}: work rose {rose}; {WORK.name} may only go down")
-        lowered[name] = work
     rows = ",\n".join(f"  {json.dumps(name)}: {json.dumps(w)}" for name, w in lowered.items())
     WORK.write_text("{\n" + rows + "\n}\n")
     print(f"recorded {WORK.name}", file=sys.stderr)

@@ -183,8 +183,19 @@ def _hermitian_inputs(seed):
     return out
 
 
+def _near_diagonal(n, rng, scale):
+    """A Hermitian matrix with a unit-scale real diagonal and every entry off
+    it of modulus ``scale`` times the QL deflation floor, in random phases."""
+    diagonal = rng.normal(size=n)
+    floor = la.JACOBI_OFF_TOL * max(1.0, float(np.linalg.norm(diagonal))) / (2.0 * n)
+    below = np.tril(scale * floor * np.exp(2j * np.pi * rng.random((n, n))), -1)
+    return below + below.conj().T + np.diag(diagonal)
+
+
 def _eigenvalue_inputs(seed):
-    """Hermitian inputs at n = 1-16 in every kind, and at 24, 32 and 64 in one each."""
+    """Hermitian inputs at n = 1-16 in every kind, and at 24, 32 and 64 in
+    one each; near-diagonal ones at n = 2-8, off the diagonal at half and
+    twice the QL floor."""
     rng = np.random.default_rng(seed)
     kinds = (
         lambda n: _hermitian(_complex(rng, (n, n))),
@@ -198,6 +209,9 @@ def _eigenvalue_inputs(seed):
     for n, kind in zip((24, 32, 64), kinds):
         out.extend(_variants(kind(n)))
     out.extend(np.diag(d).astype(complex) for d in ([-0.0], [-0.0, -0.0], [0.0, -0.0, 2.0]))
+    for n in range(2, 9):
+        for scale in (0.5, 2.0):
+            out.extend(_variants(_near_diagonal(n, rng, scale)))
     return out
 
 
@@ -206,6 +220,50 @@ def test_eigenvalues_only_mode_matches_the_full_path():
         values, vectors = la.jacobi_eigh(h, vectors=False)
         assert vectors is None
         assert values.tobytes() == la.jacobi_eigh(h)[0].tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_a_matrix_diagonal_to_the_floor_skips_the_reduction(n, monkeypatch):
+    # Up to n = 7 an input with every off-diagonal entry at or below the QL
+    # floor is solved as its sorted diagonal, with the identity's columns.
+    h = _near_diagonal(n, np.random.default_rng(700 + n), 0.5)
+
+    def reduced(*args):
+        raise AssertionError("the Householder reduction ran")
+
+    monkeypatch.setattr(la, "_tridiagonal_scalars", reduced)
+    before = la.counts()["sweeps"]
+    values, vectors = la.jacobi_eigh(h)
+    assert la.counts()["sweeps"] == before
+    order = np.argsort(h.diagonal().real, kind="stable")
+    assert values.tobytes() == h.diagonal().real[order].tobytes()
+    assert vectors.tobytes() == np.eye(n, dtype=complex)[:, order].tobytes()
+    assert la.jacobi_eigh(h, vectors=False)[0].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_one_entry_just_above_the_floor_takes_the_full_path(n, monkeypatch):
+    rng = np.random.default_rng(710 + n)
+    h = _near_diagonal(n, rng, 0.5)
+    i, j = sorted(rng.choice(n, 2, replace=False))[::-1]
+    h[i, j] = 1.01 * la.JACOBI_OFF_TOL * max(1.0, float(np.linalg.norm(h))) / (2.0 * n)
+    h[j, i] = np.conj(h[i, j])
+    calls = []
+    original = la._tridiagonal_scalars
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(la, "_tridiagonal_scalars", counting)
+    values, vectors = la.jacobi_eigh(h)
+    assert calls == [1]
+    # The bounds of test_linalg.py's LAPACK comparison: QL deflates at the
+    # floor, so residuals near it remain.
+    scale = max(1.0, float(np.linalg.norm(h)))
+    assert np.abs(values - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
+    assert np.abs(h @ vectors - vectors * values).max() <= 1e-12 * scale
+    assert np.abs(vectors.conj().T @ vectors - np.eye(n)).max() <= 1e-12
 
 
 def _assert_spectra_equal(h):

@@ -1,7 +1,7 @@
-"""The six shared product kernels of ``linalg`` and their single home.
+"""The five shared product kernels of ``linalg`` and their single home.
 
-``_hermitian_part``, ``_trace_product``, ``_sandwich``,
-``_commutator_defect``, ``_to_basis`` and ``_from_basis`` are the only
+``_hermitian_part``, ``_trace_product``, ``_commutator_defect``,
+``_to_basis`` and ``_from_basis`` are the only
 spelling of those operations in ``src/``: each must give, bit for bit,
 its inline spelling, and no other module may write one out again.
 """
@@ -32,7 +32,6 @@ def test_kernels_match_their_inline_spelling_bit_for_bit(n):
     a, b = _matrix(rng, n), _matrix(rng, n)
     assert _bits(la._hermitian_part(a)) == _bits(0.5 * (a + a.conj().T))
     assert _bits(la._trace_product(a, b)) == _bits(float(np.trace(a @ b).real))
-    assert _bits(la._sandwich(a, b)) == _bits(a @ b @ a)
     assert _bits(la._commutator_defect(a, b)) == _bits(float(np.abs(a @ b - b @ a).max()))
     assert _bits(la._to_basis(a, b)) == _bits(a.conj().T @ b @ a)
     assert _bits(la._from_basis(a, b)) == _bits(a @ b @ a.conj().T)
@@ -67,8 +66,6 @@ def kernel_written_out(node):
         ):
             return "_hermitian_part"
     if _matmul(node) and _matmul(node.left):
-        if _same(node.left.left, node.right):
-            return "_sandwich"
         if _is_dagger_of(node.left.left, node.right):
             return "_to_basis"
         if _is_dagger_of(node.right, node.left.left):
@@ -118,8 +115,6 @@ EXEMPT = {
         ("0.5 * (m + m.conj().T)", "_hermitian_part"),
         ("float(np.trace(self.matrix @ a).real)", "_trace_product"),
         ("float((w @ p).trace().real)", "_trace_product"),
-        ("out += p @ w @ p", "_sandwich"),
-        ("big @ rho.matrix @ big", "_sandwich"),
         ("v.conj().T @ w @ v", "_to_basis"),
         ("v @ m @ v.conj().T", "_from_basis"),
         ("np.abs(w @ a - a @ w).max()", "_commutator_defect"),
@@ -134,7 +129,7 @@ def test_scan_finds_each_inline_spelling(source, kernel):
 @pytest.mark.parametrize(
     "source",
     [
-        "0.5 * (a + b)", "0.5 * (p - p.conj().T)", "np.trace(m)", "a @ b @ c",
+        "0.5 * (a + b)", "0.5 * (p - p.conj().T)", "np.trace(m)", "a @ b @ c", "p @ w @ p",
         "(u * values) @ u.conj().T", "v.conj().T @ w @ u",
         "a @ b - a @ b", "(rho @ elements).trace(axis1=1, axis2=2)", "la.commutator(a, b)",
     ],

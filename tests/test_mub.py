@@ -1,9 +1,12 @@
 """Mutually unbiased bases and state reconstruction from their tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qcontext.linalg import DimensionError, trace_distance
+from qcontext.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, DimensionError, trace_distance
 from qcontext.mub import (
     QUBIT_BASES,
     MeasurementStatistics,
@@ -152,3 +155,34 @@ def test_bases_are_not_taken_positionally():
     rho = as_density(PureState(np.array([1.0, 0.0])))
     with pytest.raises(TypeError):
         measure_statistics(rho, QUBIT_BASES)
+
+
+_PLUS = as_density(PureState(np.array([1.0, 1.0]) / np.sqrt(2.0)))
+
+
+@st.composite
+def _qubit_states(draw):
+    """A qubit state ``(I + r . sigma) / 2``, ``|r| <= 1``; pure ones included."""
+    r = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    length = float(np.linalg.norm(r))
+    if length > 1.0 or (length > 0.0 and draw(st.booleans())):
+        r = r / length
+    return as_density(0.5 * (np.eye(2) + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rho=_qubit_states(),
+    samples=st.one_of(st.none(), st.integers(1, 10**6)),
+    seed=st.one_of(st.none(), st.integers(0, 2**64)),
+)
+@example(rho=_PLUS, samples=1, seed=0)
+@example(rho=_PLUS, samples=None, seed=None)
+def test_every_returned_record_passes_the_validating_constructor(rho, samples, seed):
+    # measure_statistics builds its records unvalidated; each must be one
+    # the validating constructor accepts and rebuilds unchanged.
+    record = measure_statistics(rho, samples=samples, seed=seed)
+    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    rebuilt = MeasurementStatistics(**fields)
+    assert rebuilt == record and repr(rebuilt) == repr(record)
+    assert (record.samples, record.seed) == ((None, None) if samples is None else (samples, seed))
