@@ -26,6 +26,7 @@ from .contexts import (
 )
 from .contextuality import ghz_contradiction, mermin_peres_square, search_noncontextual_assignment
 from .correlations import (
+    OUTCOMES,
     Direction,
     chsh,
     chsh_optimal_settings,
@@ -84,7 +85,7 @@ def criterion_singlet_anticorrelation() -> CriterionResult:
         worst_same = max(worst_same, record.joint[(1, 1)] + record.joint[(-1, -1)])
         for outcome in (1, -1):
             _, remote = conditional_remote_state(singlet, a, outcome)
-            proj = a.spin_projectors[-outcome]
+            proj = a.outcome_projectors[OUTCOMES.index(-outcome)]
             opposite = float(np.vdot(remote.amplitudes, proj @ remote.amplitudes).real)
             worst_flip = max(worst_flip, abs(opposite - 1.0))
     return CriterionResult(
@@ -203,7 +204,7 @@ def criterion_luders_forms() -> CriterionResult:
     for trial in range(100):
         dim = 2 + trial % 3
         psi = random_pure_state(dim, rng)
-        obs, _, _ = random_nondegenerate_observable(dim, rng, label="A")
+        obs, _, _ = random_nondegenerate_observable(dim, rng)
         ctx = context(psi, obs)
         conditioned = luders_nonselective(ctx).state
 
@@ -233,7 +234,7 @@ def criterion_statistical_equivalence() -> CriterionResult:
     for trial in range(100):
         dim = 2 + trial % 3
         rho = random_density(dim, rng)
-        obs, values, u = random_nondegenerate_observable(dim, rng, label="A")
+        obs, values, u = random_nondegenerate_observable(dim, rng)
         ctx = context(rho, obs)
         worst_self = max(worst_self, statistical_equivalence(ctx).delta)
         # A^2 has A's eigenvectors and the squared eigenvalues (1, 4, ...,

@@ -120,7 +120,7 @@ def parse_direction(spec: str) -> Direction:
             angle = float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise InputError(f"bad angle in {spec!r}") from exc
-        return Direction.polar(np.deg2rad(angle))
+        return Direction.polar(float(np.deg2rad(angle)))
     parts = spec.split(",")
     if len(parts) != 3:
         raise InputError(
@@ -232,7 +232,7 @@ def cmd_reduced(args):
 
 def cmd_total_spin(args):
     state = parse_state(args.state)
-    value = total_spin_squared(as_density(state))
+    value = total_spin_squared(state)
     results = {"total_spin_squared": value}
     return results, [Check.within("within_physical_range", value, 2.0, args.tol)]
 
@@ -327,7 +327,7 @@ def cmd_context_distance(args):
     state = parse_state(args.state)
     a = parse_observable(args.observable)
     b = parse_observable(args.probe)
-    distance = contexts_distance(as_density(state), a, b)
+    distance = contexts_distance(state, a, b)
     results = {"distance": distance}
     return results, [Check.within("within_unit_interval", distance, 1.0, args.tol)]
 
@@ -337,7 +337,7 @@ def cmd_sequential(args):
 
     state = parse_state(args.state)
     sequence = [parse_observable(spec) for spec in args.observable]
-    final = sequential_luders(as_density(state), sequence)
+    final = sequential_luders(state, sequence)
     results = {
         "sequence": [obs.label for obs in sequence],
         "final_state": io.matrix_to_json(final.matrix),
@@ -422,13 +422,12 @@ def cmd_chsh(args):
     from .correlations import chsh, chsh_optimal_settings
 
     state = parse_state(args.state)
-    rho = as_density(state)
     defaults = chsh_optimal_settings()
     directions = [
         parse_direction(spec) if spec else default
         for spec, default in zip((args.a, args.a2, args.b, args.b2), defaults)
     ]
-    s = chsh(rho, *directions)
+    s = chsh(state, *directions)
     bound = 2.0 * np.sqrt(2.0)
     results = {
         "S": s,
@@ -444,7 +443,7 @@ def cmd_no_signalling(args):
     state = parse_state(args.state)
     settings = [parse_direction(spec) for spec in (args.setting or ["z", "x", "y"])]
     b = parse_direction(args.b)
-    deviation = no_signalling_check(as_density(state), settings, b)
+    deviation = no_signalling_check(state, settings, b)
     results = {"max_deviation": deviation, "settings_count": len(settings)}
     return results, [Check.below("no_signalling_deviation", deviation, args.tol)]
 
@@ -455,7 +454,7 @@ def cmd_outcome_dependence(args):
     state = parse_state(args.state)
     a = parse_direction(args.a)
     b = parse_direction(args.b)
-    value = outcome_dependence(as_density(state), a, b)
+    value = outcome_dependence(state, a, b)
     results = {"outcome_dependence": value}
     return results, [Check.within("within_unit_interval", value, 1.0, args.tol)]
 
@@ -555,7 +554,7 @@ def cmd_value_dependence(args):
         )
     state = parse_state(args.state)
     a, b, c = (parse_observable(spec) for spec in args.observable)
-    report = value_dependence_demo(as_density(state), a, b, c, tol=args.tol)
+    report = value_dependence_demo(state, a, b, c, tol=args.tol)
     results = {
         "distribution_plain": _prob_dict(report.distribution_plain),
         "distribution_after_b": _prob_dict(report.distribution_after_b),

@@ -76,7 +76,7 @@ def observable(matrix, label: str = "") -> Observable:
     would solve it.
     """
     a, solved = la._hermitian_input(matrix)
-    spectrum = la.SpectralDecomposition.from_eigenpairs(*la._eigh(solved, True))
+    spectrum = la.SpectralDecomposition.from_eigenpairs(*la._eigh(solved))
     return Observable(matrix=a, spectrum=spectrum, label=label)
 
 

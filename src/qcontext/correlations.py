@@ -34,7 +34,7 @@ class Direction:
 
     Its spin projectors ``(I +- n . sigma)/2``, with ``n = d/|d|``, are
     written down in closed form on first use and kept on the instance
-    (``outcome_projectors``, ``spin_projectors``); no eigensolve is made.
+    (``outcome_projectors``); no eigensolve is made.
     The cache is not a field: ``==``, ``hash`` and ``repr`` see the
     components only.
     """
@@ -45,11 +45,8 @@ class Direction:
 
     def __post_init__(self):
         values = (self.x, self.y, self.z)
-        try:  # a string or a bool is refused before ``float`` could take it
-            finite = all(map(la._number, values)) and all(map(math.isfinite, values))
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
+        # A string or a bool is refused before ``float`` could take it.
+        if not all(map(la._finite, values)):
             raise ValueError(f"direction components must be finite numbers, got {values!r}")
         for name, value in zip("xyz", values):
             object.__setattr__(self, name, float(value))
@@ -60,19 +57,19 @@ class Direction:
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "Direction":
+        if not all(map(la._finite, (x, y, z))):
+            raise ValueError(f"direction components must be finite numbers, got {(x, y, z)!r}")
         norm = math.hypot(x, y, z)
         if norm == 0.0:
             raise ValueError("cannot normalise the zero vector")
         return cls(x / norm, y / norm, z / norm)
 
     @classmethod
-    def polar(cls, theta: float, phi: float = 0.0) -> "Direction":
-        """Direction at polar angle theta from +z, azimuth phi from +x."""
-        return cls(
-            float(np.sin(theta) * np.cos(phi)),
-            float(np.sin(theta) * np.sin(phi)),
-            float(np.cos(theta)),
-        )
+    def polar(cls, theta: float) -> "Direction":
+        """Direction in the x-z plane at polar angle theta from +z, towards +x."""
+        if not la._finite(theta):
+            raise ValueError(f"polar angle must be a finite real number, got {theta!r}")
+        return cls(float(np.sin(theta)), 0.0, float(np.cos(theta)))
 
     def dot(self, other: "Direction") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -97,11 +94,6 @@ class Direction:
         )
         stack.flags.writeable = False
         return stack
-
-    @functools.cached_property
-    def spin_projectors(self) -> dict[int, np.ndarray]:
-        """Read-only projectors of the spin along d, keyed by outcome +1 / -1."""
-        return dict(zip(OUTCOMES, self.outcome_projectors))
 
 
 def spin_observable(d: Direction) -> Observable:
@@ -190,7 +182,7 @@ def conditional_remote_state(
         raise DimensionError(f"remote conditioning needs dimension 4, got {state.dim}")
     if outcome not in OUTCOMES:
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    proj = a.spin_projectors[outcome]
+    proj = a.outcome_projectors[OUTCOMES.index(outcome)]
     e = la._rank_one_vector(proj)
     # (<e| x I) psi leaves the distant spin's (unnormalised) amplitudes.
     m = state.amplitudes.reshape(2, 2)

@@ -118,6 +118,14 @@ def _integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _finite(x) -> bool:
+    """A ``_number`` that is finite; False for an integer beyond the float range."""
+    try:
+        return _number(x) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _list_of(values, ok) -> bool:
     """True when ``values`` is a list or tuple whose every entry passes ``ok``."""
     return isinstance(values, (list, tuple)) and all(ok(x) for x in values)
@@ -352,14 +360,12 @@ def _phase_chain(s: list[complex]) -> list[complex]:
     return phi
 
 
-def _tridiagonal_form(
-    a: np.ndarray, vectors: bool
-) -> tuple[list[float], list[float], np.ndarray | None]:
+def _tridiagonal_form(a: np.ndarray) -> tuple[list[float], list[float], np.ndarray]:
     """``(d, e, q)`` with ``a = q T q^dagger``, ``T`` real symmetric tridiagonal.
 
     ``d`` is the diagonal of ``T`` and ``e`` its subdiagonal, ``e[k]``
     coupling ``k`` and ``k + 1``, with ``e[n - 1] = 0``, both lists of
-    Python floats; ``q`` is unitary, or None when ``vectors`` is false.
+    Python floats; ``q`` is unitary.
 
     Reflection ``k`` (Golub & Van Loan, section 8.3.1) is
     ``H = I - 2 u u^dagger`` on indices ``k + 1..n-1``, with ``u`` the unit
@@ -399,8 +405,6 @@ def _tridiagonal_form(
     s = t.diagonal(-1)
     d = t.diagonal().real.tolist()
     e = np.abs(s).tolist() + [0.0]
-    if not vectors:
-        return d, e, None
     q = np.eye(n, dtype=complex)
     for k, u in reversed(reflections):
         block = q[k + 1 :, k + 1 :]
@@ -409,15 +413,15 @@ def _tridiagonal_form(
     return d, e, q
 
 
-def _tridiagonal_scalars(t: list[list[complex]], vectors: bool) -> tuple[list, list, list | None]:
+def _tridiagonal_scalars(t: list[list[complex]]) -> tuple[list, list, list]:
     """``_tridiagonal_form`` of the rows ``t`` (which it writes), with ``q^T``.
 
     The same reflections on Python scalars, one entry at a time: norms by
     ``_norm_of_scalars``, sums by ``_dot``, phases by ``_unit``.  No bit
     depends on BLAS or numpy's SIMD loops, and a real input gives a real
-    ``q``.  ``q^T`` comes as its list of rows (``q``'s columns), or None;
-    it starts as ``D``, which the reflections leave alone where they do
-    not act.
+    ``q``.  ``q^T`` comes as its list of rows (``q``'s columns); it
+    starts as ``D``, which the reflections leave alone where they do not
+    act.
     """
     n = len(t)
     reflections = []
@@ -445,8 +449,6 @@ def _tridiagonal_scalars(t: list[list[complex]], vectors: bool) -> tuple[list, l
         reflections.append((k, u, u_bar))
     d = [t[i][i].real for i in range(n)]
     e = [abs(z) for z in s] + [0.0]
-    if not vectors:
-        return d, e, None
     phi = _phase_chain(s)
     qt = [[phi[i] if i == j else 0j for j in range(n)] for i in range(n)]
     for k, u, u_bar in reversed(reflections):
@@ -495,7 +497,7 @@ def _rotate_rows(z: list[list[complex]], l: int, c: list[float], s: list[float])
         z[l + j + 1] = [s[j] * p + c[j] * q for p, q in zip(x, y)]
 
 
-def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _ql_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The kernel of ``_eigh``, for n >= 2.
 
     ``_tridiagonal_form`` reduces ``a`` to ``q T q^dagger``; then ``tqli``
@@ -536,14 +538,11 @@ def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | Non
         if all(abs(x) <= floor for i in range(1, n) for x in t[i][:i]):
             d = [t[i][i].real for i in range(n)]
             order = sorted(range(n), key=d.__getitem__)
-            eigenvalues = np.array([d[i] for i in order])
-            if not vectors:
-                return eigenvalues, None
-            return eigenvalues, np.eye(n, dtype=complex)[order].T.copy()
-        d, e, z = _tridiagonal_scalars(t, vectors)  # z: q^T
+            return np.array([d[i] for i in order]), np.eye(n, dtype=complex)[order].T.copy()
+        d, e, z = _tridiagonal_scalars(t)  # z: q^T
     else:
-        d, e, q = _tridiagonal_form(a, vectors)
-        z = np.eye(n) if vectors else None  # row j: the j-th eigenvector of T
+        d, e, q = _tridiagonal_form(a)
+        z = np.eye(n)  # row j: the j-th eigenvector of T
     for l in range(n):
         iterations = 0
         while True:
@@ -588,13 +587,10 @@ def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | Non
             d[l] -= p
             e[l] = g
             e[m] = 0.0
-            if vectors:
-                (_rotate_rows if scalars else _rotate_chain)(z, l, cs[::-1], ss[::-1])
+            (_rotate_rows if scalars else _rotate_chain)(z, l, cs[::-1], ss[::-1])
 
     order = sorted(range(n), key=d.__getitem__)  # stable, as argsort(kind="stable")
     eigenvalues = np.array([d[i] for i in order])
-    if not vectors:
-        return eigenvalues, None
     if not scalars:
         return eigenvalues, _fix_column_phases((q @ z.T)[:, order])
     columns = []
@@ -606,7 +602,7 @@ def _ql_eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | Non
     return eigenvalues, np.array(columns).T.copy()
 
 
-def jacobi_eigh(h, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def jacobi_eigh(h) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalise a Hermitian matrix.
 
     The input is validated as Hermitian here and solved by ``_eigh``.  An
@@ -620,7 +616,6 @@ def jacobi_eigh(h, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | No
     (eigenvalues, vectors)
         Eigenvalues ascending; ``vectors[:, i]`` is the i-th eigenvector,
         with its largest-magnitude component made real positive.
-        ``vectors`` is None when ``vectors=False``.
 
     Raises
     ------
@@ -628,7 +623,7 @@ def jacobi_eigh(h, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | No
         If an eigenvalue is not deflated after ``_QL_MAX_ITERATIONS`` QL
         iterations.
     """
-    return _eigh(_hermitian_input(h)[1], vectors)
+    return _eigh(_hermitian_input(h)[1])
 
 
 def _hermitian_input(h) -> tuple[np.ndarray, np.ndarray]:
@@ -641,7 +636,7 @@ def _hermitian_input(h) -> tuple[np.ndarray, np.ndarray]:
     return a, (_hermitian_part(a) if defect else a)
 
 
-def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eigensolver of ``jacobi_eigh``, on an unvalidated array.
 
     ``a`` must be a finite, exactly Hermitian square array of dimension
@@ -657,8 +652,6 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     ascending sort and the phase rule of ``_fix_column_phases``.  QL gives
     up on an eigenvalue after ``_QL_MAX_ITERATIONS`` iterations with a
     ``ConvergenceError``; every iteration is added to ``counts()["sweeps"]``.
-    With ``vectors=False`` no eigenvector is accumulated or phase-fixed;
-    the same arithmetic gives the same eigenvalues, bit for bit.
 
     An entry above 2^500 could overflow the squares in the norms: such a
     matrix is solved divided by a power of two (exactly) and its eigenvalues
@@ -667,11 +660,11 @@ def _eigh(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     _counts["eigensolves"] += 1
     n = a.shape[0]
     if n == 1:
-        return np.array([a[0, 0].real]), (np.eye(1, dtype=complex) if vectors else None)
+        return np.array([a[0, 0].real]), np.eye(1, dtype=complex)
     if np.abs(a).max() <= 2.0**500:
-        return _ql_eigh(a, vectors)
+        return _ql_eigh(a)
     k = max(math.frexp(float(np.abs(x).max()))[1] for x in (a.real, a.imag))
-    eigenvalues, v = _ql_eigh(a * 2.0**-k, vectors)
+    eigenvalues, v = _ql_eigh(a * 2.0**-k)
     if math.frexp(float(np.abs(eigenvalues).max()))[1] + k > 1024:
         raise ValueError("an eigenvalue exceeds the float range")
     return np.ldexp(eigenvalues, k), v
@@ -791,15 +784,16 @@ def evolution_operator(h, t: float) -> np.ndarray:
     """Unitary exp(-i H t) built from the spectral resolution of H."""
     if not _number(t):  # a bool is not read as 0 or 1
         raise ValueError(f"evolution time must be a real number, got {t!r}")
-    try:
-        finite = math.isfinite(t)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
+    if not _finite(t):
         raise ValueError(f"evolution time must be finite, got {t!r}")
-    dec = spectral_decompose(h)
+    return _propagator(spectral_decompose(h), t)
+
+
+def _propagator(spectrum: SpectralDecomposition, t: float) -> np.ndarray:
+    """``exp(-i H t)`` from the levels of ``H``, for a real ``t``;
+    ``ValueError`` where a phase leaves the float range."""
     with _float_range("exp(-i H t)"):
-        return dec.apply_function(lambda a: np.exp(-1j * a * t))
+        return spectrum.apply_function(lambda a: np.exp(-1j * a * t))
 
 
 def trace_distance(a, b) -> float:
@@ -829,5 +823,4 @@ def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
         x = x.real
         y = y.real
         return max(0.5 * abs(x + y), math.hypot(0.5 * (x - y), abs(z)))
-    eigenvalues, _ = _eigh(diff, False)
-    return 0.5 * float(np.abs(eigenvalues).sum())
+    return 0.5 * float(np.abs(_eigh(diff)[0]).sum())

@@ -171,7 +171,7 @@ def reconstruct(stats: MeasurementStatistics) -> DensityOperator:
     # Exactly Hermitian, and finite from validated tables: the kernel
     # needs no check.
     raw = la._hermitian_part(raw)
-    eigenvalues, vectors = la._eigh(raw, True)
+    eigenvalues, vectors = la._eigh(raw)
     clipped = np.clip(eigenvalues, 0.0, None)
     # Validated tables of the complete set give the raw estimate trace
     # 3 - 2 = 1 within about 3e-9, so the clipped sum is positive.

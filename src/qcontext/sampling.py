@@ -55,7 +55,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_nondegenerate_observable(
-    dim: int, rng: np.random.Generator, label: str = ""
+    dim: int, rng: np.random.Generator
 ) -> tuple[Observable, np.ndarray, np.ndarray]:
     """Observable with unit eigenvalue gaps and known eigenvectors.
 
@@ -69,7 +69,7 @@ def random_nondegenerate_observable(
     m = (u * values) @ u.conj().T
     m = la._hermitian_part(m)
     spectrum = la.SpectralDecomposition.from_eigenpairs(values, u)
-    return Observable(matrix=m, spectrum=spectrum, label=label), values, u
+    return Observable(matrix=m, spectrum=spectrum), values, u
 
 
 def random_direction(rng: np.random.Generator) -> Direction:

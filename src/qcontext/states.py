@@ -152,8 +152,7 @@ def _require_positive(m: np.ndarray) -> None:
             return
     except np.linalg.LinAlgError:
         pass
-    eigenvalues, _ = la.jacobi_eigh(h, vectors=False)
-    low = float(eigenvalues.min())
+    low = float(la.jacobi_eigh(h)[0].min())
     if low < -POSITIVITY_TOL:
         raise ValueError(f"density operator has negative eigenvalue {low:.3e}")
 
@@ -218,7 +217,7 @@ def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
     b[d1:, :d1] = m.conj().T
     # Exactly Hermitian by construction, with entries bounded by a unit
     # state, so the kernel needs no check (n may be MAX_DIM + 1).
-    eigenvalues, vectors = la._eigh(b, True)
+    eigenvalues, vectors = la._eigh(b)
 
     pairs = [
         (float(eigenvalues[i]), vectors[:, i])
@@ -327,6 +326,8 @@ def total_spin_squared(w) -> float:
 
 def coupled_spins_hamiltonian(coupling: float) -> np.ndarray:
     """Two-spin generator sigma_z x I + I x sigma_z + g sigma_x x sigma_x."""
+    if not la._finite(coupling):
+        raise ValueError(f"coupling must be a finite real number, got {coupling!r}")
     eye = np.eye(2, dtype=complex)
     return (
         la._tensor(la.SIGMA_Z, eye)
@@ -353,17 +354,20 @@ def entangling_evolution_demo(
     second coefficient sits at rounding level); any nonzero coupling
     generically entangles the pair.  Each point is propagated directly
     from t = 0 so errors do not accumulate across steps.  The generator
-    is decomposed once; each point applies exp(-i a t) to its levels,
-    the same floats as ``evolution_operator(H, t)`` applied to |00>.
+    is decomposed once; each point applies exp(-i a t) to its levels
+    through ``evolution_operator``'s own kernel, so the same floats as
+    ``evolution_operator(H, t)`` applied to |00>.
     """
     if not _integer(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    if not la._finite(t_final):
+        raise ValueError(f"final time must be a finite real number, got {t_final!r}")
     spectrum = la.spectral_decompose(coupled_spins_hamiltonian(coupling))
     psi0 = product_basis_state(0, 0)
     out: list[SchmidtTracePoint] = []
     for k in range(steps + 1):
         t = t_final * k / steps
-        u = spectrum.apply_function(lambda a: np.exp(-1j * a * t))
+        u = la._propagator(spectrum, t)
         psi_t = PureState._derived(u @ psi0.amplitudes)
         dec = schmidt(psi_t, (2, 2))
         coeffs = tuple(dec.coefficient(i) for i in range(2))

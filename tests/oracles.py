@@ -93,7 +93,7 @@ def spectral_decompose(h, merge_tol: float = EIGENVALUE_MERGE_TOL):
 
 def density_is_positive(m):
     """``(accepted, message)``: the smallest eigenvalue of ``m`` against -1e-9."""
-    eigenvalues, _ = library_jacobi_eigh(m, vectors=False)
+    eigenvalues = library_jacobi_eigh(m)[0]
     low = float(eigenvalues.min())
     if low < -POSITIVITY_TOL:
         return False, f"density operator has negative eigenvalue {low:.3e}"
@@ -130,13 +130,13 @@ def distant_after(w, stack, qb):
     return r, [float(np.trace(r @ q).real) for q in qb]
 
 
-def random_nondegenerate_observable(dim, rng, label=""):
+def random_nondegenerate_observable(dim, rng):
     """The sampled observable, its spectrum solved from the matrix by ``observable``."""
     u = random_unitary(dim, rng)
     values = np.arange(1.0, dim + 1.0)
     m = (u * values) @ u.conj().T
     m = 0.5 * (m + m.conj().T)
-    return observable(m, label=label), values, u
+    return observable(m), values, u
 
 
 def luders_nonselective(w, spectrum):
@@ -158,7 +158,7 @@ def trace_distance(a, b):
     """(1/2) sum |eigenvalues| of the symmetrised difference, solved."""
     diff = a - b
     diff = 0.5 * (diff + diff.conj().T)
-    eigenvalues, _ = library_jacobi_eigh(diff, vectors=False)
+    eigenvalues = library_jacobi_eigh(diff)[0]
     return 0.5 * float(np.abs(eigenvalues).sum())
 
 

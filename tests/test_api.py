@@ -14,8 +14,9 @@ import pytest
 import qcontext.linalg as la
 from qcontext import io
 from qcontext.contexts import check_representative, context, luders_nonselective, observable
-from qcontext.correlations import CorrelationRecord
+from qcontext.correlations import CorrelationRecord, Direction
 from qcontext.contextuality import mermin_peres_square
+from qcontext.sampling import random_nondegenerate_observable
 from qcontext.states import PureState, as_density, make_singlet, schmidt
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,7 +51,8 @@ def _representative_state():
 # Each call passes one keyword that the API no longer takes.
 REMOVED_KEYWORDS = {
     "jacobi_eigh": ("off_tol", lambda: la.jacobi_eigh(H, off_tol=1e-12)),
-    "_eigh": ("off_tol", lambda: la._eigh(H, True, off_tol=1e-12)),
+    "jacobi_eigh_vectors": ("vectors", lambda: la.jacobi_eigh(H, vectors=False)),
+    "_eigh": ("off_tol", lambda: la._eigh(H, off_tol=1e-12)),
     "spectral_decompose": ("merge_tol", lambda: la.spectral_decompose(H, merge_tol=1e-8)),
     "from_eigenpairs": (
         "merge_tol",
@@ -64,6 +66,10 @@ REMOVED_KEYWORDS = {
         "tol", lambda: check_representative(_representative_state(), tol=1e-9)
     ),
     "round_sig": ("digits", lambda: io.round_sig(1.0, digits=12)),
+    "polar": ("phi", lambda: Direction.polar(0.3, phi=0.7)),
+    "random_nondegenerate_observable": (
+        "label", lambda: random_nondegenerate_observable(2, np.random.default_rng(0), label="A")
+    ),
     "CorrelationRecord": (
         "marginal_1",
         lambda: CorrelationRecord(
@@ -113,6 +119,15 @@ def _census_exempt(module: str, name: str) -> bool:
     return (module == "cli" and name.startswith("cmd_")) or (module, name) in CENSUS_EXEMPT
 
 
+def _parse(readers) -> dict[Path, ast.Module]:
+    """The syntax tree of every Python file under ``readers``."""
+    return {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for root in readers
+        for path in sorted(root.rglob("*.py"))
+    }
+
+
 def _public_definitions(tree: ast.Module):
     """``(name, node)`` of each public module-level function, class and
     ALL-CAPS constant, and of each public method and property of a class."""
@@ -146,11 +161,7 @@ def _named(tree: ast.Module):
 def _unreached_definitions(readers=READERS, src=SRC) -> list[str]:
     """``module.name`` of each public definition in ``src`` that no file in
     ``readers`` names outside the definition's own lines."""
-    trees = {
-        path: ast.parse(path.read_text(), filename=str(path))
-        for root in readers
-        for path in sorted(root.rglob("*.py"))
-    }
+    trees = _parse(readers)
     uses: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
         for name, line in _named(tree):
@@ -193,6 +204,103 @@ def test_census_sees_a_definition_only_its_own_body_names(tmp_path):
     ]
 
 
+# The parameter census.  Every defaulted parameter of a public function or
+# method in src/qcontext must be passed somewhere in READERS outside the
+# function's own definition: by name at a call whose callee name or
+# attribute is the function's name, or positionally past the required
+# parameters.  A default no caller overrides is an option no caller needs.
+# Like the definition census it matches callees by name alone.
+PARAMETER_CENSUS_EXEMPT: dict[tuple[str, str, str], str] = {
+    # (module, function, parameter): reason.  None today.
+}
+
+
+def _defaulted_parameters(fn: ast.FunctionDef, method: bool):
+    """``(name, index)`` of each defaulted parameter of ``fn``: ``index``
+    counts the positional arguments of a call before it (``self`` or
+    ``cls`` not among them), and is None for a keyword-only one."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args][1 if method else 0 :]
+    required = len(positional) - len(args.defaults)
+    yield from ((name, i) for i, name in enumerate(positional) if i >= required)
+    yield from (
+        (a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+    )
+
+
+def _public_functions(tree: ast.Module):
+    """``(node, method)`` of each public module-level function and public
+    method of a public class; a static method binds no first argument."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    static = any(ast.unparse(d) == "staticmethod" for d in item.decorator_list)
+                    yield item, not static
+
+
+def _unpassed_defaults(readers=READERS, src=SRC) -> list[str]:
+    """``module.function(parameter)`` of each defaulted parameter in ``src``
+    that no call in ``readers`` passes outside the function's own lines."""
+    trees = _parse(readers)
+    calls: dict[str, list[tuple[Path, ast.Call]]] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append((path, node))
+    unpassed = []
+    for path in sorted(src.glob("*.py")):
+        for fn, method in _public_functions(trees[path]):
+            outside = [
+                call
+                for where, call in calls.get(fn.name, ())
+                if where != path or not fn.lineno <= call.lineno <= fn.end_lineno
+            ]
+            for name, index in _defaulted_parameters(fn, method):
+                passed = any(
+                    any(k.arg == name for k in call.keywords)
+                    or index is not None
+                    and sum(not isinstance(a, ast.Starred) for a in call.args) > index
+                    for call in outside
+                )
+                if not passed and (path.stem, fn.name, name) not in PARAMETER_CENSUS_EXEMPT:
+                    unpassed.append(f"{path.stem}.{fn.name}({name})")
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    assert _unpassed_defaults() == []
+
+
+def test_parameter_census_sees_a_default_only_its_own_body_passes(tmp_path):
+    # ``depth`` only in the recursion, ``note`` by name nowhere, ``scale``
+    # of the method positionally (``self`` not counted), ``fmt`` by name.
+    (tmp_path / "mod.py").write_text(
+        "def walk(n, depth=0, *, note=''):\n"
+        "    return walk(n - 1, depth + 1) if n else depth\n"
+        "def show(x, fmt='g'):\n"
+        "    return format(x, fmt)\n"
+        "class Box:\n"
+        "    def grow(self, by, scale=1.0):\n"
+        "        return by * scale\n"
+        "    def shrink(self, by=1):\n"
+        "        return -by\n"
+    )
+    (tmp_path / "reader.py").write_text(
+        "from mod import Box, show, walk\n"
+        "walk(3)\n"
+        "show(1.0, fmt='e')\n"
+        "Box().grow(1, 2.0)\n"
+        "Box().shrink(*[2])\n"
+    )
+    assert _unpassed_defaults(readers=(tmp_path,), src=tmp_path) == [
+        "mod.walk(depth)", "mod.walk(note)", "mod.shrink(by)",
+    ]
+
+
 # The field census.  Every field of a dataclass in src/qcontext must be read
 # as an attribute somewhere in READERS outside its class's ``__post_init__``:
 # a field that only its constructor fills and checks, or that only tests
@@ -215,11 +323,7 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 def _unread_fields(readers=READERS, src=SRC) -> list[str]:
     """``Class.field`` of each dataclass field in ``src`` that no file in
     ``readers`` reads as an attribute outside its class's ``__post_init__``."""
-    trees = {
-        path: ast.parse(path.read_text(), filename=str(path))
-        for root in readers
-        for path in sorted(root.rglob("*.py"))
-    }
+    trees = _parse(readers)
     reads: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
         for node in ast.walk(tree):

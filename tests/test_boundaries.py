@@ -37,6 +37,7 @@ from qcontext.mub import MeasurementStatistics, measure_statistics, reconstruct
 from qcontext.states import (
     PureState,
     as_density,
+    coupled_spins_hamiltonian,
     entangling_evolution_demo,
     is_product,
     make_singlet,
@@ -150,6 +151,20 @@ BOUNDARIES = {
     ),
     "direction_huge_integer": (
         lambda: Direction(10**400, 0, 0), ValueError, "direction components must be finite",
+    ),
+    "direction_normalized_string": (
+        lambda: Direction.normalized("1", 0, 0),
+        ValueError, "direction components must be finite numbers, got ('1', 0, 0)",
+    ),
+    "direction_polar_infinite": (
+        lambda: Direction.polar(float("inf")),
+        ValueError, "polar angle must be a finite real number, got inf",
+    ),
+    "direction_polar_string": (
+        lambda: Direction.polar("a"), ValueError, "polar angle must be a finite real number, got 'a'",
+    ),
+    "direction_polar_bool": (
+        lambda: Direction.polar(True), ValueError, "polar angle must be a finite real number, got True",
     ),
     "remote_state_outcome": (
         lambda: conditional_remote_state(make_singlet(), Z, 0),
@@ -341,6 +356,34 @@ BOUNDARIES = {
     "evolution_demo_fractional_steps": (
         lambda: entangling_evolution_demo(1.0, 0.5, steps=2.5),
         ValueError, "steps must be a positive integer, got 2.5",
+    ),
+    "coupled_spins_infinite_coupling": (
+        lambda: coupled_spins_hamiltonian(float("inf")),
+        ValueError, "coupling must be a finite real number, got inf",
+    ),
+    "evolution_demo_infinite_coupling": (
+        lambda: entangling_evolution_demo(float("inf"), 1.0),
+        ValueError, "coupling must be a finite real number, got inf",
+    ),
+    "evolution_demo_string_coupling": (
+        lambda: entangling_evolution_demo("1", 1.0),
+        ValueError, "coupling must be a finite real number, got '1'",
+    ),
+    "evolution_demo_bool_coupling": (
+        lambda: entangling_evolution_demo(True, 1.0),
+        ValueError, "coupling must be a finite real number, got True",
+    ),
+    "evolution_demo_infinite_time": (
+        lambda: entangling_evolution_demo(1.0, float("inf")),
+        ValueError, "final time must be a finite real number, got inf",
+    ),
+    "evolution_demo_huge_time": (
+        lambda: entangling_evolution_demo(1.0, 1e308),
+        ValueError, "exp(-i H t) leaves the float range",
+    ),
+    "evolution_demo_huge_coupling_and_time": (
+        lambda: entangling_evolution_demo(1e308, 1e308),
+        ValueError, "exp(-i H t) leaves the float range",
     ),
     "product_basis_state_fractional_index": (
         lambda: product_basis_state(0.5, 0),

@@ -221,12 +221,25 @@ def test_nearly_hermitian_states_are_decided_on_their_hermitian_part(
         assert proc.stderr.splitlines() == [last_line]
 
 
-def _process(argv):
-    """``python -m qcontext argv`` in a real process, warnings shown."""
+@pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+def test_non_finite_angle_exits_two_under_warnings_as_errors(angle):
+    # A RuntimeWarning would be raised here and reported with exit 3.
+    proc = _process(
+        ["correlate", "--state", "singlet", f"--a=deg:{angle}"], warnings="error::RuntimeWarning"
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"error: polar angle must be a finite real number, got {angle}"
+    ]
+
+
+def _process(argv, warnings="default"):
+    """``python -m qcontext argv`` in a real process under ``-W warnings``
+    (by default, warnings shown)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-W", "default", "-m", "qcontext", *argv],
+        [sys.executable, "-W", warnings, "-m", "qcontext", *argv],
         capture_output=True, text=True, env=env, check=False, timeout=60,
     )
 

@@ -25,6 +25,7 @@ import oracles
 from qcontext import linalg as la
 from qcontext.contexts import Observable, context, luders_nonselective, observable
 from qcontext.correlations import (
+    OUTCOMES,
     Direction,
     _distant_after,
     _joint_record,
@@ -54,7 +55,7 @@ def test_spin_projectors_match_the_jacobi_oracle(seed):
     # 3.5 EPS is the largest gap seen over 2,000 random directions.
     for d in _directions(seed, 500):
         want = oracles.spin_projectors(d)
-        for outcome, p in d.spin_projectors.items():
+        for outcome, p in zip(OUTCOMES, d.outcome_projectors):
             assert np.abs(p - want[outcome]).max() <= 8 * EPS
 
 
@@ -78,7 +79,11 @@ def test_joint_table_matches_the_tensor_and_trace_oracle(seed):
         rho = random_density(4, rng)
         a, b = random_direction(rng), random_direction(rng)
         got = _joint_record(rho, a, b).joint
-        want = oracles.joint_table(rho.matrix, a.spin_projectors, b.spin_projectors)
+        want = oracles.joint_table(
+            rho.matrix,
+            dict(zip(OUTCOMES, a.outcome_projectors)),
+            dict(zip(OUTCOMES, b.outcome_projectors)),
+        )
         assert got.keys() == want.keys()
         assert max(abs(got[k] - want[k]) for k in got) <= 8 * EPS
 

@@ -8,9 +8,8 @@ and ``np.mean``; the Frobenius norm is held to ``np.linalg.norm``.
 Every result here must match its oracle in ``tobytes()`` (or
 ``float.hex()``), so signed zeros count too.  The inputs cover n = 1-8,
 degenerate spectra, magnitude ties, transposed and strided views and
-entries of ``-0.0``.  The eigenvalues-only mode of ``jacobi_eigh`` is held
-to its full path the same way, up to n = 64.  The eigensolver itself is
-held to LAPACK in ``test_linalg.py``.
+entries of ``-0.0``.  The eigensolver itself is held to LAPACK in
+``test_linalg.py``.
 """
 
 import numpy as np
@@ -192,36 +191,6 @@ def _near_diagonal(n, rng, scale):
     return below + below.conj().T + np.diag(diagonal)
 
 
-def _eigenvalue_inputs(seed):
-    """Hermitian inputs at n = 1-16 in every kind, and at 24, 32 and 64 in
-    one each; near-diagonal ones at n = 2-8, off the diagonal at half and
-    twice the QL floor."""
-    rng = np.random.default_rng(seed)
-    kinds = (
-        lambda n: _hermitian(_complex(rng, (n, n))),
-        lambda n: _hermitian(_with_signed_zeros(_complex(rng, (n, n)), rng)),
-        lambda n: _with_repeated_levels(n, rng),
-    )
-    out = []
-    for n in range(1, 17):
-        for kind in kinds:
-            out.extend(_variants(kind(n)))
-    for n, kind in zip((24, 32, 64), kinds):
-        out.extend(_variants(kind(n)))
-    out.extend(np.diag(d).astype(complex) for d in ([-0.0], [-0.0, -0.0], [0.0, -0.0, 2.0]))
-    for n in range(2, 9):
-        for scale in (0.5, 2.0):
-            out.extend(_variants(_near_diagonal(n, rng, scale)))
-    return out
-
-
-def test_eigenvalues_only_mode_matches_the_full_path():
-    for h in _eigenvalue_inputs(43):
-        values, vectors = la.jacobi_eigh(h, vectors=False)
-        assert vectors is None
-        assert values.tobytes() == la.jacobi_eigh(h)[0].tobytes()
-
-
 @pytest.mark.parametrize("n", range(2, 8))
 def test_a_matrix_diagonal_to_the_floor_skips_the_reduction(n, monkeypatch):
     # Up to n = 7 an input with every off-diagonal entry at or below the QL
@@ -238,7 +207,6 @@ def test_a_matrix_diagonal_to_the_floor_skips_the_reduction(n, monkeypatch):
     order = np.argsort(h.diagonal().real, kind="stable")
     assert values.tobytes() == h.diagonal().real[order].tobytes()
     assert vectors.tobytes() == np.eye(n, dtype=complex)[:, order].tobytes()
-    assert la.jacobi_eigh(h, vectors=False)[0].tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 8))

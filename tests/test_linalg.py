@@ -199,7 +199,7 @@ def test_a_real_symmetric_input_gives_exactly_real_eigenvectors(n):
 def _iterations(h):
     """QL iterations of one solve, read off the library's sweep counter."""
     before = la.counts()["sweeps"]
-    la.jacobi_eigh(h, vectors=False)
+    la.jacobi_eigh(h)
     return la.counts()["sweeps"] - before
 
 

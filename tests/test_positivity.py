@@ -151,5 +151,5 @@ def test_a_near_singular_64x64_state_is_decided_by_the_ql_solve(eigensolves, low
         (True, None) if accepted else (False, "density operator has negative eigenvalue -2.000e-09")
     )
     assert eigensolves == [64]
-    low = jacobi_eigh(w, vectors=False)[0][0]
+    low = jacobi_eigh(w)[0][0]
     assert abs(low - np.linalg.eigvalsh(w)[0]) < 1e-15
