@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,11 @@ class Direction:
         norm = math.hypot(x, y, z)
         if norm == 0.0:
             raise ValueError("cannot normalise the zero vector")
+        if norm < sys.float_info.min:
+            # A subnormal norm keeps only a few digits: scale by 2^600
+            # (exactly) first, as ``linalg._unit`` does.
+            x, y, z = (c * 2.0**600 for c in (x, y, z))
+            norm = math.hypot(x, y, z)
         return cls(x / norm, y / norm, z / norm)
 
     @classmethod

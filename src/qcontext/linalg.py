@@ -3,10 +3,10 @@
 Everything in this package runs on ordinary row-major numpy arrays of
 complex numbers.  Matrices stay small (dimension 64 at most), so the
 routines here favour determinism and transparency over asymptotic speed:
-Hermitian matrices are reduced to a real tridiagonal by Householder
-reflections (on Python complex scalars up to dimension 7, on numpy
-arrays from 8) and diagonalised by implicit-shift QL on Python floats;
-phases of eigenvectors are fixed by an explicit convention, and matrix
+up to dimension 7 a Hermitian matrix is reduced to a real tridiagonal by
+Householder reflections and diagonalised by implicit-shift QL, all on
+Python scalars; from dimension 8 LAPACK (``np.linalg.eigh``) solves it.
+Phases of eigenvectors are fixed by an explicit convention, and matrix
 functions are evaluated through the spectral resolution rather than
 series.  A spectral resolution keeps its eigenvectors and forms a
 level's projector only when the level is read.
@@ -37,9 +37,10 @@ HERMITICITY_TOL = 1e-9
 # Eigenvalues closer than this are reported as one degenerate level.
 EIGENVALUE_MERGE_TOL = 1e-8
 
-# QL deflates a subdiagonal entry at or below this times the larger of 1
-# and the Frobenius norm of the input, over 2n, if not sooner.  (The name
-# is that of the cyclic Jacobi threshold this floor was first taken from.)
+# QL (up to ``_SCALAR_MAX_DIM``) deflates a subdiagonal entry at or below
+# this times the larger of 1 and the Frobenius norm of the input, over 2n,
+# if not sooner.  (The name is that of the cyclic Jacobi threshold this
+# floor was first taken from.)
 JACOBI_OFF_TOL = 1e-12
 
 # QL iterations allowed for one eigenvalue (``tqli`` in Numerical Recipes).
@@ -47,10 +48,10 @@ _QL_MAX_ITERATIONS = 30
 
 _EPS = sys.float_info.epsilon
 
-# Largest dimension reduced and rotated on Python scalars, where no bit
-# depends on BLAS or on numpy's SIMD loops; every solve behind the pinned
-# reports is at most 6.  From the next one up the same steps run on numpy
-# arrays, which a 64 x 64 reduction needs.
+# Largest dimension solved by the library's own QL on Python scalars,
+# where no bit depends on BLAS or on numpy's SIMD loops; every solve
+# behind the pinned reports is at most 6.  From the next one up LAPACK
+# solves.
 _SCALAR_MAX_DIM = 7
 
 # The running totals of this process, one record; ``counts()`` copies it.
@@ -101,9 +102,11 @@ def counts() -> dict[str, int]:
     """A copy of this process's running totals.
 
     ``eigensolves`` counts the ``_eigh`` solves, whichever way they came
-    in; ``sweeps`` the QL iterations of those (about two per eigenvalue,
-    none at n = 1); ``operator_checks`` and ``hermiticity_checks`` the
-    calls of ``as_operator`` and of ``hermiticity_defect``.
+    in and at every n; ``sweeps`` the QL iterations of those up to
+    ``_SCALAR_MAX_DIM`` (about two per eigenvalue, none at n = 1, none from
+    n = 8, where LAPACK solves); ``operator_checks`` and
+    ``hermiticity_checks`` the calls of ``as_operator`` and of
+    ``hermiticity_defect``.
     """
     return dict(_counts)
 
@@ -351,21 +354,14 @@ def _unit(z: complex) -> complex:
     return z / abs(z) if z else 1 + 0j
 
 
-def _phase_chain(s: list[complex]) -> list[complex]:
-    """``phi`` with ``phi_0 = 1`` and ``phi_{k+1} = phi_k _unit(s_k)``: the
-    diagonal of the ``D`` that makes the subdiagonal ``s`` real."""
-    phi = [1 + 0j]
-    for z in s:
-        phi.append(phi[-1] * _unit(z))
-    return phi
+def _tridiagonal_scalars(t: list[list[complex]]) -> tuple[list, list, list]:
+    """``(d, e, q^T)`` with ``a = q T q^dagger``, ``T`` real symmetric tridiagonal.
 
-
-def _tridiagonal_form(a: np.ndarray) -> tuple[list[float], list[float], np.ndarray]:
-    """``(d, e, q)`` with ``a = q T q^dagger``, ``T`` real symmetric tridiagonal.
-
-    ``d`` is the diagonal of ``T`` and ``e`` its subdiagonal, ``e[k]``
-    coupling ``k`` and ``k + 1``, with ``e[n - 1] = 0``, both lists of
-    Python floats; ``q`` is unitary.
+    ``t`` is ``a`` as its list of rows of Python complex numbers, which this
+    writes.  ``d`` is the diagonal of ``T`` and ``e`` its subdiagonal,
+    ``e[k]`` coupling ``k`` and ``k + 1``, with ``e[n - 1] = 0``, both lists
+    of Python floats; ``q`` is unitary and comes as the list of rows of
+    ``q^T`` (``q``'s columns).
 
     Reflection ``k`` (Golub & Van Loan, section 8.3.1) is
     ``H = I - 2 u u^dagger`` on indices ``k + 1..n-1``, with ``u`` the unit
@@ -378,50 +374,14 @@ def _tridiagonal_form(a: np.ndarray) -> tuple[list[float], list[float], np.ndarr
     The complex subdiagonal ``s`` this leaves is made real by
     ``D = diag(phi)``, ``phi_0 = 1`` and ``phi_{k+1} = phi_k s_k / |s_k|``:
     ``D^dagger T' D`` has subdiagonal ``|s_k|``, and ``q`` is
-    ``H_0 H_1 ... H_{n-3} D``, the reflections accumulated backwards.  Each
-    phase is ``_unit(z)``, as on the scalar path: modulus one to rounding
-    even where ``z`` is subnormal, and exactly +-1 for a real ``z``, so a
-    real input gives a real ``q``.  The caller's array is never written.
-    ``_tridiagonal_scalars`` takes the same steps on Python scalars.
-    """
-    n = a.shape[0]
-    t = np.array(a, dtype=complex)  # a C-order working copy
-    reflections = []
-    for k in range(n - 2):
-        x = t[k + 1 :, k]
-        norm = _frobenius_norm(x)
-        if norm == 0.0:
-            continue
-        phase = _unit(complex(x[0]))
-        u = x / norm
-        u[0] += phase
-        u /= _frobenius_norm(u)
-        b = t[k + 1 :, k + 1 :]
-        p = b @ u
-        uw = np.stack((u, p - np.vdot(u, p).real * u))
-        b -= (2.0 * uw.T) @ uw[::-1].conj()  # 2 (u w^dagger + w u^dagger)
-        t[k + 1, k] = -phase * norm
-        reflections.append((k, u))
-    s = t.diagonal(-1)
-    d = t.diagonal().real.tolist()
-    e = np.abs(s).tolist() + [0.0]
-    q = np.eye(n, dtype=complex)
-    for k, u in reversed(reflections):
-        block = q[k + 1 :, k + 1 :]
-        block -= np.outer(2.0 * u, u.conj() @ block)
-    q[:, 1:] *= _phase_chain(s.tolist())[1:]
-    return d, e, q
+    ``H_0 H_1 ... H_{n-3} D``, the reflections accumulated backwards into
+    ``q^T``, which starts as ``D``.
 
-
-def _tridiagonal_scalars(t: list[list[complex]]) -> tuple[list, list, list]:
-    """``_tridiagonal_form`` of the rows ``t`` (which it writes), with ``q^T``.
-
-    The same reflections on Python scalars, one entry at a time: norms by
-    ``_norm_of_scalars``, sums by ``_dot``, phases by ``_unit``.  No bit
-    depends on BLAS or numpy's SIMD loops, and a real input gives a real
-    ``q``.  ``q^T`` comes as its list of rows (``q``'s columns); it
-    starts as ``D``, which the reflections leave alone where they do not
-    act.
+    Everything runs on Python scalars, one entry at a time: norms by
+    ``_norm_of_scalars``, sums by ``_dot``, phases by ``_unit`` (modulus one
+    to rounding even where ``z`` is subnormal, and exactly +-1 for a real
+    ``z``).  No bit depends on BLAS or numpy's SIMD loops, and a real input
+    gives a real ``q``.
     """
     n = len(t)
     reflections = []
@@ -449,7 +409,9 @@ def _tridiagonal_scalars(t: list[list[complex]]) -> tuple[list, list, list]:
         reflections.append((k, u, u_bar))
     d = [t[i][i].real for i in range(n)]
     e = [abs(z) for z in s] + [0.0]
-    phi = _phase_chain(s)
+    phi = [1 + 0j]  # the diagonal of D
+    for z in s:
+        phi.append(phi[-1] * _unit(z))
     qt = [[phi[i] if i == j else 0j for j in range(n)] for i in range(n)]
     for k, u, u_bar in reversed(reflections):
         u = [2.0 * z for z in u]
@@ -459,37 +421,13 @@ def _tridiagonal_scalars(t: list[list[complex]]) -> tuple[list, list, list]:
     return d, e, qt
 
 
-# Masks of the largest rotation chain, ``_eigh``'s ``MAX_DIM + 1`` rows:
-# entries above the diagonal, and on or above it.  A chain of ``k`` rows
-# uses their leading ``k x k`` blocks.
-_ABOVE = np.triu(np.ones((MAX_DIM + 1, MAX_DIM + 1), dtype=bool), 1)
-_UPPER = np.triu(np.ones((MAX_DIM + 1, MAX_DIM + 1), dtype=bool))
-_ABOVE.flags.writeable = _UPPER.flags.writeable = False
-
-
-def _rotate_chain(z: np.ndarray, l: int, c: list[float], s: list[float]) -> None:
-    """Apply one QL iteration's rotations to rows ``l..l + k - 1`` of ``z``, as one product.
+def _rotate_rows(z: list[list[complex]], l: int, c: list[float], s: list[float]) -> None:
+    """Apply one QL iteration's rotations to rows ``l..l + k - 1`` of the list ``z``.
 
     ``c[j]``, ``s[j]`` (``j`` from 0 to ``k - 2``, relative to ``l``) rotate
     rows ``j`` and ``j + 1``, the highest ``j`` first, each to
-    ``c z_j - s z_{j+1}`` and ``s z_j + c z_{j+1}``.  Row ``j + 1`` is final
-    after rotation ``j``, so the chain is ``z <- G z`` with
-    ``G[0] = W[0]``, ``G[j + 1] = c_j W[j + 1] + s_j e_j`` and
-    ``W[j, i] = c_i (-s_j) (-s_{j+1}) ... (-s_{i-1})`` for ``i >= j``
-    (``c_{k-1} = 1``), the products a cumulative product along each row.
+    ``c z_j - s z_{j+1}`` and ``s z_j + c z_{j+1}``.
     """
-    k = len(c) + 1
-    cs = np.array(c + [1.0])
-    ss = np.array(s)
-    g = np.cumprod(np.where(_ABOVE[:k, :k], np.concatenate(([0.0], -ss)), 1.0), axis=1)
-    g = np.where(_UPPER[:k, :k], g * cs, 0.0)
-    g[1:] *= cs[:-1, None]
-    g.ravel()[k :: k + 1] = ss  # the subdiagonal
-    z[l : l + k] = g @ z[l : l + k]
-
-
-def _rotate_rows(z: list[list[complex]], l: int, c: list[float], s: list[float]) -> None:
-    """``_rotate_chain`` on a list of rows, one rotation after another."""
     for j in range(len(c) - 1, -1, -1):
         x = z[l + j]
         y = z[l + j + 1]
@@ -498,9 +436,9 @@ def _rotate_rows(z: list[list[complex]], l: int, c: list[float], s: list[float])
 
 
 def _ql_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel of ``_eigh``, for n >= 2.
+    """The scalar kernel of ``_eigh``, for 2 <= n <= ``_SCALAR_MAX_DIM``.
 
-    ``_tridiagonal_form`` reduces ``a`` to ``q T q^dagger``; then ``tqli``
+    ``_tridiagonal_scalars`` reduces ``a`` to ``q T q^dagger``; then ``tqli``
     of Numerical Recipes (section 11.3) diagonalises ``T = Z diag(d) Z^T``
     on Python floats: for each ``l`` in turn, the first ``m >= l`` whose
     subdiagonal entry is negligible is found, and while ``m > l`` one
@@ -512,37 +450,27 @@ def _ql_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     embedding) could iterate to the limit.  Each iteration adds one to
     ``counts()["sweeps"]``; the ``_QL_MAX_ITERATIONS``-th on one eigenvalue
     that leaves it unconverged raises ``ConvergenceError``.
-    From n = 8 the rotations of an iteration go into the rows of the real
-    ``Z^T`` as one product (``_rotate_chain``), and ``V = q Z`` is one
-    more.  Up to ``_SCALAR_MAX_DIM`` they go one at a time into the rows of
-    ``q^T`` (``_rotate_rows``), which leaves ``V^T = Z^T q^T``, and the
-    phase rule of ``_fix_column_phases`` runs on Python scalars too.
-    Up to ``_SCALAR_MAX_DIM`` an input whose entries below the diagonal
-    are all at or below the floor is already diagonal to that tolerance:
-    its stably sorted real diagonal and the identity's columns in that
-    order are returned with no reduction and no iteration.
+    The rotations go one at a time into the rows of ``q^T``
+    (``_rotate_rows``), which leaves ``V^T = Z^T q^T``, and the phase rule
+    of ``_fix_column_phases`` runs on Python scalars too.
+    An input whose entries below the diagonal are all at or below the
+    floor is already diagonal to that tolerance: its stably sorted real
+    diagonal and the identity's columns in that order are returned with no
+    reduction and no iteration.
     ``tqli`` ends an iteration early where the radius ``r`` underflows to
     zero; that exit is left out, since ``r >= |f|`` and ``f`` starts as an
     entry above the floor (a zero would raise ``ZeroDivisionError``, not
     return a wrong value).
     """
     n = a.shape[0]
-    scalars = n <= _SCALAR_MAX_DIM
-    if scalars:
-        t = a.tolist()
-        norm = _norm_of_scalars([x for row in t for x in row])
-    else:
-        norm = _frobenius_norm(a)
+    t = a.tolist()
+    norm = _norm_of_scalars([x for row in t for x in row])
     floor = JACOBI_OFF_TOL * max(1.0, norm) / (2.0 * n)
-    if scalars:
-        if all(abs(x) <= floor for i in range(1, n) for x in t[i][:i]):
-            d = [t[i][i].real for i in range(n)]
-            order = sorted(range(n), key=d.__getitem__)
-            return np.array([d[i] for i in order]), np.eye(n, dtype=complex)[order].T.copy()
-        d, e, z = _tridiagonal_scalars(t)  # z: q^T
-    else:
-        d, e, q = _tridiagonal_form(a)
-        z = np.eye(n)  # row j: the j-th eigenvector of T
+    if all(abs(x) <= floor for i in range(1, n) for x in t[i][:i]):
+        d = [t[i][i].real for i in range(n)]
+        order = sorted(range(n), key=d.__getitem__)
+        return np.array([d[i] for i in order]), np.eye(n, dtype=complex)[order].T.copy()
+    d, e, z = _tridiagonal_scalars(t)  # z: q^T
     for l in range(n):
         iterations = 0
         while True:
@@ -587,12 +515,10 @@ def _ql_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             d[l] -= p
             e[l] = g
             e[m] = 0.0
-            (_rotate_rows if scalars else _rotate_chain)(z, l, cs[::-1], ss[::-1])
+            _rotate_rows(z, l, cs[::-1], ss[::-1])
 
     order = sorted(range(n), key=d.__getitem__)  # stable, as argsort(kind="stable")
     eigenvalues = np.array([d[i] for i in order])
-    if not scalars:
-        return eigenvalues, _fix_column_phases((q @ z.T)[:, order])
     columns = []
     for j in order:
         magnitudes = [abs(x) for x in z[j]]
@@ -620,8 +546,9 @@ def jacobi_eigh(h) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     ConvergenceError
-        If an eigenvalue is not deflated after ``_QL_MAX_ITERATIONS`` QL
-        iterations.
+        If, up to ``_SCALAR_MAX_DIM``, an eigenvalue is not deflated after
+        ``_QL_MAX_ITERATIONS`` QL iterations, or if, from n = 8, LAPACK
+        reports that it did not converge (``np.linalg.LinAlgError``).
     """
     return _eigh(_hermitian_input(h)[1])
 
@@ -646,28 +573,49 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``(d1 + d2)``-dimensional embedding of a state with ``d1 * d2`` entries,
     which is 65 for a 1 x 64 or 64 x 1 split.  Nothing is checked.
 
-    Every n >= 2 goes to ``_ql_eigh``: Householder tridiagonalisation (on
-    Python scalars up to ``_SCALAR_MAX_DIM``, where every solve behind the
-    pinned reports runs) and implicit-shift QL, ending with the stable
+    Up to ``_SCALAR_MAX_DIM``, where every solve behind the pinned reports
+    runs, ``_ql_eigh`` solves on Python scalars: Householder
+    tridiagonalisation and implicit-shift QL, ending with the stable
     ascending sort and the phase rule of ``_fix_column_phases``.  QL gives
     up on an eigenvalue after ``_QL_MAX_ITERATIONS`` iterations with a
     ``ConvergenceError``; every iteration is added to ``counts()["sweeps"]``.
+    From n = 8 ``_lapack_eigh`` solves, and no iteration is counted.
 
-    An entry above 2^500 could overflow the squares in the norms: such a
-    matrix is solved divided by a power of two (exactly) and its eigenvalues
-    scaled back; one beyond the float range raises ``ValueError``.
+    An entry above 2^500 could overflow the squares in the scalar norms,
+    and an eigenvalue could leave the float range: such a matrix is solved
+    divided by a power of two (exactly), by either kernel, and its
+    eigenvalues scaled back; one beyond the float range raises
+    ``ValueError``.
     """
     _counts["eigensolves"] += 1
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), np.eye(1, dtype=complex)
+    solve = _ql_eigh if n <= _SCALAR_MAX_DIM else _lapack_eigh
     if np.abs(a).max() <= 2.0**500:
-        return _ql_eigh(a)
+        return solve(a)
     k = max(math.frexp(float(np.abs(x).max()))[1] for x in (a.real, a.imag))
-    eigenvalues, v = _ql_eigh(a * 2.0**-k)
+    eigenvalues, v = solve(a * 2.0**-k)
     if math.frexp(float(np.abs(eigenvalues).max()))[1] + k > 1024:
         raise ValueError("an eigenvalue exceeds the float range")
     return np.ldexp(eigenvalues, k), v
+
+
+def _lapack_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of ``_eigh`` from n = 8: LAPACK's ``zheevd``, through
+    ``np.linalg.eigh``, then the phase rule of ``_fix_column_phases``.
+
+    LAPACK returns the eigenvalues ascending.  Its ``LinAlgError`` (no
+    convergence) is raised as ``ConvergenceError``, so a caller sees one
+    error type for a solve that failed at any n.
+    """
+    try:
+        eigenvalues, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"LAPACK diagonalisation of a dimension-{a.shape[0]} matrix failed: {exc}"
+        ) from None
+    return eigenvalues, _fix_column_phases(vectors)
 
 
 @dataclass(frozen=True, eq=False)

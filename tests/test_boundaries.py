@@ -450,17 +450,34 @@ def test_boundary_returns(name):
 
 
 def test_ql_kernel_gives_up_after_its_last_allowed_iteration(monkeypatch):
+    # The largest dimension QL solves; from n = 8 LAPACK does.
     monkeypatch.setattr(la, "_QL_MAX_ITERATIONS", 1)
     rng = np.random.default_rng(3)
-    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    g = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     before = la.counts()["sweeps"]
     with pytest.raises(
         la.ConvergenceError,
-        match=r"QL diagonalisation of a dimension-8 matrix stopped after 1 iterations on "
-        r"eigenvalue 0 with subdiagonal entry \S+e\+00, above the threshold 5\.364e-13",
+        match=r"QL diagonalisation of a dimension-7 matrix stopped after 1 iterations on "
+        r"eigenvalue 0 with subdiagonal entry \S+e-01, above the threshold 5\.157e-13",
     ):
         la.jacobi_eigh(0.5 * (g + g.conj().T))
     assert la.counts()["sweeps"] - before == 1
+
+
+def test_lapack_failure_is_a_convergence_error(monkeypatch):
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    before = la.counts()
+    with pytest.raises(
+        la.ConvergenceError,
+        match=r"^LAPACK diagonalisation of a dimension-8 matrix failed: "
+        r"Eigenvalues did not converge$",
+    ):
+        la.jacobi_eigh(np.diag(np.arange(8.0)))
+    after = la.counts()
+    assert (after["eigensolves"] - before["eigensolves"], after["sweeps"] - before["sweeps"]) == (1, 0)
 
 
 def test_as_density_takes_a_bare_vector():

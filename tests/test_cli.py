@@ -428,6 +428,24 @@ def test_eigensolve_that_does_not_converge_exits_two(tmp_path, capsys, monkeypat
     assert err.count("\n") == 1
 
 
+def test_lapack_solve_that_does_not_converge_exits_two(tmp_path, capsys, monkeypatch):
+    # From n = 8 LAPACK solves; its LinAlgError is a ConvergenceError.
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    path = tmp_path / "observable.json"
+    entries = np.diag(np.arange(8.0)).ravel().tolist()
+    path.write_text(json.dumps({"dim": 8, "re": entries, "im": [0.0] * 64}))
+    code, out, err = run(capsys, ["boolean-lattice", "--observable", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: LAPACK diagonalisation of a dimension-8 matrix failed: "
+        "Eigenvalues did not converge\n"
+    )
+
+
 def test_nearly_hermitian_observable_is_decomposed(tmp_path, capsys):
     # Hermitian to within 1e-9; its 1e-10 anti-Hermitian part is above
     # the 1e-12 solver floor, so the eigensolver solves its Hermitian part.

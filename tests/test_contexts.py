@@ -92,6 +92,17 @@ def test_partial_support_excludes_missing_eigenvalues():
     assert list(report.excluded_eigenvalues) == pytest.approx([3.0])
 
 
+def test_support_of_a_complex_state_takes_the_conjugate_overlap():
+    # sigma_y's eigenvectors are (1, +-i)/sqrt(2), and psi is the +1 one:
+    # <v|psi> is 1 on +1 and 0 on -1, where the unconjugated sum of
+    # v_k psi_k gives the reverse.
+    psi = PureState(np.array([1.0, 1.0j]) / np.sqrt(2.0))
+    report = check_representative(luders_nonselective(context(psi, observable(la.SIGMA_Y))))
+    assert report.representative
+    assert report.support_eigenvalues == pytest.approx((1.0,))
+    assert report.excluded_eigenvalues == pytest.approx((-1.0,))
+
+
 def test_representativeness_refuses_mixed_state():
     mixed = DensityOperator(0.5 * np.eye(2, dtype=complex))
     cs = luders_nonselective(context(mixed, SIGMA_Z_OBS))

@@ -70,6 +70,17 @@ def test_direction_normalized_neither_overflows_nor_underflows(components, want)
     assert (d.x, d.y, d.z) == pytest.approx(want, abs=1e-15)
 
 
+def test_direction_normalized_takes_subnormal_components():
+    # hypot(5e-324, 5e-324) rounds to 5e-324 on the subnormal grid, which
+    # made each quotient 1.0 and the result no unit vector.  Components
+    # scaled into the normal range first are exact, so is the result to
+    # rounding (unscaled, the second was 3e-15 off).
+    d = Direction.normalized(5e-324, 5e-324, 0)
+    assert (d.x, d.y, d.z) == pytest.approx((0.5**0.5, 0.5**0.5, 0.0), abs=1e-15)
+    d = Direction.normalized(-1e-310, 0.0, 2e-310)
+    assert (d.x, d.y, d.z) == pytest.approx((-(0.2**0.5), 0.0, 0.8**0.5), abs=1e-15)
+
+
 def test_direction_normalized_refuses_the_zero_vector():
     with pytest.raises(ValueError, match="zero vector"):
         Direction.normalized(0.0, 0.0, 0.0)

@@ -48,17 +48,17 @@ def test_suite_makes_281_eigensolves_in_156_sweeps(eigensolves):
     assert after["sweeps"] - before["sweeps"] == 156
 
 
-def test_a_seeded_d64_solve_takes_140_ql_iterations(eigensolves):
-    # From n = 8 the sweeps count QL iterations: 140 here, 2.2 an
-    # eigenvalue (the same host gives 140 under numpy's x86-64 baseline
-    # tier and OPENBLAS_CORETYPE=Prescott).  Round-robin Jacobi took 7
-    # sweeps of 63 rounds on inputs like this.
+def test_a_seeded_d64_solve_is_one_eigensolve_and_no_sweep(eigensolves):
+    # From n = 8 LAPACK solves: the solve is counted, and no QL iteration
+    # is (the library's own QL took 140 on this input, 2.2 an eigenvalue).
     rng = np.random.default_rng(64)
     g = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     h = 0.5 * (g + g.conj().T)
-    swept = linalg.counts()["sweeps"]
+    before = linalg.counts()
     linalg.jacobi_eigh(h)
-    assert linalg.counts()["sweeps"] - swept == 140
+    after = linalg.counts()
+    assert after["eigensolves"] - before["eigensolves"] == 1
+    assert after["sweeps"] - before["sweeps"] == 0
     assert eigensolves == [64]
 
 

@@ -15,7 +15,7 @@ a report, rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff.
 
 ``work.json`` pins the work each invocation does: its ``linalg.counts()``
-deltas (eigensolves, QL iterations, operator and Hermiticity checks),
+deltas (eigensolves, QL iterations at n <= 7, operator and Hermiticity checks),
 which depend only on the code path.  It pins the same for each task of
 the benchmark's ``scale`` workload (``perfbench/workloads.py``) on the
 inputs of its seed 0, as the rows ``scale:<task>``: solves at d = 16-64

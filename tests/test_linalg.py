@@ -1,8 +1,9 @@
 """Operator core: eigensolver, tensor calculus, spectral utilities.
 
-The eigensolver is checked against numpy's LAPACK routine as an
-independent oracle; everything downstream relies on it, so it gets the
-densest coverage.
+Up to n = 7 the eigensolver is the library's own QL, checked against
+numpy's LAPACK routine as an independent oracle; from n = 8 it is LAPACK,
+checked by residual and orthogonality bounds and by the phase rule.
+Everything downstream relies on it, so it gets the densest coverage.
 """
 
 import cmath
@@ -137,8 +138,10 @@ _LARGE_INPUTS = {
         random_hermitian(4, seed=44), random_hermitian(4, seed=45)
     ),
     "zero_leading_entry_8": lambda: _with_zero_leading_entry(random_hermitian(8, seed=80)),
-    # The floor deflates the zero block of a 1 x 7 Schmidt embedding.
+    # A 1 x 7 Schmidt embedding, and the 1 x 64 one that ``schmidt``
+    # solves at MAX_DIM + 1.
     "jordan_wielandt_1x7": lambda: _jordan_wielandt(1, 7, seed=17),
+    "jordan_wielandt_1x64": lambda: _jordan_wielandt(1, 64, seed=164),
     # Exact-zero entries throughout, and four doubly degenerate levels.
     "pauli8": lambda: _pauli_sum([(1.0, "xzi"), (0.5, "zzy"), (0.3, "ixx"), (0.2, "yiz")]),
 }
@@ -146,9 +149,27 @@ _LARGE_INPUTS = {
 
 @pytest.mark.parametrize("make", _LARGE_INPUTS.values(), ids=_LARGE_INPUTS)
 def test_round_robin_agrees_with_lapack(make):
-    # From n = 8: Householder on numpy arrays, then QL.
+    # From n = 8 LAPACK solves, so it is no oracle here: the eigenpairs
+    # are checked by their residual and orthogonality instead, each within
+    # a small multiple of n eps (measured: at most 0.55 and 2.3 times n eps
+    # under OpenBLAS's SkylakeX, Haswell, Sandybridge and Prescott kernel
+    # sets), and by the phase rule.  Every input is exactly Hermitian,
+    # so the 65 x 65 embedding, above what jacobi_eigh accepts, goes to
+    # the kernel directly, as in schmidt.
     h = make()
-    _assert_agrees_with_lapack(h, *la.jacobi_eigh(h))
+    n = len(h)
+    values, vectors = (la.jacobi_eigh if n <= la.MAX_DIM else la._eigh)(h)
+    eps = np.finfo(float).eps
+    assert np.all(np.diff(values) >= 0.0)
+    assert np.linalg.norm(h @ vectors - vectors * values) <= 4 * n * eps * np.linalg.norm(h)
+    assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)) <= 8 * n * eps
+    # The lead entry of each column, the first whose magnitude is the
+    # largest to rounding (so the lowest index of a tie), is real positive.
+    magnitudes = np.abs(vectors)
+    lead = (magnitudes >= (1.0 - 4 * eps) * magnitudes.max(axis=0)).argmax(axis=0)
+    z = vectors[lead, np.arange(n)]
+    assert np.all(z.real > 0.0)
+    assert np.all(np.abs(z.imag) <= eps * z.real)
 
 
 _SMALL_INPUTS = {
@@ -180,9 +201,9 @@ def test_scalar_path_agrees_with_lapack(make):
 
 @pytest.mark.parametrize("n", [*range(2, 8), 8, 16, 64])
 def test_a_real_symmetric_input_gives_exactly_real_eigenvectors(n):
-    # Every phase, on the scalar path up to n = 7 and the numpy path from
-    # n = 8, is z / |z|, exactly +-1 for a real z; exp(i arg z) would turn
-    # -1 into -1 + 1.2e-16j.
+    # Every phase, on the scalar path up to n = 7 and after LAPACK from
+    # n = 8, is a conjugate over |z|, exactly +-1 for a real z;
+    # exp(i arg z) would turn -1 into -1 + 1.2e-16j.
     rng = np.random.default_rng(1100 + n)
     inputs = [(lambda g: g + g.T)(rng.normal(size=(n, n))) for _ in range(20)]
     u, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -205,26 +226,26 @@ def _iterations(h):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16, 32, 64])
 def test_ql_takes_at_most_two_and_a_half_iterations_per_eigenvalue(n):
-    # Convergence is cubic: 2.1-2.3 an eigenvalue on dense inputs from
-    # n = 8; a 2 x (n - 2) Schmidt embedding has at most four non-zero
-    # eigenvalues and the floor deflates its zero block, so it takes 7 at
-    # every n from 8.
+    # Convergence is cubic; a 2 x (n - 2) Schmidt embedding has at most
+    # four non-zero eigenvalues and the floor deflates its zero block.
+    # From n = 8 LAPACK solves and no iteration is counted.
+    scalar = n <= la._SCALAR_MAX_DIM
     for h in (
         random_hermitian(n, seed=800 + n),
         random_hermitian(n, seed=900 + n),
         _jordan_wielandt(n // 2, n // 2, seed=n),
     ):
-        assert _iterations(h) <= 2.5 * n
+        assert _iterations(h) <= (2.5 * n if scalar else 0)
     if n > 2:
-        assert _iterations(_jordan_wielandt(2, n - 2, seed=n)) <= 8
+        assert _iterations(_jordan_wielandt(2, n - 2, seed=n)) <= (8 if scalar else 0)
 
 
 def test_ql_iterations_on_repeated_levels():
     # Levels in -2..2, each about n/5 times: a repeated level deflates as a
-    # block, so these take 1.0-1.7 iterations an eigenvalue.
+    # block, so these take 0.25-1.75 iterations an eigenvalue.
     counts = []
     sizes = []
-    for n in (8, 16, 32, 64):
+    for n in (4, 5, 6, 7):
         for seed in range(3):
             counts.append(_iterations(_repeated_levels(n, seed=1000 * n + seed)))
             sizes.append(n)
@@ -282,7 +303,7 @@ def _pauli_sum(terms):
     return out
 
 
-# paths of the QL kernel, on numpy arrays from n = 8 and on Python scalars below
+# paths of the QL kernel on Python scalars up to n = 7, and LAPACK from n = 8
 
 
 def test_ql_makes_no_iteration_on_a_diagonal_input():
@@ -316,13 +337,23 @@ def test_ql_deflates_subdiagonal_entries_near_1e300_without_warning():
         diagonal = [0.5, -1.0, 2.0, 0.0, 3.0, -2.5, 1.0, 1.5][:n]
         subdiagonal = 1e-300 * np.exp(1j * np.arange(1, n))
         dense_tiny = 1e-300 * random_hermitian(n, seed=300 + n % 8)
+        order = np.argsort(diagonal)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             before = la.counts()["sweeps"]
             values, vectors = la.jacobi_eigh(_tridiagonal(diagonal, subdiagonal))
-            assert la.counts()["sweeps"] == before  # the floor deflates every entry
-            assert values.tolist() == sorted(diagonal)
-            assert np.abs(np.abs(vectors) - np.eye(n)[:, np.argsort(diagonal)]).max() <= 1e-15
+            assert la.counts()["sweeps"] == before
+            if n <= la._SCALAR_MAX_DIM:
+                # The absolute floor deflates every entry: the exact diagonal.
+                assert values.tolist() == sorted(diagonal)
+                assert np.abs(np.abs(vectors) - np.eye(n)[:, order]).max() <= 1e-15
+            else:
+                # LAPACK's relative tests return 0.9999999999999996 and the
+                # like: within n eps |T| of the diagonal (backward error),
+                # and the vectors within that over the least gap, 0.5.
+                bound = n * np.finfo(float).eps * max(map(abs, diagonal))
+                assert np.abs(values - np.sort(diagonal)).max() <= bound
+                assert np.abs(np.abs(vectors) - np.eye(n)[:, order]).max() <= bound / 0.5
             # Squares of these entries underflow, so every column norm is 0.
             tiny_values, _ = la.jacobi_eigh(dense_tiny)
         assert np.abs(tiny_values).max() <= 1e-12
@@ -408,10 +439,11 @@ def test_sweep_count_follows_the_ql_iterations(monkeypatch):
     assert swept(np.eye(1)) == 0
     assert swept(np.diag([3.0, -1.0, 2.0])) == 0  # every entry deflated at once
     assert swept(np.array([[1.0, 2.0], [2.0, 3.0]])) == 1
-    # About two an eigenvalue at every n, against a limit of
-    # _QL_MAX_ITERATIONS (30) on each: 7 at n = 4 and 36 at n = 16 here.
+    # About two an eigenvalue up to n = 7, against a limit of
+    # _QL_MAX_ITERATIONS (30) on each: 7 at n = 4 here.  From n = 8
+    # LAPACK solves, and no iteration is counted.
     assert 4 <= swept(random_hermitian(4, seed=7)) <= 2.5 * 4
-    assert 16 <= swept(random_hermitian(16, seed=7)) <= 2.5 * 16
+    assert swept(random_hermitian(16, seed=7)) == 0
     # A solve that gives up has made every iteration it was allowed.
     monkeypatch.setattr(la, "_QL_MAX_ITERATIONS", 2)
     before = la.counts()["sweeps"]

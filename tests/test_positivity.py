@@ -141,11 +141,14 @@ def test_the_stored_matrix_is_the_input_when_not_exactly_hermitian():
 
 
 
-@pytest.mark.parametrize("lowest, accepted", [(-0.5e-9, True), (-2e-9, False)])
-def test_a_near_singular_64x64_state_is_decided_by_the_ql_solve(eigensolves, lowest, accepted):
-    # Half the spectrum is zero, so the shifted Cholesky factor fails and
-    # the n >= 8 kernel decides.  Its stopping rule is absolute, so the
-    # minimum must come out within far less than the 1e-9 margin.
+@pytest.mark.parametrize("lowest, accepted", [(-0.8e-9, True), (-2e-9, False)])
+def test_a_near_singular_64x64_state_is_decided_by_its_eigensolve(eigensolves, lowest, accepted):
+    # Half the spectrum is zero and the minimum sits at least 0.3e-9 below
+    # the Cholesky shift of -0.5e-9, so the shifted factor fails on every
+    # BLAS kernel set and the eigenvalue rule decides, on one solve at
+    # n = 64.  (A minimum of exactly -0.5e-9 sits on the shift, where the
+    # factor exists on some kernel sets and not on others.)  The minimum
+    # must come out within far less than the 1e-9 margin.
     w = _hermitian_part(_states(64, lowest, seed=0)[0])
     assert _decide(w) == (
         (True, None) if accepted else (False, "density operator has negative eigenvalue -2.000e-09")
