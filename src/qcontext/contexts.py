@@ -36,7 +36,7 @@ SUPPORT_TOL = 1e-8
 REPRESENTATIVE_TOL = 1e-9
 
 # Largest number of distinct eigenvalues the lattice check will expand
-# into subsets (2^k elements, all pairs compared).
+# into subsets (2^k elements, each unordered pair compared).
 _LATTICE_MAX_LEVELS = 8
 
 
@@ -281,7 +281,12 @@ def sequential_luders(w, sequence: list[Observable]) -> DensityOperator:
 
 @dataclass(frozen=True)
 class BooleanLatticeReport:
-    """Closure and probability checks for one context's event algebra."""
+    """Closure and probability checks for one context's event algebra.
+
+    ``max_defect`` is the largest gap over every check, with each
+    unordered pair of events' meet and join taken once: every event is
+    exactly Hermitian, so the pair (t, s) repeats (s, t) transposed.
+    """
 
     element_count: int
     projectors_orthogonal: bool
@@ -315,7 +320,12 @@ def boolean_lattice_check(
     the report confirms the generators are orthogonal and complete, that
     meet, join and complement stay inside the set, and that event
     probabilities behave additively on a batch of states (a fixed seeded
-    batch of twenty when none is supplied).
+    batch of twenty when none is supplied).  Meet and join are checked
+    once for each unordered pair of events, the pair of an event with
+    itself included: every event is a sum of projectors formed as
+    (p + p^dagger) / 2, so Hermitian bit for bit, and the meet and join
+    of (t, s) are the conjugate transposes of those of (s, t), with the
+    same gaps.
     """
     k = len(a.spectrum.eigenvalues)
     if k > _LATTICE_MAX_LEVELS:
@@ -339,34 +349,38 @@ def boolean_lattice_check(
     for s in range(1, full + 1):
         elements[s] = elements[s & (s - 1)] + projectors[k - (s & -s).bit_length()]
 
-    # Orthogonality is read off the meet table's atom rows and columns,
-    # P_i P_j; completeness off row 0 of the complement table, I - sum P_i.
-    # The scan writes into three buffers allocated once a call; every
-    # operation and operand order is that of the plain expressions in the
-    # comments, so every bit is too.
+    # Row s scans only t >= s, each unordered pair once (the docstring says
+    # why), keeping the diagonal t = s, where P^2 = P is checked.
+    # Orthogonality is read off the meet table's atom rows at atom columns
+    # t >= s, each P_i P_j with i <= j once; completeness off row 0 of the
+    # complement table, I - sum P_i.  The scan writes into three buffers
+    # allocated once a call; every operation and operand order is that of
+    # the plain expressions in the comments, so every bit is too.
     meets = np.empty_like(elements)
     work = np.empty_like(elements)
     gaps = np.empty(elements.shape)
     orthogonal = meet_ok = join_ok = True
     for s in range(full + 1):
-        np.matmul(elements[s], elements, out=meets)  # elements[s] @ elements
-        np.take(elements, s & index, axis=0, out=work, mode="clip")
-        np.subtract(meets, work, out=work)
-        np.abs(work, out=gaps)  # |meets - elements[s & index]|
-        err = float(gaps.max())
+        upper, meet, w, gap = elements[s:], meets[s:], work[s:], gaps[s:]
+        np.matmul(elements[s], upper, out=meet)  # elements[s] @ upper
+        np.take(elements, s & index[s:], axis=0, out=w, mode="clip")
+        np.subtract(meet, w, out=w)
+        np.abs(w, out=gap)  # |meet - elements[s & index[s:]]|
+        err = float(gap.max())
         defect = max(defect, err)
         if err >= tol:
             meet_ok = False
-        if s in atoms and gaps[atoms].max() >= tol:
+        if s in atoms and gap[[t - s for t in atoms if t >= s]].max() >= tol:
             orthogonal = False
-        np.add(elements[s], elements, out=work)
-        work -= meets  # the joins, elements[s] + elements - meets
-        np.take(elements, s | index, axis=0, out=meets, mode="clip")
-        work -= meets
-        err = float(np.abs(work, out=gaps).max())  # |joins - elements[s | index]|
+        np.add(elements[s], upper, out=w)
+        w -= meet  # the joins, elements[s] + upper - meet
+        np.take(elements, s | index[s:], axis=0, out=meet, mode="clip")
+        w -= meet
+        err = float(np.abs(w, out=gap).max())  # |joins - elements[s | index[s:]]|
         defect = max(defect, err)
         if err >= tol:
             join_ok = False
+    del gap  # a view, which would keep the gaps buffer alive past its rebinding below
     np.subtract(np.eye(dim), elements, out=work)
     np.take(elements, full ^ index, axis=0, out=meets, mode="clip")
     work -= meets

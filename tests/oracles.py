@@ -3,7 +3,9 @@
 The search and lattice check are the tuple-and-dict versions of the
 vectorised combinatorial routines; tests require the library to return
 results equal to these under ``==``, down to the last bit of
-``max_defect``.
+``max_defect``.  The lattice check, as the library's, takes each
+unordered pair of projectors and of events once: every event is exactly
+Hermitian, so the product of (j, i) is that of (i, j) transposed.
 ``tensor``, ``fix_column_phases`` and ``spectral_decompose`` are the
 kernel helpers as they were written with numpy's Python-level functions
 (``np.kron``, ``np.diag``, ``np.mean``); tests require ``tobytes()``
@@ -196,7 +198,7 @@ def boolean_lattice_check(a, states=None, tol: float = 1e-9) -> BooleanLatticeRe
 
     orthogonal = True
     for i in range(k):
-        for j in range(k):
+        for j in range(i, k):
             prod = projectors[i] @ projectors[j]
             target = projectors[i] if i == j else np.zeros_like(prod)
             err = float(np.abs(prod - target).max())
@@ -218,8 +220,8 @@ def boolean_lattice_check(a, states=None, tol: float = 1e-9) -> BooleanLatticeRe
     }
 
     meet_ok = join_ok = True
-    for s in subsets:
-        for t in subsets:
+    for i, s in enumerate(subsets):
+        for t in subsets[i:]:
             meet_bits = tuple(x & y for x, y in zip(s, t))
             join_bits = tuple(x | y for x, y in zip(s, t))
             meet = elements[s] @ elements[t]

@@ -14,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from qcontext import contextuality
-from qcontext.contexts import boolean_lattice_check, observable
+from qcontext.contexts import Observable, boolean_lattice_check, observable
 from qcontext.contextuality import (
     ValueAssignmentProblem,
     mermin_peres_square,
     search_noncontextual_assignment,
 )
+from qcontext.linalg import SpectralDecomposition
 from qcontext.sampling import random_density
 
 
@@ -211,3 +212,26 @@ def test_lattice_matches_oracle_when_a_check_fails():
     report = boolean_lattice_check(obs, tol=0.0)
     assert not report.all_hold
     assert report == oracles.boolean_lattice_check(obs, tol=0.0)
+
+
+@pytest.mark.parametrize("tamper", ["column_1_leans_on_column_0", "column_2_stretched"])
+def test_lattice_fails_on_generators_that_are_not_orthogonal_projectors(tamper):
+    # Eigenvectors that are no longer orthonormal give generators that
+    # really fail, at the default tolerance, each by about 1e-3.  In the
+    # first case column 1 stays a unit vector, so each P_i is still
+    # idempotent and what fails is P_0 P_1 != 0; in the second, P_2^2 != P_2.
+    good = _observable_with_levels(np.random.default_rng(4), [0.0, 1.0, 2.0, 3.0])
+    vectors = good.spectrum.vectors.copy()
+    if tamper == "column_1_leans_on_column_0":
+        vectors[:, 1] += 1e-3 * vectors[:, 0]
+        vectors[:, 1] /= np.linalg.norm(vectors[:, 1])
+    else:
+        vectors[:, 2] *= 1.0 + 1e-3
+    spectrum = SpectralDecomposition(good.spectrum.eigenvalues, vectors, good.spectrum.multiplicities)
+    obs = Observable(matrix=good.matrix, spectrum=spectrum)
+    report = boolean_lattice_check(obs)
+    assert not report.projectors_orthogonal
+    assert not report.closed_under_meet
+    assert not report.closed_under_join
+    assert 1e-4 < report.max_defect < 1e-2
+    assert report == oracles.boolean_lattice_check(obs)
