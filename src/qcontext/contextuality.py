@@ -44,8 +44,10 @@ class ValueAssignmentProblem:
     ``labels`` name the observables and must be distinct strings; indices
     and signs are integers (not bools), stored like the labels as tuples.
     Construction verifies every constraint numerically; a corrupted
-    problem never comes into existence.  ``identity_defect`` keeps the
-    largest entry of any ``product - sign * I`` it measured on the way.
+    problem never comes into existence, and an observable whose square
+    leaves the float range raises ``ValueError``.  ``identity_defect``
+    keeps the largest entry of any ``product - sign * I`` it measured on
+    the way.
     """
 
     observables: tuple[np.ndarray, ...] = field(repr=False)
@@ -84,14 +86,17 @@ class ValueAssignmentProblem:
             )
         dim = mats[0].shape[0]
         eye = np.eye(dim)
-        for label, m in zip(self.labels, mats):
-            if m.shape[0] != dim:
-                raise la.DimensionError("observables live on different spaces")
-            defect = float(np.abs(m @ m - eye).max())
-            if defect >= CONSTRAINT_TOL:
-                raise ValueError(
-                    f"observable {label!r} does not square to I (defect {defect:.3e})"
-                )
+        # Past this loop each observable squares to I, so its entries are
+        # about 1 at most and no product below can overflow.
+        with la._float_range("observable square"):
+            for label, m in zip(self.labels, mats):
+                if m.shape[0] != dim:
+                    raise la.DimensionError("observables live on different spaces")
+                defect = float(np.abs(m @ m - eye).max())
+                if defect >= CONSTRAINT_TOL:
+                    raise ValueError(
+                        f"observable {label!r} does not square to I (defect {defect:.3e})"
+                    )
         worst = 0.0
         for ctx, sign in zip(self.contexts, self.signs):
             if any(i < 0 or i >= n for i in ctx):
@@ -321,21 +326,19 @@ def value_dependence_demo(
     Requires [A, B] = 0 and [A, C] = 0 but [B, C] != 0.  Compares the
     A-outcome distributions of three preparations (the state directly,
     after a non-selective B measurement, after a non-selective C
-    measurement) and the prepared states themselves.
+    measurement) and the prepared states themselves.  A commutator that
+    leaves the float range raises ``ValueError``.
     """
     rho = as_density(w)
     if not a.dim == b.dim == c.dim:
         raise la.DimensionError(f"commutators need equal dimensions, got {a.dim}, {b.dim}, {c.dim}")
-    for label, first, second in (("A,B", a, b), ("A,C", a, c)):
-        defect = la._commutator_defect(first.matrix, second.matrix)
-        if defect >= tol:
-            raise ValueError(
-                f"[{label}] must vanish, max entry {defect:.3e}"
-            )
-    if la._commutator_defect(b.matrix, c.matrix) < tol:
-        raise ValueError(
-            "B and C commute; the comparison needs incompatible partners"
-        )
+    with la._float_range("commutator"):
+        for label, first, second in (("A,B", a, b), ("A,C", a, c)):
+            defect = la._commutator_defect(first.matrix, second.matrix)
+            if defect >= tol:
+                raise ValueError(f"[{label}] must vanish, max entry {defect:.3e}")
+        if la._commutator_defect(b.matrix, c.matrix) < tol:
+            raise ValueError("B and C commute; the comparison needs incompatible partners")
 
     def distribution(state: DensityOperator) -> dict[float, float]:
         return _level_weights(a.spectrum, la._to_basis(a.spectrum.vectors, state.matrix))

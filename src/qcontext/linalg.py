@@ -135,7 +135,8 @@ def _list_of(values, ok) -> bool:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """``(M + M^dagger) / 2`` of a square complex array; unchecked."""
+    """``(M + M^dagger) / 2`` of a square complex array the library built;
+    unchecked.  Outside input is symmetrised by ``_hermitian_input``."""
     return 0.5 * (m + m.conj().T)
 
 
@@ -167,20 +168,30 @@ def hermiticity_defect(m: np.ndarray) -> float:
         return float(np.abs(a - a.conj().T).max())
 
 
-def _checked_hermitian(m) -> tuple[np.ndarray, float]:
-    """``m`` validated as a Hermitian complex array, with its defect."""
-    a = as_operator(m)
+def _hermitian_input(h) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, h_exact)``: ``h`` validated as Hermitian, and the exactly
+    Hermitian array the kernels take for it.
+
+    The one gate of every Hermitian input from outside the library:
+    ``as_operator``, then ``hermiticity_defect`` below ``HERMITICITY_TOL``
+    or ``ValueError``.  ``h_exact`` is ``a`` itself when ``h`` is exactly
+    Hermitian, and its Hermitian part ``(H + H^dagger)/2`` otherwise,
+    halved before the sum, so that no finite input overflows there.
+    """
+    a = as_operator(h)
     defect = hermiticity_defect(a)
     if defect >= HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max |H - H^dagger| entry = {defect:.3e}"
         )
-    return a, defect
+    # Outside input may sit near the float limit, where A + A^dagger overflows.
+    return a, (0.5 * a + 0.5 * a.conj().T if defect else a)
 
 
 def require_hermitian(m) -> np.ndarray:
-    """Validate ``m`` as Hermitian, returning it as a complex array."""
-    return _checked_hermitian(m)[0]
+    """Validate ``m`` as Hermitian, returning it as a complex array
+    (``_hermitian_input``'s first array: the input, not its Hermitian part)."""
+    return _hermitian_input(m)[0]
 
 
 @contextlib.contextmanager
@@ -436,7 +447,7 @@ def _rotate_rows(z: list[list[complex]], l: int, c: list[float], s: list[float])
 
 
 def _ql_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The scalar kernel of ``_eigh``, for 2 <= n <= ``_SCALAR_MAX_DIM``.
+    """The scalar kernel of ``_eigh``, for 1 <= n <= ``_SCALAR_MAX_DIM``.
 
     ``_tridiagonal_scalars`` reduces ``a`` to ``q T q^dagger``; then ``tqli``
     of Numerical Recipes (section 11.3) diagonalises ``T = Z diag(d) Z^T``
@@ -456,7 +467,7 @@ def _ql_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     An input whose entries below the diagonal are all at or below the
     floor is already diagonal to that tolerance: its stably sorted real
     diagonal and the identity's columns in that order are returned with no
-    reduction and no iteration.
+    reduction and no iteration; so is every input at n = 1.
     ``tqli`` ends an iteration early where the radius ``r`` underflows to
     zero; that exit is left out, since ``r >= |f|`` and ``f`` starts as an
     entry above the floor (a zero would raise ``ZeroDivisionError``, not
@@ -531,11 +542,12 @@ def _ql_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def jacobi_eigh(h) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalise a Hermitian matrix.
 
-    The input is validated as Hermitian here and solved by ``_eigh``.  An
-    input that passes the check without being exactly Hermitian is
-    replaced by its Hermitian part ``(H + H^dagger)/2``, since the kernel
-    takes its input as exactly Hermitian; an exactly Hermitian one is kept.
-    The caller's array is never written.
+    The input is validated as Hermitian by ``_hermitian_input`` and solved
+    by ``_eigh``.  An input that passes the check without being exactly
+    Hermitian is replaced by its Hermitian part ``(H + H^dagger)/2``,
+    halved before the sum, since the kernel takes its input as exactly
+    Hermitian; an exactly Hermitian one is kept.  The caller's array is
+    never written.
 
     Returns
     -------
@@ -553,22 +565,12 @@ def jacobi_eigh(h) -> tuple[np.ndarray, np.ndarray]:
     return _eigh(_hermitian_input(h)[1])
 
 
-def _hermitian_input(h) -> tuple[np.ndarray, np.ndarray]:
-    """``h`` validated as Hermitian, and the array ``_eigh`` solves for it.
-
-    The second is the first when ``h`` is exactly Hermitian, and its
-    Hermitian part ``(H + H^dagger)/2`` otherwise.
-    """
-    a, defect = _checked_hermitian(h)
-    return a, (_hermitian_part(a) if defect else a)
-
-
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eigensolver of ``jacobi_eigh``, on an unvalidated array.
 
     ``a`` must be a finite, exactly Hermitian square array of dimension
-    1..``MAX_DIM``, such as ``0.5 * (m + m^dagger)`` of a finite ``m``;
-    library code calls it directly only on arrays it built that way.
+    1..``MAX_DIM``, such as the second array of ``_hermitian_input``;
+    library code calls it directly only on arrays it built exactly Hermitian.
     One caller passes ``MAX_DIM + 1``: ``states.schmidt`` solves the
     ``(d1 + d2)``-dimensional embedding of a state with ``d1 * d2`` entries,
     which is 65 for a 1 x 64 or 64 x 1 split.  Nothing is checked.
@@ -588,10 +590,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``ValueError``.
     """
     _counts["eigensolves"] += 1
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=complex)
-    solve = _ql_eigh if n <= _SCALAR_MAX_DIM else _lapack_eigh
+    solve = _ql_eigh if a.shape[0] <= _SCALAR_MAX_DIM else _lapack_eigh
     if np.abs(a).max() <= 2.0**500:
         return solve(a)
     k = max(math.frexp(float(np.abs(x).max()))[1] for x in (a.real, a.imag))
@@ -714,18 +713,16 @@ def spectral_decompose(h) -> SpectralDecomposition:
 def _rank_one_vector(a: np.ndarray) -> np.ndarray:
     """The unit vector of a rank-one projector ``a = v v^dagger``, unchecked.
 
-    The phase follows the eigenvector convention: largest-magnitude
-    component real positive.  Both callers pass a matrix whose largest
-    diagonal entry is positive: a spin projector ``(I +- n.sigma)/2``
-    (at least 1/2) or a trace-one pure state (at least 1/n).
+    The phase is the eigenvector convention of ``_fix_column_phases``:
+    largest-magnitude component real positive.  Both callers pass a
+    matrix whose largest diagonal entry is positive: a spin projector
+    ``(I +- n.sigma)/2`` (at least 1/2) or a trace-one pure state (at
+    least 1/n).
     """
     diag = np.diag(a).real
     k = int(np.argmax(diag))
     v = a[:, k] / np.sqrt(diag[k])
-    v = v / _frobenius_norm(v)
-    m = int(np.argmax(np.abs(v)))
-    z = v[m]
-    return v * (z.conj() / abs(z))
+    return _fix_column_phases((v / _frobenius_norm(v))[:, None])[:, 0]
 
 
 def evolution_operator(h, t: float) -> np.ndarray:

@@ -110,11 +110,12 @@ class DensityOperator:
         return state
 
     def __post_init__(self):
-        m = la.require_hermitian(self.matrix)
-        tr = complex(np.trace(m))
+        m, h = la._hermitian_input(self.matrix)
+        with la._float_range("density operator trace"):
+            tr = complex(np.trace(m))
         if abs(tr - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"density operator trace {tr!r} is not 1")
-        _require_positive(m)
+        _require_positive(h)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -129,30 +130,27 @@ class DensityOperator:
         return abs(self.purity() - 1.0) < PURITY_TOL
 
 
-def _require_positive(m: np.ndarray) -> None:
-    """Raise ``ValueError`` unless ``m`` has no eigenvalue below -1e-9.
+def _require_positive(h: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``h`` has no eigenvalue below -1e-9.
 
-    ``m`` has passed the Hermiticity and trace checks.  Its Hermitian
-    part ``h = (m + m^H) / 2`` is shifted by half the tolerance and
+    ``h`` is the exactly Hermitian array of ``la._hermitian_input`` for a
+    state that has passed the trace check: the input itself, or its
+    Hermitian part.  It is shifted by half the tolerance and
     Cholesky-factored: a factor with every entry finite certifies
     ``lambda_min(h) >= -tol/2 - O(n eps |h|)``, and at trace one that
     error term is about 1e-14, so the eigenvalue rule below would accept too.
     The certificate is only ever a yes; when it fails (no factor, or one
-    with inf or nan in it, as for entries whose sum overflows), the
-    smallest eigenvalue of ``h`` decides and words the rejection.  For an
-    exactly Hermitian ``m`` with a real diagonal, ``h`` equals ``m``.
+    with inf or nan in it, as for entries near 1e308), the smallest
+    eigenvalue of ``h``, solved by ``la._eigh`` with no second check,
+    decides and words the rejection.
     """
-    # Entries near 1e308 overflow in the sum; jacobi_eigh rejects the
-    # resulting inf without numpy warning on stderr.
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = la._hermitian_part(m)
-        shifted = h + (0.5 * POSITIVITY_TOL) * np.eye(h.shape[0])
+    shifted = h + (0.5 * POSITIVITY_TOL) * np.eye(h.shape[0])
     try:
         if np.isfinite(np.linalg.cholesky(shifted)).all():
             return
     except np.linalg.LinAlgError:
         pass
-    low = float(la.jacobi_eigh(h)[0].min())
+    low = float(la._eigh(h)[0].min())
     if low < -POSITIVITY_TOL:
         raise ValueError(f"density operator has negative eigenvalue {low:.3e}")
 

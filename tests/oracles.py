@@ -24,12 +24,14 @@ products and a looped partial trace, and ``Re Tr(r Q_j)`` of the result.
 ``luders_nonselective`` and ``eigenbasis`` are the per-level routes that
 the eigenbasis forms replaced: ``sum_i P_i W P_i`` with weights
 ``Tr(W P_i)`` from each level's projector, and each eigenvector extracted
-from its level's projector.  Their arithmetic differs from the library's,
-so tests hold the two to stated bounds, not to equal bytes.
+from its level's projector, one entry at a time.  Their arithmetic
+differs from the library's, so tests hold the two to stated bounds, not
+to equal bytes.
 """
 
 import collections
 import itertools
+import math
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from qcontext.linalg import (
     MAX_DIM,
     DimensionError,
     as_operator,
-    _rank_one_vector,
     jacobi_eigh as library_jacobi_eigh,
 )
 from qcontext.sampling import random_unitary
@@ -152,8 +153,25 @@ def luders_nonselective(w, spectrum):
 
 
 def eigenbasis(spectrum):
-    """``[(a_i, v_i)]`` of a non-degenerate spectrum, ``v_i`` extracted from ``P_i``."""
-    return [(a, _rank_one_vector(p)) for a, p in spectrum.levels()]
+    """``[(a_i, v_i)]`` of a non-degenerate spectrum, ``v_i`` extracted from ``P_i``.
+
+    One entry at a time: the column of ``P_i``'s first largest diagonal
+    entry, divided by its norm, then turned so that its first entry of
+    largest magnitude is real positive.
+    """
+    out = []
+    for a, p in spectrum.levels():
+        rows = p.tolist()
+        diag = [rows[i][i].real for i in range(len(rows))]
+        k = diag.index(max(diag))
+        column = [row[k] for row in rows]
+        norm = math.sqrt(math.fsum(abs(x) ** 2 for x in column))
+        column = [x / norm for x in column]
+        magnitudes = [abs(x) for x in column]
+        z = column[magnitudes.index(max(magnitudes))]
+        phase = z.conjugate() / abs(z)
+        out.append((a, np.array([x * phase for x in column])))
+    return out
 
 
 def trace_distance(a, b):

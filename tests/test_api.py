@@ -60,7 +60,7 @@ REMOVED_KEYWORDS = {
     ),
     "require_hermitian": ("tol", lambda: la.require_hermitian(H, tol=1e-9)),
     "commutes": ("tol", lambda: la.commutes(H, H, tol=1e-9)),
-    "_checked_hermitian": ("tol", lambda: la._checked_hermitian(H, tol=1e-9)),
+    "_hermitian_input": ("tol", lambda: la._hermitian_input(H, tol=1e-9)),
     "is_pure": ("tol", lambda: as_density(make_singlet()).is_pure(tol=1e-9)),
     "check_representative": (
         "tol", lambda: check_representative(_representative_state(), tol=1e-9)

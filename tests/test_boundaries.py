@@ -242,6 +242,18 @@ BOUNDARIES = {
         lambda: la.commutes(1e200 * la.SIGMA_X, 1e200 * la.SIGMA_Y),
         ValueError, "commutator leaves the float range",
     ),
+    "problem_observable_square_overflow": (
+        lambda: _problem(observables=(1e200 * la.SIGMA_X,), labels=("a",), contexts=((0,),), signs=(1,)),
+        ValueError, "observable square leaves the float range",
+    ),
+    "value_dependence_commutator_overflow": (
+        lambda: value_dependence_demo(
+            make_singlet(), observable(la.tensor(la.SIGMA_Z, np.eye(2))),
+            observable(1e200 * la.tensor(np.eye(2), la.SIGMA_X)),
+            observable(1e200 * la.tensor(np.eye(2), la.SIGMA_Z)),
+        ),
+        ValueError, "commutator leaves the float range",
+    ),
     "jacobi_eigh_hermiticity_defect_overflow": (
         lambda: la.jacobi_eigh(HUGE_ANTI_HERMITIAN),
         ValueError, "not Hermitian: max |H - H^dagger| entry = inf",
@@ -376,6 +388,10 @@ BOUNDARIES = {
     "evolution_demo_infinite_time": (
         lambda: entangling_evolution_demo(1.0, float("inf")),
         ValueError, "final time must be a finite real number, got inf",
+    ),
+    "density_trace_overflow": (
+        lambda: as_density(1e308 * np.eye(2)),
+        ValueError, "density operator trace leaves the float range",
     ),
     "evolution_demo_huge_time": (
         lambda: entangling_evolution_demo(1.0, 1e308),

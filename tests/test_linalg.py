@@ -516,6 +516,32 @@ def test_jacobi_solves_the_hermitian_part_of_a_nearly_hermitian_input():
     assert h[0, 1] == 1e-10 and h[1, 0] == 0.0  # the input is not written
 
 
+# Hermitian within the check, with a diagonal whose sum A + A^dagger overflows.
+_NEAR_FLOAT_MAX = [[1e308, 1e-10], [0.0, 1e308]]
+
+
+def test_the_hermitian_part_of_an_input_near_the_float_limit_does_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, vectors = la.jacobi_eigh(_NEAR_FLOAT_MAX)
+        assert values.tolist() == [1e308, 1e308]
+        assert vectors.tolist() == [[1, 0], [0, 1]]
+        assert la.spectral_decompose(_NEAR_FLOAT_MAX).eigenvalues == (1e308,)
+        assert observable(_NEAR_FLOAT_MAX).spectrum.eigenvalues == (1e308,)
+
+
+@pytest.mark.parametrize("x", [3.0, 2.0**600])
+def test_a_one_by_one_input_is_its_own_eigenvalue(x):
+    # 2^600 is above 2^500, so it is solved on the rescaled path.
+    before = la.counts()
+    values, vectors = la.jacobi_eigh([[x]])
+    after = la.counts()
+    assert values.tolist() == [x]
+    assert vectors.tolist() == [[1]]
+    assert after["eigensolves"] - before["eigensolves"] == 1
+    assert after["sweeps"] == before["sweeps"]
+
+
 @pytest.mark.parametrize("n", [2, 8])
 def test_jacobi_solves_entries_whose_squares_overflow(n):
     # Squares of 1e160 overflow, so the Frobenius scale would be inf and no

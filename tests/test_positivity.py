@@ -7,6 +7,8 @@ runs the eigenvalue rule only when it does not.  The oracle
 decision and every message here must equal it.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,16 @@ def test_a_rejected_64x64_state_makes_one_eigensolve(eigensolves):
     with pytest.raises(ValueError, match="negative eigenvalue -1.000e-01"):
         DensityOperator(w)
     assert eigensolves == [64]
+
+
+def test_entries_near_the_float_limit_are_judged_by_their_eigenvalues():
+    # Every entry is finite; the eigenvalues are 0.5 +- 1e308.
+    m = [[0.5, 1e308], [1e308, 0.5]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="negative eigenvalue -1.000e[+]308"):
+            DensityOperator(m)
+        assert density_is_positive(m) == (False, "density operator has negative eigenvalue -1.000e+308")
 
 
 def test_the_stored_matrix_is_the_input_when_not_exactly_hermitian():
