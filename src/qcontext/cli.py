@@ -373,7 +373,7 @@ def _coplanar_partner(a: Direction, theta: float) -> Direction:
         key=lambda e: abs(float(e @ av)),
     )
     u = seed_axis - (seed_axis @ av) * av
-    u = u / np.linalg.norm(u)
+    u = u / la._norm_of_scalars(u.tolist())
     b = np.cos(theta) * av + np.sin(theta) * u
     return Direction.normalized(*b)
 
@@ -472,7 +472,7 @@ def cmd_remote_state(args):
         "probability": probability,
         "remote_state": io.vector_to_json(remote.amplitudes),
     }
-    norm_error = abs(float(np.linalg.norm(remote.amplitudes)) - 1.0)
+    norm_error = abs(la._norm_of_scalars(remote.amplitudes.tolist()) - 1.0)
     checks = [
         Check.below("remote_norm_error", norm_error, args.tol),
         Check.within("probability_in_range", probability, 1.0, args.tol),

@@ -209,8 +209,11 @@ def check_representative(cs: ContextualState) -> RepresentativenessReport:
         else:
             excluded.append(value)
 
+    # An eigenvector of A is one of cA, and no product of A / s overflows.
+    s = max(1.0, *(abs(value) for value, _ in basis))
+    scaled = a_matrix / s
     eigencond = all(
-        la._frobenius_norm(a_matrix @ vec - value * vec) < REPRESENTATIVE_TOL
+        la._norm_of_scalars((scaled @ vec - (value / s) * vec).tolist()) < REPRESENTATIVE_TOL
         for value, vec in support
     )
     orthocond = all(

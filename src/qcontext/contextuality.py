@@ -282,7 +282,7 @@ def ghz_contradiction() -> ParityContradictionReport:
     residuals = []
     for name, (m1, m2, m3), sign in combos:
         op = la._tensor(la._tensor(m1, m2), m3)
-        residual = la._frobenius_norm(op @ psi - sign * psi)
+        residual = la._norm_of_scalars((op @ psi - sign * psi).tolist())
         labels.append(name)
         eigenvalues.append(sign)
         residuals.append(residual)

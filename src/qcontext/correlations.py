@@ -38,6 +38,8 @@ class Direction:
     (``outcome_projectors``); no eigensolve is made.
     The cache is not a field: ``==``, ``hash`` and ``repr`` see the
     components only.
+    Its norm is ``math.hypot``, not the library's ``_norm_of_scalars``:
+    hypot scales, so ``Direction.normalized(1e300, 0, 0)`` works.
     """
 
     x: float

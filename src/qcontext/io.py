@@ -14,11 +14,12 @@ process that reads only a state does not load the other modules.
 from __future__ import annotations
 
 import json
+import math
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .linalg import _integer, _list_of, _number
+from .linalg import _integer, _list_of, _norm_of_scalars, _number
 
 if TYPE_CHECKING:
     from .contexts import Observable
@@ -128,9 +129,7 @@ def _matrix_from_parts(n: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
             f"got {re.size} re / {im.size} im"
         )
     m = _complex(re, im).reshape(n, n)
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(m)
-    if not np.isfinite(norm):
+    if not math.isfinite(_norm_of_scalars(m.ravel().tolist())):
         raise ValueError(
             "matrix entries must be finite, with a Frobenius norm that fits a float"
         )

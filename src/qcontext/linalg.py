@@ -327,26 +327,17 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frobenius_norm(a: np.ndarray) -> float:
-    """``np.linalg.norm(a)`` of a float or complex array, without its dispatch.
-
-    The same steps as numpy's Frobenius branch: ``ravel(order="K")`` (so a
-    transposed input is summed in memory order, as there), one dot product
-    for a real array, the real and imaginary dot products added for a
-    complex one, one correctly rounded square root.
-    """
-    x = a.ravel(order="K")
-    if x.dtype.kind != "c":
-        return math.sqrt(x.dot(x))
-    re = x.real
-    im = x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def _norm_of_scalars(z: list[complex]) -> float:
-    """``sqrt(sum |z_k|^2)`` of Python complex numbers, the squares summed by
-    ``math.fsum``: exactly rounded, so their order does not count."""
-    return math.sqrt(math.fsum([x * x for x in map(abs, z)]))
+    """``sqrt(sum |z_k|^2)`` of Python numbers, the squares summed by
+    ``math.fsum``: exactly rounded, so their order does not count.
+
+    The library's one norm of an array, taken on ``x.tolist()``.  A square
+    or a sum of squares beyond the float range gives inf, with no warning.
+    """
+    try:
+        return math.sqrt(math.fsum([x * x for x in map(abs, z)]))
+    except OverflowError:  # finite squares whose sum leaves the float range
+        return math.inf
 
 
 def _dot(x, y) -> complex:
@@ -722,7 +713,7 @@ def _rank_one_vector(a: np.ndarray) -> np.ndarray:
     diag = np.diag(a).real
     k = int(np.argmax(diag))
     v = a[:, k] / np.sqrt(diag[k])
-    return _fix_column_phases((v / _frobenius_norm(v))[:, None])[:, 0]
+    return _fix_column_phases((v / _norm_of_scalars(v.tolist()))[:, None])[:, 0]
 
 
 def evolution_operator(h, t: float) -> np.ndarray:

@@ -23,7 +23,7 @@ def _require_dim(dim: int) -> None:
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
     _require_dim(dim)
     a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState._derived(a / la._frobenius_norm(a))
+    return PureState._derived(a / la._norm_of_scalars(a.tolist()))
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
@@ -50,7 +50,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
         done = u[:, :j]
         for _ in range(2 if j else 0):  # the first column has nothing to project out
             v = v - done @ (done.conj().T @ v)
-        u[:, j] = v / la._frobenius_norm(v)
+        u[:, j] = v / la._norm_of_scalars(v.tolist())
     return u
 
 
@@ -74,5 +74,5 @@ def random_nondegenerate_observable(
 
 def random_direction(rng: np.random.Generator) -> Direction:
     v = rng.standard_normal(3)
-    n = la._frobenius_norm(v)
+    n = la._norm_of_scalars(v.tolist())
     return Direction(v[0] / n, v[1] / n, v[2] / n)

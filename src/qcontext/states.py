@@ -60,10 +60,7 @@ class PureState:
             )
         if not np.isfinite(a).all():
             raise ValueError("amplitudes must be finite")
-        # Finite entries near 1e308 overflow to an inf norm, which the
-        # test below rejects; numpy need not warn about it on stderr.
-        with np.errstate(over="ignore"):
-            norm = la._frobenius_norm(a)
+        norm = la._norm_of_scalars(a.tolist())
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"state is not normalised: |psi| = {norm!r}")
         object.__setattr__(self, "amplitudes", a)
@@ -232,8 +229,8 @@ def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
         # The embedding pairs u with the conjugate of the kron factor:
         # for m = sum c u v^T the +c eigenvector is (u, v*)/sqrt(2).
         v = np.conj(w[d1:]) * np.sqrt(2.0)
-        u = u / la._frobenius_norm(u)
-        v = v / la._frobenius_norm(v)
+        u = u / la._norm_of_scalars(u.tolist())
+        v = v / la._norm_of_scalars(v.tolist())
         # Move the pair's arbitrary phase onto the right factor so the
         # left vector obeys the global convention.
         k = int(np.argmax(np.abs(u)))

@@ -382,6 +382,47 @@ def test_field_census_sees_a_field_only_its_checks_read(tmp_path):
     ]
 
 
+# Every norm of an array is ``linalg._norm_of_scalars``, on Python scalars;
+# numpy's norm (BLAS ``ddot`` inside) and its old copy may not come back.
+def _second_norms(src=SRC) -> list[str]:
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                name = ast.unparse(node)
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.FunctionDef):
+                name = node.name
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                name = " ".join(f"numpy.linalg.{alias.name}" for alias in node.names)
+            else:
+                continue
+            if name.endswith("linalg.norm") or "_frobenius_norm" in name:
+                found.append((path.stem, node.lineno, name))
+    return [f"{stem}:{line} {name}" for stem, line, name in sorted(found)]
+
+
+def test_no_second_norm_of_an_array():
+    assert _second_norms() == []
+
+
+def test_norm_census_sees_each_spelling(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "from . import linalg as la\n"
+        "def _frobenius_norm(a):\n"
+        "    return np.linalg.norm(a)\n"
+        "x = la._frobenius_norm\n"
+        "y = la._norm_of_scalars([1.0])\n"
+    )
+    assert _second_norms(src=tmp_path) == [
+        "mod:2 numpy.linalg.norm", "mod:4 _frobenius_norm",
+        "mod:5 np.linalg.norm", "mod:6 la._frobenius_norm",
+    ]
+
+
 # The library keeps its running totals in one record, ``linalg.counts()``;
 # a new counter is a new key of it, not a module global.
 COUNT_KEYS = {"eigensolves", "sweeps", "operator_checks", "hermiticity_checks"}

@@ -103,6 +103,23 @@ def test_support_of_a_complex_state_takes_the_conjugate_overlap():
     assert report.excluded_eigenvalues == pytest.approx((-1.0,))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e10, 1e300])
+def test_eigenvector_condition_does_not_depend_on_the_observables_scale(scale):
+    # An absolute residual of c A v - c a v grows with c; the condition
+    # must hold for cA exactly when it holds for A.
+    obs, _, _ = random_nondegenerate_observable(3, np.random.default_rng(3))
+    psi = PureState(np.array([1.0, 0.0, 0.0]))
+    cs = luders_nonselective(context(psi, observable(scale * obs.matrix)))
+    assert check_representative(cs).eigenvector_condition
+
+
+def test_eigenvector_condition_of_an_observable_at_the_float_limit():
+    # pyproject.toml turns an overflow warning in the residual into an error.
+    psi = PureState(np.array([1.0, 0.0]))
+    cs = luders_nonselective(context(psi, observable(1e308 * la.SIGMA_X)))
+    assert check_representative(cs).eigenvector_condition
+
+
 def test_representativeness_refuses_mixed_state():
     mixed = DensityOperator(0.5 * np.eye(2, dtype=complex))
     cs = luders_nonselective(context(mixed, SIGMA_Z_OBS))

@@ -104,8 +104,14 @@ def test_malformed_payloads_raise_value_error(payload, message):
 
 
 @pytest.mark.parametrize(
-    "re", [[1e200, 1.0, 1.0, 1.0], [0.5, 1e155, 1e155, 0.5], [1.0, 0.0, 0.0, float("inf")]],
-    ids=["diagonal_1e200", "off_diagonal_1e155", "infinite"],
+    "re",
+    [
+        [1e200, 1.0, 1.0, 1.0],
+        [0.5, 1e155, 1e155, 0.5],
+        [1e154, 1e154, 1e154, 1e154],
+        [1.0, 0.0, 0.0, float("inf")],
+    ],
+    ids=["diagonal_1e200", "off_diagonal_1e155", "sum_of_squares_1e154", "infinite"],
 )
 def test_matrices_whose_norm_overflows_are_refused_without_a_warning(re):
     payload = {"dim": 2, "re": re, "im": [0.0] * 4}

@@ -1,16 +1,19 @@
 """Kernel helpers against their numpy-function oracles, byte for byte.
 
-``linalg`` forms the Kronecker product by broadcasting, the Frobenius
-norm from numpy's own dot-product branch, the eigenvector phases from one
-``argmax`` over all columns and a singleton level without ``np.mean``.
-``oracles.py`` keeps the versions written with ``np.kron``, ``np.diag``
-and ``np.mean``; the Frobenius norm is held to ``np.linalg.norm``.
-Every result here must match its oracle in ``tobytes()`` (or
-``float.hex()``), so signed zeros count too.  The inputs cover n = 1-8,
+``linalg`` forms the Kronecker product by broadcasting, the eigenvector
+phases from one ``argmax`` over all columns and a singleton level without
+``np.mean``.  ``oracles.py`` keeps the versions written with ``np.kron``,
+``np.diag`` and ``np.mean``.  Every result here must match its oracle in
+``tobytes()`` (or ``float.hex()``), so signed zeros count too.  The
+library's one norm, ``_norm_of_scalars``, is exactly rounded, so it is
+held to ``np.linalg.norm`` within rounding and to itself bit for bit
+under a permutation of its entries.  The inputs cover n = 1-8,
 degenerate spectra, magnitude ties, transposed and strided views and
 entries of ``-0.0``.  The eigensolver itself is held to LAPACK in
 ``test_linalg.py``.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -54,23 +57,6 @@ def _with_repeated_levels(n, rng):
     u, _ = np.linalg.qr(_complex(rng, (n, n)))
     levels = rng.integers(-2, 3, n).astype(float)
     return _hermitian((u * levels) @ u.conj().T)
-
-
-def _operators(seed):
-    """Square complex matrices at n = 1-8 in every layout, some with -0.0."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for n in range(1, 9):
-        for kind in range(4):
-            m = _complex(rng, (n, n))
-            if kind == 1:
-                m = _with_signed_zeros(m, rng)
-            elif kind == 2:
-                m = np.round(m)  # small integers: exact zeros and ties
-            elif kind == 3:
-                m = m.real.astype(complex)
-            out.extend(_variants(m))
-    return out
 
 
 # tensor
@@ -129,10 +115,30 @@ def test_tensor_rejects_products_above_the_cap():
 # norms
 
 
-def test_frobenius_norm_matches_numpy_in_every_layout():
-    # A transposed input is summed in memory order, as np.linalg.norm does.
-    for m in _operators(22):
-        assert la._frobenius_norm(m).hex() == float(np.linalg.norm(m)).hex()
+def test_norm_of_scalars_ignores_order_and_matches_numpy_within_rounding():
+    rng = np.random.default_rng(22)
+    eps = np.finfo(float).eps
+    for n in range(1, 65):
+        for _ in range(3):
+            x = 10.0 ** rng.uniform(-100, 100) * _complex(rng, n)
+            if n % 2:
+                x = x.real
+            norm = la._norm_of_scalars(x.tolist())
+            assert la._norm_of_scalars(rng.permutation(x).tolist()).hex() == norm.hex()
+            exact = float(np.linalg.norm(x))
+            assert abs(norm - exact) <= 2 * eps * exact
+
+
+@pytest.mark.parametrize(
+    "z", [[1e200, 0.0], [1e154] * 4, [1e200j, 1.0]],
+    ids=["square_1e200", "sum_of_squares", "complex_1e200"],
+)
+def test_norm_of_scalars_beyond_the_float_range_is_inf_without_a_warning(z):
+    # A Python float square overflows to inf silently; fsum's own overflow
+    # of finite squares (4e308 here) is read as inf too.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert la._norm_of_scalars(z) == np.inf
 
 
 # eigenvector phases

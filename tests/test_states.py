@@ -28,6 +28,13 @@ def test_pure_state_rejects_unnormalised_vector():
         PureState(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("amplitudes", [[1e200, 0.0], [1e154] * 4], ids=["1e200", "1e154x4"])
+def test_pure_state_with_a_norm_beyond_the_float_range_is_not_normalised(amplitudes):
+    # pyproject.toml turns every RuntimeWarning into an error here.
+    with pytest.raises(ValueError, match=r"not normalised: \|psi\| = inf"):
+        PureState(np.array(amplitudes))
+
+
 def test_density_operator_rejects_negative_eigenvalue():
     m = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError):
