@@ -53,6 +53,12 @@ from .states import (
     total_spin_squared,
 )
 
+# Rounding-level ceilings on |S| - 2 (product states, local strategies), the
+# A^2 probe's delta and the uncoupled evolution's second Schmidt coefficient.
+_CHSH_EXCESS_TOL = 1e-8
+_PROBE_SQUARE_TOL = 1e-8
+_FREE_SECOND_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -155,13 +161,13 @@ def criterion_chsh() -> CriterionResult:
             Check.below(
                 "product_state_excess",
                 max(worst_product - 2.0, 0.0),
-                1e-8,
+                _CHSH_EXCESS_TOL,
                 "max |S| over 100 product states",
             ),
             Check.below(
                 "local_strategy_excess",
                 max(worst_strategy - 2.0, 0.0),
-                1e-8,
+                _CHSH_EXCESS_TOL,
                 "all 16 deterministic strategies",
             ),
         ),
@@ -255,7 +261,7 @@ def criterion_statistical_equivalence() -> CriterionResult:
         title="statistical equivalence inside a context",
         checks=(
             Check.below("self_probe_delta", worst_self, 1e-9, "100 random (W, A)"),
-            Check.below("compatible_probe_delta", worst_compat, 1e-8, "probe A^2"),
+            Check.below("compatible_probe_delta", worst_compat, _PROBE_SQUARE_TOL, "probe A^2"),
             Check.below(
                 "witness_deviation_error",
                 abs(witness.delta - 1.0),
@@ -369,7 +375,7 @@ def criterion_dynamics() -> CriterionResult:
             Check.below(
                 "free_second_coefficient",
                 worst_second,
-                1e-8,
+                _FREE_SECOND_TOL,
                 "10 time steps, coupling 0",
             ),
             Check.above(

@@ -47,6 +47,11 @@ if TYPE_CHECKING:
     from .contexts import Observable
     from .correlations import Direction
 
+# A reduced purity within this of 1 marks a product state, and with no
+# coupling the second Schmidt coefficient stays below this.
+_PRODUCT_PURITY_TOL = 1e-8
+_FREE_SECOND_TOL = 1e-8
+
 _NAMED_STATES = {
     "singlet": make_singlet,
     "ghz": make_ghz,
@@ -211,8 +216,8 @@ def cmd_product_check(args):
     if factors is not None:
         results["factor_1"] = io.vector_to_json(factors[0].amplitudes)
         results["factor_2"] = io.vector_to_json(factors[1].amplitudes)
-    agreement = flag == (abs(purity - 1.0) < 1e-8)
-    return results, [Check("purity_rank_agreement", agreement, purity, 1e-8)]
+    agreement = flag == (abs(purity - 1.0) < _PRODUCT_PURITY_TOL)
+    return results, [Check("purity_rank_agreement", agreement, purity, _PRODUCT_PURITY_TOL)]
 
 
 def cmd_reduced(args):
@@ -256,7 +261,7 @@ def cmd_evolve(args):
     ]
     if args.coupling == 0.0:
         worst_second = max(p.coefficients[1] for p in trace)
-        checks.append(Check.below("free_second_coefficient", worst_second, 1e-8))
+        checks.append(Check.below("free_second_coefficient", worst_second, _FREE_SECOND_TOL))
     results = {"coupling": args.coupling, "trace": points}
     return results, checks
 

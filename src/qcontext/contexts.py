@@ -19,6 +19,7 @@ single context carries.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,8 @@ SUPPORT_TOL = 1e-8
 # below this.
 REPRESENTATIVE_TOL = 1e-9
 
-# Largest number of distinct eigenvalues the lattice check will expand
-# into subsets (2^k elements, each unordered pair compared).
+# Largest number of distinct eigenvalues the lattice check accepts
+# (2^k events, checked from their k atoms).
 _LATTICE_MAX_LEVELS = 8
 
 
@@ -286,9 +287,10 @@ def sequential_luders(w, sequence: list[Observable]) -> DensityOperator:
 class BooleanLatticeReport:
     """Closure and probability checks for one context's event algebra.
 
-    ``max_defect`` is the largest gap over every check, with each
-    unordered pair of events' meet and join taken once: every event is
-    exactly Hermitian, so the pair (t, s) repeats (s, t) transposed.
+    ``projectors_orthogonal`` and ``complete`` are measured on the atoms.
+    The other four verdicts hold when an upper bound on their gaps (see
+    ``boolean_lattice_check``) is below ``tol``, so they are conservative,
+    and ``max_defect`` is the largest of those bounds, not a measured gap.
     """
 
     element_count: int
@@ -317,18 +319,52 @@ def boolean_lattice_check(
     states: list[DensityOperator] | None = None,
     tol: float = 1e-9,
 ) -> BooleanLatticeReport:
-    """Expand the event algebra generated by one observable and verify it.
+    """Verify the event algebra generated by one observable from its atoms.
 
-    The spectral projectors generate 2^k events (k distinct eigenvalues);
-    the report confirms the generators are orthogonal and complete, that
-    meet, join and complement stay inside the set, and that event
-    probabilities behave additively on a batch of states (a fixed seeded
-    batch of twenty when none is supplied).  Meet and join are checked
-    once for each unordered pair of events, the pair of an event with
-    itself included: every event is a sum of projectors formed as
-    (p + p^dagger) / 2, so Hermitian bit for bit, and the meet and join
-    of (t, s) are the conjugate transposes of those of (s, t), with the
-    same gaps.
+    The k spectral projectors P_i generate 2^k events E_s = sum_{i in s}
+    P_i, a Boolean algebra when they are orthogonal and complete
+    (Birkhoff and von Neumann, Ann. Math. 37, 1936), so no event is
+    formed.  Measured as the plain expressions are: a_ij = max|P_i P_j -
+    delta_ij P_i| (i <= j), c = max|sum_i P_i - I| and, per state (twenty
+    seeded ones when none are given), p_i = Re Tr(rho P_i).
+    ``projectors_orthogonal`` is every a_ij < tol and ``complete`` c < tol;
+    the other verdicts bound the gaps that every pair's meet, join and
+    complement, and each event's probability, would show if formed in
+    floating point.  Exactly, with A the sum of a_ij over ordered pairs
+    (a_ji read as a_ij: every atom is Hermitian bit for bit, so P_j P_i =
+    (P_i P_j)^dagger): E_s E_t - E_{s&t} = sum_{i in s, j in t} (P_i P_j -
+    delta_ij P_i), at most A; E_s + E_t = E_{s|t} + E_{s&t}, so a join's
+    defect is its meet's; I - E_s - E_{~s} = I - sum_i P_i; Re Tr(rho E_s)
+    = sum_{i in s} p_i, so additivity is exact and each probability lies
+    within q = sum_i max(0, -p_i) + |sum_i p_i - 1| of [0, 1].
+
+    Rounding, with eps = 2^-52 and Higham's gamma_n = nu / (1 - nu), u =
+    eps / 2 (*Accuracy and Stability of Numerical Algorithms*, ch. 3):
+    g_sum = k eps >= gamma_k covers a sum of atoms, g_dot = (d + 2) eps >=
+    sqrt(2) gamma_{d+2} an entry of a complex product, |fl(XY) - XY| <=
+    g_dot |X||Y|, which row and column norms bound.
+      - sum_i P_i^2 = I + (sum_i P_i - I) + sum_i (P_i^2 - P_i) has
+        2-norm <= S = (1 + d (1 + 3 eps)(c + sum_i a_ii)) / (1 - d (g_sum
+        + g_dot)) and diagonal sum_i ||row_x P_i||^2, so sum_i |P_i| has
+        entries <= S and rows of norm <= sqrt(k S).
+      - The exact meet defect is at most Delta = (1 + 3 eps) A +
+        g_dot k S, the k^2 products' rounding added.  E_s^2 - E_s is that
+        of (s, s), so ||E_s||_2 <= N = 1 + d Delta; a formed event's
+        summation error F_s has rows of norm <= r = g_sum sqrt(k S).
+      - A formed meet adds F_s E_t + E_s F_t + F_s F_t, its product's
+        rounding and F_{s&t}: meet = Delta + 2 r N + r^2 + g_dot (N + r)^2
+        + g_sum S.  A join adds four summation errors and two
+        subtractions: join = meet + 5 g_sum S + 3 eps (N + r)^2.
+        complement = (1 + 2 eps) c + 4 g_sum S + eps N.
+      - Re Tr(rho E_s) by a product and a trace is within e = w (r +
+        2 (d + 1) eps (N + r)) of exact, w = sum_x ||row_x rho|| (as
+        computed, times 1 + (d + 4) eps).  Each p_i here, d^2 products
+        summed in two stages of d, is within (d + 2) eps w sqrt(S), so q <=
+        Q = q' + 2 k (d + 2) eps w sqrt(S) + k eps (1 + 2 q'), q' as
+        computed; an excess, the atoms' sum or an additivity gap is below
+        Q + (k + 3) e + k eps (1 + 2 Q).
+    Each bound is scaled by 1 + 16 eps, for a measured gap's last
+    subtraction and modulus (1 + 2 eps) and the bound's own rounding.
     """
     k = len(a.spectrum.eigenvalues)
     if k > _LATTICE_MAX_LEVELS:
@@ -336,97 +372,47 @@ def boolean_lattice_check(
             f"lattice expansion supports at most {_LATTICE_MAX_LEVELS} distinct "
             f"eigenvalues, observable has {k}"
         )
-    projectors = a.spectrum.projectors
-    dim = a.dim
-    defect = 0.0
+    atoms, d = a.spectrum.projectors, a.dim
+    eps = float(np.finfo(float).eps)
+    off, on = [], []  # a_ij for i < j, a_ii
+    for i, j in itertools.combinations_with_replacement(range(k), 2):
+        prod = atoms[i] @ atoms[j]
+        (on if i == j else off).append(float(np.abs(prod - atoms[i] if i == j else prod).max()))
+    c = float(np.abs(sum(atoms) - np.eye(d)).max())
 
-    # Subset s holds projector i when bit k-1-i is set, so s = 0, 1, ...
-    # is itertools.product((0, 1), repeat=k) order.  Meet, join and
-    # complement are s & t, s | t and full ^ s.  Each element sums its
-    # projectors in index order starting from zero: the element without
-    # its last projector, plus that projector.
-    full = (1 << k) - 1
-    index = np.arange(full + 1)
-    atoms = [1 << (k - 1 - j) for j in range(k)]
-    elements = np.zeros((full + 1, dim, dim), dtype=complex)
-    for s in range(1, full + 1):
-        elements[s] = elements[s & (s - 1)] + projectors[k - (s & -s).bit_length()]
-
-    # Row s scans only t >= s, each unordered pair once (the docstring says
-    # why), keeping the diagonal t = s, where P^2 = P is checked.
-    # Orthogonality is read off the meet table's atom rows at atom columns
-    # t >= s, each P_i P_j with i <= j once; completeness off row 0 of the
-    # complement table, I - sum P_i.  The scan writes into three buffers
-    # allocated once a call; every operation and operand order is that of
-    # the plain expressions in the comments, so every bit is too.
-    meets = np.empty_like(elements)
-    work = np.empty_like(elements)
-    gaps = np.empty(elements.shape)
-    orthogonal = meet_ok = join_ok = True
-    for s in range(full + 1):
-        upper, meet, w, gap = elements[s:], meets[s:], work[s:], gaps[s:]
-        np.matmul(elements[s], upper, out=meet)  # elements[s] @ upper
-        np.take(elements, s & index[s:], axis=0, out=w, mode="clip")
-        np.subtract(meet, w, out=w)
-        np.abs(w, out=gap)  # |meet - elements[s & index[s:]]|
-        err = float(gap.max())
-        defect = max(defect, err)
-        if err >= tol:
-            meet_ok = False
-        if s in atoms and gap[[t - s for t in atoms if t >= s]].max() >= tol:
-            orthogonal = False
-        np.add(elements[s], upper, out=w)
-        w -= meet  # the joins, elements[s] + upper - meet
-        np.take(elements, s | index[s:], axis=0, out=meet, mode="clip")
-        w -= meet
-        err = float(np.abs(w, out=gap).max())  # |joins - elements[s | index[s:]]|
-        defect = max(defect, err)
-        if err >= tol:
-            join_ok = False
-    del gap  # a view, which would keep the gaps buffer alive past its rebinding below
-    np.subtract(np.eye(dim), elements, out=work)
-    np.take(elements, full ^ index, axis=0, out=meets, mode="clip")
-    work -= meets
-    gaps = np.abs(work, out=gaps).max(axis=(1, 2))  # |(I - e) - elements[full ^ index]|
-    err = float(gaps.max())
-    defect = max(defect, err)
-    complement_ok = err < tol
-    complete = bool(gaps[0] < tol)
+    g_sum, g_dot = k * eps, (d + 2) * eps
+    diagonal = math.fsum(on)
+    s = (1.0 + d * (1.0 + 3 * eps) * (c + diagonal)) / (1.0 - d * (g_sum + g_dot))
+    delta = (1.0 + 3 * eps) * (diagonal + 2.0 * math.fsum(off)) + g_dot * k * s
+    n = 1.0 + d * delta
+    r = g_sum * math.sqrt(k * s)
+    meet = delta + 2 * r * n + r * r + g_dot * (n + r) ** 2 + g_sum * s
+    join = meet + 5 * g_sum * s + 3 * eps * (n + r) ** 2
+    complement = (1.0 + 2 * eps) * c + 4 * g_sum * s + eps * n
 
     if states is None:
         # Imported here because sampling imports this module.
         from .sampling import random_density
 
         rng = np.random.default_rng(0)
-        states = [random_density(dim, rng) for _ in range(20)]
-    s_idx, t_idx = np.nonzero(index[:, None] & index[None, :] == 0)
-    u_idx = s_idx | t_idx
-    probs_ok = True
-    for rho in states:
-        # One stacked product a state: each element's matmul and diagonal
-        # sum are those of np.trace(rho @ e), bit for bit.
-        np.matmul(rho.matrix, elements, out=meets)
-        values = meets.trace(axis1=1, axis2=2).real
-        if (values < -tol).any() or (values > 1.0 + tol).any():
-            probs_ok = False
-        defect = max(defect, float((-values).max()), float((values - 1.0).max()))
-        err = abs(sum(values[a] for a in atoms) - 1.0)
-        defect = max(defect, err)
-        if err >= tol:
-            probs_ok = False
-        # additivity over disjoint events
-        err = float(np.abs(values[u_idx] - values[s_idx] - values[t_idx]).max())
-        defect = max(defect, err)
-        if err >= tol:
-            probs_ok = False
+        states = [random_density(d, rng) for _ in range(20)]
+    rhos = np.array([rho.matrix for rho in states], dtype=complex).reshape(len(states), d, d)
+    # p[m, i] = Re sum_x sum_z rho_m[x, z] P_i[z, x], over z, then x
+    p = (rhos[:, None] * np.array(atoms).transpose(0, 2, 1)).real.sum(axis=3).sum(axis=2)
+    w = (1.0 + (d + 4) * eps) * np.sqrt((rhos.real**2 + rhos.imag**2).sum(axis=2)).sum(axis=1)
+    q = np.maximum(-p, 0.0).sum(axis=1) + np.abs(p.sum(axis=1) - 1.0)
+    q += 2 * k * g_dot * w * math.sqrt(s) + k * eps * (1.0 + 2 * q)
+    e = w * (r + 2 * (d + 1) * eps * (n + r))
+    probabilities = float(np.max(q + (k + 3) * e + k * eps * (1.0 + 2 * q), initial=0.0))
 
+    scale = 1.0 + 16 * eps
     return BooleanLatticeReport(
-        element_count=full + 1,
-        projectors_orthogonal=orthogonal,
-        complete=complete,
-        closed_under_meet=meet_ok,
-        closed_under_join=join_ok,
-        closed_under_complement=complement_ok,
-        probabilities_consistent=probs_ok,
-        max_defect=defect,
+        element_count=1 << k,
+        projectors_orthogonal=not any(g >= tol for g in off + on),
+        complete=c < tol,
+        closed_under_meet=scale * meet < tol,
+        closed_under_join=scale * join < tol,
+        closed_under_complement=scale * complement < tol,
+        probabilities_consistent=scale * probabilities < tol,
+        max_defect=scale * max(meet, join, complement, probabilities),
     )

@@ -1,11 +1,13 @@
 """Reference implementations that optimised library code replaced.
 
-The search and lattice check are the tuple-and-dict versions of the
-vectorised combinatorial routines; tests require the library to return
-results equal to these under ``==``, down to the last bit of
-``max_defect``.  The lattice check, as the library's, takes each
-unordered pair of projectors and of events once: every event is exactly
-Hermitian, so the product of (j, i) is that of (i, j) transposed.
+The search is the tuple-and-dict version of the vectorised assignment
+search; tests require the library to return results equal to it under
+``==``.  The lattice check forms all 2^k events and measures every gap
+entry by entry, each unordered pair of projectors and of events taken
+once (every event is exactly Hermitian, so the product of (j, i) is that
+of (i, j) transposed).  The library checks from the k atoms alone; tests
+require equal ``projectors_orthogonal`` and ``complete``, sound other
+verdicts, and a ``max_defect`` that bounds this one's from above.
 ``tensor``, ``fix_column_phases`` and ``spectral_decompose`` are the
 kernel helpers as they were written with numpy's Python-level functions
 (``np.kron``, ``np.diag``, ``np.mean``); tests require ``tobytes()``
@@ -267,6 +269,12 @@ def boolean_lattice_check(a, states=None, tol: float = 1e-9) -> BooleanLatticeRe
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             m = g @ g.conj().T
             states.append(DensityOperator(m / np.trace(m).real))
+    disjoint = [
+        (s, t, tuple(x | y for x, y in zip(s, t)))
+        for s in subsets
+        for t in subsets
+        if all(x & y == 0 for x, y in zip(s, t))
+    ]
     probs_ok = True
     for rho in states:
         values = {
@@ -282,14 +290,11 @@ def boolean_lattice_check(a, states=None, tol: float = 1e-9) -> BooleanLatticeRe
         defect = max(defect, err)
         if err >= tol:
             probs_ok = False
-        for s in subsets:
-            for t in subsets:
-                if all(x & y == 0 for x, y in zip(s, t)):
-                    union = tuple(x | y for x, y in zip(s, t))
-                    err = abs(values[union] - values[s] - values[t])
-                    defect = max(defect, err)
-                    if err >= tol:
-                        probs_ok = False
+        for s, t, union in disjoint:
+            err = abs(values[union] - values[s] - values[t])
+            defect = max(defect, err)
+            if err >= tol:
+                probs_ok = False
 
     return BooleanLatticeReport(
         element_count=len(subsets),

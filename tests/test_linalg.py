@@ -623,20 +623,24 @@ def test_projectors_resolve_identity_and_are_orthogonal():
 
 @pytest.mark.parametrize("n", [*range(2, 8), 8, 16, 64])
 def test_projectors_are_exactly_hermitian(n):
-    # boolean_lattice_check scans each unordered pair of events once: the
-    # meet and join of (t, s) are the conjugate transposes of those of
-    # (s, t) only because every projector, and so every sum of them, is
-    # Hermitian bit for bit.  This covers the scalar path (n <= 7), the
-    # LAPACK path, and degenerate levels on both.
+    # boolean_lattice_check measures each atom product P_i P_j once, for
+    # i <= j, and its bound takes rows of P_i for columns: both hold only
+    # because every projector is Hermitian bit for bit, so P_j P_i is
+    # (P_i P_j)^dagger with the same gap.  This covers the scalar path
+    # (n <= 7), the LAPACK path, and degenerate levels on both.
     for h in (random_hermitian(n, seed=1200 + n), _repeated_levels(n, seed=1300 + n)):
         for _, p in la.spectral_decompose(h).levels():
             assert np.array_equal(p, p.conj().T)
 
 
 def test_lattice_elements_are_exactly_hermitian():
-    # The scale workload's lattice shape, k = 8 levels at d = 8: each of
-    # the 256 elements is a sum of projectors, built as the lattice check
-    # builds it (the element without its last projector, plus that one).
+    # The scale workload's lattice shape, k = 8 levels at d = 8.  The
+    # lattice oracle (tests/oracles.py) forms all 256 events and scans each
+    # unordered pair once, which is sound only because every event is
+    # Hermitian bit for bit; the library's bound assumes the same of its
+    # formed events.  Each is a sum of projectors in index order from zero,
+    # as the oracle sums them (the event without its last projector, plus
+    # that one).
     obs = observable(random_hermitian(8, seed=1408))
     projectors = obs.spectrum.projectors
     k = len(projectors)

@@ -1,8 +1,11 @@
-"""The vectorised search and lattice check against their loop-form oracles.
+"""The vectorised search and the atom lattice check against loop-form oracles.
 
-``oracles.py`` keeps the tuple-and-dict implementations.  Every result
-here must be equal under ``==``: counts, the first satisfying example,
-every verdict and ``max_defect`` to the last bit.
+``oracles.py`` keeps the tuple-and-dict implementations.  Every search
+result must be equal under ``==``: counts and the first satisfying
+example.  The lattice check works from the k atoms while its oracle
+scans all 2^k x 2^k pairs of events, so its contract is a bound: equal
+atom verdicts, sound other verdicts, and a ``max_defect`` at or above
+the oracle's measured one and below a stated ceiling.
 """
 
 import tracemalloc
@@ -154,84 +157,184 @@ def _observable_with_levels(rng, levels: list[float]):
     return observable(0.5 * (h + h.conj().T))
 
 
+def _tampered(kind: str, strength: float) -> Observable:
+    # Eigenvectors that are no longer orthonormal give generators that
+    # really fail by about ``strength``.  When column 1 leans on column 0
+    # it stays a unit vector, so each P_i is still idempotent and what
+    # fails is P_0 P_1 != 0; when column 2 is stretched, P_2^2 != P_2.
+    good = _observable_with_levels(np.random.default_rng(4), [0.0, 1.0, 2.0, 3.0])
+    vectors = good.spectrum.vectors.copy()
+    if kind == "column_1_leans_on_column_0":
+        vectors[:, 1] += strength * vectors[:, 0]
+        vectors[:, 1] /= np.linalg.norm(vectors[:, 1])
+    else:
+        vectors[:, 2] *= 1.0 + strength
+    spectrum = SpectralDecomposition(good.spectrum.eigenvalues, vectors, good.spectrum.multiplicities)
+    return Observable(matrix=good.matrix, spectrum=spectrum)
+
+
+_MEASURED = ("projectors_orthogonal", "complete")
+_BOUNDED = (
+    "closed_under_meet",
+    "closed_under_join",
+    "closed_under_complement",
+    "probabilities_consistent",
+)
+
+
+def _lattice_ceiling(obs, states) -> float:
+    """The sum of a_ij over ordered pairs, c and the largest q, plus rounding.
+
+    Loop forms of the atoms' measured defects that ``boolean_lattice_check``
+    bounds from (its docstring names them).  The rounding term,
+    16 (d + 2)(k + 3) sqrt(d) eps (1 + d (A + c))^2, is above the sum of
+    the docstring's terms for states whose row norms add up to at most
+    sqrt(d), as every density operator's do.
+    """
+    atoms = obs.spectrum.projectors
+    k, d = len(atoms), obs.dim
+    a = sum(
+        float(np.abs(p @ r - (p if i == j else 0.0)).max())
+        for i, p in enumerate(atoms)
+        for j, r in enumerate(atoms)
+    )
+    c = float(np.abs(sum(atoms) - np.eye(d)).max())
+    if states is None:
+        rng = np.random.default_rng(0)
+        states = [random_density(d, rng) for _ in range(20)]
+    q = 0.0
+    for rho in states:
+        p = [float(np.trace(rho.matrix @ atom).real) for atom in atoms]
+        q = max(q, sum(max(0.0, -x) for x in p) + abs(sum(p) - 1.0))
+    eps = np.finfo(float).eps
+    return a + c + q + 16 * (d + 2) * (k + 3) * np.sqrt(d) * eps * (1 + d * (a + c)) ** 2
+
+
+def _lattice_against_oracle(obs, states=None, tol=1e-9):
+    """Both reports, after checking the library's against the loop scan.
+
+    The atoms' verdicts are measured alike, so they are equal; the others
+    rest on an upper bound, so each is sound (a verdict that holds holds
+    for the oracle too), and ``max_defect`` lies between the oracle's
+    measured maximum and a ceiling that a vacuous bound would exceed.
+    """
+    report = boolean_lattice_check(obs, states=states, tol=tol)
+    oracle = oracles.boolean_lattice_check(obs, states=states, tol=tol)
+    assert report.element_count == oracle.element_count
+    for name in _MEASURED:
+        assert getattr(report, name) == getattr(oracle, name), name
+    for name in _BOUNDED:
+        assert getattr(oracle, name) or not getattr(report, name), name
+    assert oracle.max_defect <= report.max_defect <= _lattice_ceiling(obs, states)
+    return report, oracle
+
+
+def _assert_same_verdicts(report, oracle):
+    for name in _MEASURED + _BOUNDED:
+        assert getattr(report, name) == getattr(oracle, name), name
+
+
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=7),
     st.booleans(),
 )
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=25, deadline=None)
 def test_lattice_matches_oracle_on_random_observables(seed, k, repeats, own_states):
     rng = np.random.default_rng(seed)
     levels = [float(v) for v in range(k)]
-    levels += [float(v) for v in rng.integers(0, k, repeats)]  # degenerate levels
+    levels += [float(v) for v in rng.integers(0, k, min(repeats, 8 - k))]  # degenerate levels
     obs = _observable_with_levels(rng, levels)
-    assert len(obs.spectrum.projectors) == k
+    assert len(obs.spectrum.projectors) == k and obs.dim <= 8
     states = None
     if own_states:
         states = [random_density(obs.dim, rng) for _ in range(3)]
-    assert boolean_lattice_check(obs, states=states) == (
-        oracles.boolean_lattice_check(obs, states=states)
-    )
+    _lattice_against_oracle(obs, states=states)
 
 
 def test_lattice_matches_oracle_at_six_levels():
     obs = _observable_with_levels(np.random.default_rng(6), [float(v) for v in range(6)])
-    report = boolean_lattice_check(obs)
-    assert report.element_count == 64
-    assert report == oracles.boolean_lattice_check(obs)
+    for tol in (1e-9, 0.0):
+        report, oracle = _lattice_against_oracle(obs, tol=tol)
+        assert report.element_count == 64
+        assert report.all_hold == (tol > 0.0)
+        _assert_same_verdicts(report, oracle)
 
 
 def test_lattice_matches_oracle_at_eight_levels_in_dimension_eight():
-    # The shape of the benchmark's scale call: 256 elements, each state's
-    # 256 probabilities from one stacked product.
+    # The shape of the benchmark's scale call: 256 events, 36 atom
+    # products and each state's 8 atom probabilities.
     obs = _observable_with_levels(np.random.default_rng(8), [float(v) for v in range(8)])
-    report = boolean_lattice_check(obs)
+    report, oracle = _lattice_against_oracle(obs)
     assert report.element_count == 256 and report.all_hold
-    assert report == oracles.boolean_lattice_check(obs)
+    _assert_same_verdicts(report, oracle)
 
 
 @pytest.mark.parametrize("k", [3, 6])
 def test_lattice_matches_oracle_on_exact_projectors(k):
     # A diagonal observable with levels 1..k has 0/1 projectors, so every
-    # meet and join is exact and max_defect comes only from the seeded
-    # batch's event probabilities.  At k = 3 the atom sum sets it and at
-    # k = 6 an additivity sum does, so a changed summation order in
-    # either shows up in the last bit.
+    # atom gap a_ij and c is exactly 0, and max_defect is rounding terms
+    # alone: still above the oracle's measured gaps, which come only from
+    # the seeded batch's event probabilities.
     obs = observable(np.diag(np.arange(1.0, k + 1.0)).astype(complex))
-    report = boolean_lattice_check(obs)
-    assert report.element_count == 2**k
-    assert report.all_hold and report.max_defect > 0.0
-    assert report == oracles.boolean_lattice_check(obs)
+    for tol in (1e-9, 0.0):
+        report, oracle = _lattice_against_oracle(obs, tol=tol)
+        assert report.element_count == 2**k
+        assert report.all_hold == (tol > 0.0) and oracle.max_defect > 0.0
+        _assert_same_verdicts(report, oracle)
 
 
 def test_lattice_matches_oracle_when_a_check_fails():
     # a tolerance below the rounding floor fails the numerical checks;
-    # the verdicts and the worst defect must still agree
+    # the verdicts must still agree, and the bound still cover the gaps
     obs = _observable_with_levels(np.random.default_rng(3), [0.0, 1.0, 2.0, 2.0])
-    report = boolean_lattice_check(obs, tol=0.0)
-    assert not report.all_hold
-    assert report == oracles.boolean_lattice_check(obs, tol=0.0)
+    for tol in (1e-9, 0.0):
+        report, oracle = _lattice_against_oracle(obs, tol=tol)
+        _assert_same_verdicts(report, oracle)
+        assert report.all_hold == (tol > 0.0)
+
+
+@pytest.mark.parametrize("strength", [1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("tamper", ["column_1_leans_on_column_0", "column_2_stretched"])
+def test_lattice_bound_covers_tampered_generators(tamper, strength):
+    # Weaker tampering than below: up to 1e-9 every verdict still holds at
+    # the default tolerance, and at 1e-6 the generators fail.
+    obs = _tampered(tamper, strength)
+    report, oracle = _lattice_against_oracle(obs)
+    _assert_same_verdicts(report, oracle)
+    assert report.all_hold == (strength <= 1e-9)
+    assert 0.1 * strength < report.max_defect < 10.0 * strength
+    _assert_same_verdicts(*_lattice_against_oracle(obs, tol=0.0))
 
 
 @pytest.mark.parametrize("tamper", ["column_1_leans_on_column_0", "column_2_stretched"])
 def test_lattice_fails_on_generators_that_are_not_orthogonal_projectors(tamper):
-    # Eigenvectors that are no longer orthonormal give generators that
-    # really fail, at the default tolerance, each by about 1e-3.  In the
-    # first case column 1 stays a unit vector, so each P_i is still
-    # idempotent and what fails is P_0 P_1 != 0; in the second, P_2^2 != P_2.
-    good = _observable_with_levels(np.random.default_rng(4), [0.0, 1.0, 2.0, 3.0])
-    vectors = good.spectrum.vectors.copy()
-    if tamper == "column_1_leans_on_column_0":
-        vectors[:, 1] += 1e-3 * vectors[:, 0]
-        vectors[:, 1] /= np.linalg.norm(vectors[:, 1])
-    else:
-        vectors[:, 2] *= 1.0 + 1e-3
-    spectrum = SpectralDecomposition(good.spectrum.eigenvalues, vectors, good.spectrum.multiplicities)
-    obs = Observable(matrix=good.matrix, spectrum=spectrum)
-    report = boolean_lattice_check(obs)
+    # Each tampered generator really fails, at the default tolerance, by
+    # about 1e-3.
+    obs = _tampered(tamper, 1e-3)
+    report, oracle = _lattice_against_oracle(obs)
+    _assert_same_verdicts(report, oracle)
     assert not report.projectors_orthogonal
     assert not report.closed_under_meet
     assert not report.closed_under_join
     assert 1e-4 < report.max_defect < 1e-2
-    assert report == oracles.boolean_lattice_check(obs)
+    _assert_same_verdicts(*_lattice_against_oracle(obs, tol=0.0))
+
+
+@pytest.mark.parametrize("states", [None, []], ids=["seeded_batch", "no_states"])
+def test_lattice_fails_on_a_missing_outcome(states):
+    # A zeroed eigenvector leaves P_2 = 0: the atoms stay orthogonal
+    # idempotents, so meet and join hold, but they no longer sum to I, so
+    # completeness and complement fail (and, with states, probabilities).
+    # With no states the bound is the lattice terms alone.
+    good = _observable_with_levels(np.random.default_rng(4), [0.0, 1.0, 2.0, 3.0])
+    vectors = good.spectrum.vectors.copy()
+    vectors[:, 2] = 0.0
+    spectrum = SpectralDecomposition(good.spectrum.eigenvalues, vectors, good.spectrum.multiplicities)
+    obs = Observable(matrix=good.matrix, spectrum=spectrum)
+    report, oracle = _lattice_against_oracle(obs, states=states)
+    _assert_same_verdicts(report, oracle)
+    assert report.projectors_orthogonal and report.closed_under_meet and report.closed_under_join
+    assert not report.complete and not report.closed_under_complement
+    assert report.probabilities_consistent == (states == [])
