@@ -44,6 +44,7 @@ from .sampling import (
     random_pure_state,
 )
 from .states import (
+    _FREE_SECOND_TOL,
     DensityOperator,
     PureState,
     entangling_evolution_demo,
@@ -53,11 +54,10 @@ from .states import (
     total_spin_squared,
 )
 
-# Rounding-level ceilings on |S| - 2 (product states, local strategies), the
-# A^2 probe's delta and the uncoupled evolution's second Schmidt coefficient.
+# Rounding-level ceilings on |S| - 2 (product states, local strategies) and
+# the A^2 probe's delta.
 _CHSH_EXCESS_TOL = 1e-8
 _PROBE_SQUARE_TOL = 1e-8
-_FREE_SECOND_TOL = 1e-8
 
 
 @dataclass(frozen=True)

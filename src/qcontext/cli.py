@@ -31,6 +31,7 @@ from .linalg import ConvergenceError
 # and parse helpers that call them, so a process loads only the modules
 # its subcommand uses.
 from .states import (
+    _FREE_SECOND_TOL,
     PureState,
     as_density,
     entangling_evolution_demo,
@@ -47,10 +48,8 @@ if TYPE_CHECKING:
     from .contexts import Observable
     from .correlations import Direction
 
-# A reduced purity within this of 1 marks a product state, and with no
-# coupling the second Schmidt coefficient stays below this.
+# A reduced purity within this of 1 marks a product state.
 _PRODUCT_PURITY_TOL = 1e-8
-_FREE_SECOND_TOL = 1e-8
 
 _NAMED_STATES = {
     "singlet": make_singlet,

@@ -338,33 +338,21 @@ def boolean_lattice_check(
     = sum_{i in s} p_i, so additivity is exact and each probability lies
     within q = sum_i max(0, -p_i) + |sum_i p_i - 1| of [0, 1].
 
-    Rounding, with eps = 2^-52 and Higham's gamma_n = nu / (1 - nu), u =
-    eps / 2 (*Accuracy and Stability of Numerical Algorithms*, ch. 3):
-    g_sum = k eps >= gamma_k covers a sum of atoms, g_dot = (d + 2) eps >=
-    sqrt(2) gamma_{d+2} an entry of a complex product, |fl(XY) - XY| <=
-    g_dot |X||Y|, which row and column norms bound.
-      - sum_i P_i^2 = I + (sum_i P_i - I) + sum_i (P_i^2 - P_i) has
-        2-norm <= S = (1 + d (1 + 3 eps)(c + sum_i a_ii)) / (1 - d (g_sum
-        + g_dot)) and diagonal sum_i ||row_x P_i||^2, so sum_i |P_i| has
-        entries <= S and rows of norm <= sqrt(k S).
-      - The exact meet defect is at most Delta = (1 + 3 eps) A +
-        g_dot k S, the k^2 products' rounding added.  E_s^2 - E_s is that
-        of (s, s), so ||E_s||_2 <= N = 1 + d Delta; a formed event's
-        summation error F_s has rows of norm <= r = g_sum sqrt(k S).
-      - A formed meet adds F_s E_t + E_s F_t + F_s F_t, its product's
-        rounding and F_{s&t}: meet = Delta + 2 r N + r^2 + g_dot (N + r)^2
-        + g_sum S.  A join adds four summation errors and two
-        subtractions: join = meet + 5 g_sum S + 3 eps (N + r)^2.
-        complement = (1 + 2 eps) c + 4 g_sum S + eps N.
-      - Re Tr(rho E_s) by a product and a trace is within e = w (r +
-        2 (d + 1) eps (N + r)) of exact, w = sum_x ||row_x rho|| (as
-        computed, times 1 + (d + 4) eps).  Each p_i here, d^2 products
-        summed in two stages of d, is within (d + 2) eps w sqrt(S), so q <=
-        Q = q' + 2 k (d + 2) eps w sqrt(S) + k eps (1 + 2 q'), q' as
-        computed; an excess, the atoms' sum or an additivity gap is below
-        Q + (k + 3) e + k eps (1 + 2 Q).
-    Each bound is scaled by 1 + 16 eps, for a measured gap's last
-    subtraction and modulus (1 + 2 eps) and the bound's own rounding.
+    Rounding adds at most R = 16 (d + 2)(k + 3) sqrt(d) eps X^2 to A, c
+    and the largest q, with eps = 2^-52 and X = 1 + d (A + c).  From
+    Higham's gamma_n (*Accuracy and Stability of Numerical Algorithms*,
+    ch. 3): a sum of k atoms is within k eps |P_i| summed, an entry of a
+    complex product MN within (d + 2) eps (|M||N|)_xy.  sum_i P_i^2 = I +
+    (sum_i P_i - I) + sum_i (P_i^2 - P_i) bounds the entries of sum_i
+    |P_i|, and each ||E_s||_2, by about X; |p_i| <= ||P_i||_2 <= X; a
+    density operator's row norms add up to at most sqrt(d) (1 + 1e-6).
+    Summed term by term, the k^2 products' rounding, a formed event's
+    summation error, a formed meet's product, a join's four additions and
+    two subtractions, a complement's, and the product and trace that give
+    Re Tr(rho E_s) stay below R / 2 for every k <= 8 and d <= 10^5; the
+    other half covers the bound's own evaluation.  Each bound is then rounded up to a power of two, so that
+    ``max_defect``, the largest, does not move with the last bits of the
+    atoms or the states.
     """
     k = len(a.spectrum.eigenvalues)
     if k > _LATTICE_MAX_LEVELS:
@@ -373,22 +361,14 @@ def boolean_lattice_check(
             f"eigenvalues, observable has {k}"
         )
     atoms, d = a.spectrum.projectors, a.dim
-    eps = float(np.finfo(float).eps)
     off, on = [], []  # a_ij for i < j, a_ii
     for i, j in itertools.combinations_with_replacement(range(k), 2):
         prod = atoms[i] @ atoms[j]
         (on if i == j else off).append(float(np.abs(prod - atoms[i] if i == j else prod).max()))
     c = float(np.abs(sum(atoms) - np.eye(d)).max())
-
-    g_sum, g_dot = k * eps, (d + 2) * eps
-    diagonal = math.fsum(on)
-    s = (1.0 + d * (1.0 + 3 * eps) * (c + diagonal)) / (1.0 - d * (g_sum + g_dot))
-    delta = (1.0 + 3 * eps) * (diagonal + 2.0 * math.fsum(off)) + g_dot * k * s
-    n = 1.0 + d * delta
-    r = g_sum * math.sqrt(k * s)
-    meet = delta + 2 * r * n + r * r + g_dot * (n + r) ** 2 + g_sum * s
-    join = meet + 5 * g_sum * s + 3 * eps * (n + r) ** 2
-    complement = (1.0 + 2 * eps) * c + 4 * g_sum * s + eps * n
+    gap_sum = math.fsum(on) + 2.0 * math.fsum(off)
+    eps = float(np.finfo(float).eps)
+    rounding = 16 * (d + 2) * (k + 3) * math.sqrt(d) * eps * (1.0 + d * (gap_sum + c)) ** 2
 
     if states is None:
         # Imported here because sampling imports this module.
@@ -399,20 +379,23 @@ def boolean_lattice_check(
     rhos = np.array([rho.matrix for rho in states], dtype=complex).reshape(len(states), d, d)
     # p[m, i] = Re sum_x sum_z rho_m[x, z] P_i[z, x], over z, then x
     p = (rhos[:, None] * np.array(atoms).transpose(0, 2, 1)).real.sum(axis=3).sum(axis=2)
-    w = (1.0 + (d + 4) * eps) * np.sqrt((rhos.real**2 + rhos.imag**2).sum(axis=2)).sum(axis=1)
     q = np.maximum(-p, 0.0).sum(axis=1) + np.abs(p.sum(axis=1) - 1.0)
-    q += 2 * k * g_dot * w * math.sqrt(s) + k * eps * (1.0 + 2 * q)
-    e = w * (r + 2 * (d + 1) * eps * (n + r))
-    probabilities = float(np.max(q + (k + 3) * e + k * eps * (1.0 + 2 * q), initial=0.0))
-
-    scale = 1.0 + 16 * eps
+    lattice, complement, probabilities = (
+        _power_of_two_above(x + rounding) for x in (gap_sum, c, float(np.max(q, initial=0.0)))
+    )
     return BooleanLatticeReport(
         element_count=1 << k,
         projectors_orthogonal=not any(g >= tol for g in off + on),
         complete=c < tol,
-        closed_under_meet=scale * meet < tol,
-        closed_under_join=scale * join < tol,
-        closed_under_complement=scale * complement < tol,
-        probabilities_consistent=scale * probabilities < tol,
-        max_defect=scale * max(meet, join, complement, probabilities),
+        closed_under_meet=lattice < tol,
+        closed_under_join=lattice < tol,
+        closed_under_complement=complement < tol,
+        probabilities_consistent=probabilities < tol,
+        max_defect=max(lattice, complement, probabilities),
     )
+
+
+def _power_of_two_above(x: float) -> float:
+    """The least power of two at or above a positive ``x`` (inf and nan kept)."""
+    m, e = math.frexp(x)
+    return math.ldexp(1.0, e) if 0.5 < m < 1.0 else x

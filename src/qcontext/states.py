@@ -27,6 +27,10 @@ PURITY_TOL = 1e-9
 # Schmidt coefficients below this count as zero when ranking.
 SCHMIDT_RANK_TOL = 1e-8
 
+# With no coupling, entangling_evolution_demo's second Schmidt coefficient
+# stays below this.
+_FREE_SECOND_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class PureState:

@@ -183,13 +183,15 @@ _BOUNDED = (
 
 
 def _lattice_ceiling(obs, states) -> float:
-    """The sum of a_ij over ordered pairs, c and the largest q, plus rounding.
+    """2 (A + c + q + 2 R), from loop forms of what the check bounds from.
 
-    Loop forms of the atoms' measured defects that ``boolean_lattice_check``
-    bounds from (its docstring names them).  The rounding term,
-    16 (d + 2)(k + 3) sqrt(d) eps (1 + d (A + c))^2, is above the sum of
-    the docstring's terms for states whose row norms add up to at most
-    sqrt(d), as every density operator's do.
+    A is the sum of a_ij over ordered pairs, c the completeness defect, q
+    the largest probability defect and R = 16 (d + 2)(k + 3) sqrt(d) eps
+    (1 + d (A + c))^2 the rounding term (``boolean_lattice_check``'s
+    docstring names them).  Its largest bound before the round-up is
+    max(A, c, q) + R, give or take rounding that the second R covers; the
+    factor 2 covers the round-up to a power of two.  A bound 1e-10 too
+    high exceeds this.
     """
     atoms = obs.spectrum.projectors
     k, d = len(atoms), obs.dim
@@ -207,7 +209,8 @@ def _lattice_ceiling(obs, states) -> float:
         p = [float(np.trace(rho.matrix @ atom).real) for atom in atoms]
         q = max(q, sum(max(0.0, -x) for x in p) + abs(sum(p) - 1.0))
     eps = np.finfo(float).eps
-    return a + c + q + 16 * (d + 2) * (k + 3) * np.sqrt(d) * eps * (1 + d * (a + c)) ** 2
+    rounding = 16 * (d + 2) * (k + 3) * np.sqrt(d) * eps * (1 + d * (a + c)) ** 2
+    return 2 * (a + c + q + 2 * rounding)
 
 
 def _lattice_against_oracle(obs, states=None, tol=1e-9):
@@ -240,7 +243,7 @@ def _assert_same_verdicts(report, oracle):
     st.integers(min_value=0, max_value=7),
     st.booleans(),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 def test_lattice_matches_oracle_on_random_observables(seed, k, repeats, own_states):
     rng = np.random.default_rng(seed)
     levels = [float(v) for v in range(k)]
@@ -319,6 +322,28 @@ def test_lattice_fails_on_generators_that_are_not_orthogonal_projectors(tamper):
     assert not report.closed_under_meet
     assert not report.closed_under_join
     assert 1e-4 < report.max_defect < 1e-2
+    _assert_same_verdicts(*_lattice_against_oracle(obs, tol=0.0))
+
+
+@pytest.mark.parametrize("strength", [1e-6, 3e-5, 1e-3])
+def test_lattice_bound_counts_each_gap_between_two_atoms_twice(strength):
+    # With v0, v1 = (e0 +- e1)/sqrt(2), leaning v1 on v0 puts the largest
+    # entries of P_0 P_1 and P_1 P_0 apart, but on the diagonal they add:
+    # the event {0, 1} misses its own square by 2 a_01, which the bound
+    # covers only by counting a_01 once for (0, 1) and once for (1, 0).
+    # At a tolerance just below that, the meet verdict must fail.
+    v = np.eye(4)
+    v[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    good = observable(((v * np.arange(4.0)) @ v.T).astype(complex))
+    vectors = good.spectrum.vectors.copy()
+    vectors[:, 1] += strength * vectors[:, 0]
+    vectors[:, 1] /= np.linalg.norm(vectors[:, 1])
+    spectrum = SpectralDecomposition(good.spectrum.eigenvalues, vectors, good.spectrum.multiplicities)
+    obs = Observable(matrix=good.matrix, spectrum=spectrum)
+    a_01 = float(np.abs(obs.spectrum.projectors[0] @ obs.spectrum.projectors[1]).max())
+    report, oracle = _lattice_against_oracle(obs, tol=1.998 * a_01)
+    assert not oracle.closed_under_meet and not report.closed_under_meet
+    _assert_same_verdicts(*_lattice_against_oracle(obs))
     _assert_same_verdicts(*_lattice_against_oracle(obs, tol=0.0))
 
 
